@@ -5,8 +5,8 @@ report.  Tabular output is CSV, structured output is JSON (schema version
 1); both are byte-stable for identical inputs and seeds.  Exit codes:
 0 success, 1 domain error (printed as "ErrorName: detail"), 2 usage error.
 
-The CODESIGN_THREADS environment variable caps grid-search parallelism
-(0 = one worker per CPU; default 1).
+With CODESIGN_TRACE=1, ``plan`` prints one JSON line per stage to stderr:
+{"stage": ..., "seconds": ..., "items": ...}.  stdout is unchanged.
 """
 
 from __future__ import annotations
@@ -18,11 +18,12 @@ import json
 import os
 import sys
 from pathlib import Path
+from time import perf_counter
 
 from . import convergence, optimizer, reparam, simulator
-from .cost_model import PartitionPlan, evaluate_plan
+from .cost_model import evaluate_plan
 from .errors import CodesignError, InvalidConfig, SchemaMismatch
-from .profiles import FULL_STRUCTURE, Config, FusionStrategy, load_config, parse_strategy
+from .profiles import FULL_STRUCTURE, FusionStrategy, load_config, parse_strategy
 
 SCHEMA_VERSION = 1
 
@@ -30,17 +31,6 @@ PLAN_COLUMNS = ["model", "cut", "theta1", "theta2", "t1", "t2", "t3",
                 "t_total", "dA", "L", "feasible1", "feasible2"]
 
 _STRATEGY_NAMES = [s.value for s in FusionStrategy]
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("CODESIGN_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InvalidConfig(f"CODESIGN_THREADS={raw!r} is not an integer") from None
-    if value < 0:
-        raise InvalidConfig(f"CODESIGN_THREADS={raw!r} must be >= 0")
-    return value
 
 
 def _emit(text: str, out: str | None):
@@ -62,12 +52,31 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buffer.getvalue()
 
 
-def _plan_row(model_name: str, plan: PartitionPlan) -> list:
-    c = plan.cost
-    return [model_name, plan.cut_index, plan.theta1.value, plan.theta2.value,
-            repr(c.t1), repr(c.t2), repr(c.t3), repr(c.t_total),
-            repr(c.accuracy_loss), repr(c.lagrangian),
-            str(plan.feasible[0]).lower(), str(plan.feasible[1]).lower()]
+def _plan_rows(model_name: str, grid: optimizer.PlanGrid) -> list[list]:
+    # tolist() first: it yields Python floats, whose repr is the shortest
+    # round-trip form (a numpy 2 scalar's repr adds a type wrapper)
+    columns = [getattr(grid, name).tolist() for name in (
+        "cut", "theta1", "theta2", "t1", "t2", "t3", "t_total", "accuracy_loss",
+        "lagrangian", "feasible1", "feasible2")]
+    return [[model_name, cut, _STRATEGY_NAMES[th1], _STRATEGY_NAMES[th2],
+             repr(t1), repr(t2), repr(t3), repr(t_total), repr(loss), repr(objective),
+             str(f1).lower(), str(f2).lower()]
+            for cut, th1, th2, t1, t2, t3, t_total, loss, objective, f1, f2 in zip(*columns)]
+
+
+class _StageClock:
+    """Times consecutive stages of a command; with CODESIGN_TRACE=1 each
+    finished stage is printed to stderr as one JSON line."""
+
+    def __init__(self):
+        self.enabled = os.environ.get("CODESIGN_TRACE") == "1"
+        self.start = perf_counter()
+
+    def lap(self, stage: str, items: int):
+        if self.enabled:
+            print(json.dumps({"stage": stage, "seconds": perf_counter() - self.start,
+                              "items": items}), file=sys.stderr)
+        self.start = perf_counter()
 
 
 # ---------------------------------------------------------------------------
@@ -111,33 +120,29 @@ def _cmd_cost(args) -> int:
     return 0
 
 
-def _best_plan(config: Config, strict: bool) -> tuple[PartitionPlan, list[PartitionPlan]]:
-    plans = optimizer.enumerate_plans(config.model, config.device1, config.device2,
-                                      config.link, config.penalties, config.lambda1,
-                                      threads=_thread_count())
-    if strict:
-        plans = [p for p in plans if p.feasible[0] and p.feasible[1]]
-        if not plans:
-            from .errors import NoFeasiblePlan
-            raise NoFeasiblePlan("every candidate violates an intensity requirement")
-    return plans[0], plans
-
-
 def _cmd_plan(args) -> int:
+    clock = _StageClock()
     config = load_config(args.config)
-    winner, plans = _best_plan(config, args.strict)
+    clock.lap("load", len(config.model.layers))
+    grid = optimizer.evaluate_grid(config.model, config.device1, config.device2,
+                                   config.link, config.penalties, config.lambda1,
+                                   require_feasible=args.strict)
+    clock.lap("evaluate", len(grid))
+    grid = grid.ranked()
+    clock.lap("rank", len(grid))
     if args.refine:
-        refined, lam_star, trace = optimizer.refine_and_snap(
-            config.model, winner, config.device1, config.device2, config.link,
+        # the grid is exhaustive, so the snapped plan never beats its winner;
+        # only the descent trace is reported
+        _, _, trace = optimizer.refine_and_snap(
+            config.model, grid.first(), config.device1, config.device2, config.link,
             config.penalties, config.lambda1)
-        if optimizer.plan_sort_key(refined) < optimizer.plan_sort_key(winner):
-            winner = refined  # cannot happen with an exhaustive grid; kept as a guard
         if args.trace_out:
             rows = [[i, repr(lam), repr(t)] for i, (lam, t) in enumerate(trace)]
             Path(args.trace_out).write_text(
                 _csv_text(["iteration", "lambda", "t_total"], rows))
-    rows = [_plan_row(config.model.name, p) for p in plans]
-    _emit(_csv_text(PLAN_COLUMNS, rows), args.out)
+        clock.lap("refine", len(trace))
+    _emit(_csv_text(PLAN_COLUMNS, _plan_rows(config.model.name, grid)), args.out)
+    clock.lap("emit", len(grid))
     return 0
 
 
@@ -167,7 +172,8 @@ def _cmd_simulate(args) -> int:
                              config.device1, config.device2, config.link,
                              config.penalties, config.lambda1)
     else:
-        plan, _ = _best_plan(config, strict=False)
+        plan = optimizer.grid_search(config.model, config.device1, config.device2,
+                                     config.link, config.penalties, config.lambda1)
     cost = plan.cost
     sim_config = simulator.SimConfig(
         arrival_rate=args.rate,

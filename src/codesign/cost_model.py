@@ -50,12 +50,9 @@ def _segments(model: ModelProfile, cut: int, theta1: FusionStrategy,
     return segment_load(model, 0, cut, theta1), segment_load(model, cut, n, theta2)
 
 
-def latency(model: ModelProfile, cut: int, theta1: FusionStrategy,
-            theta2: FusionStrategy, d1: DeviceProfile, d2: DeviceProfile,
-            link: LinkProfile) -> CostBreakdown:
-    """Latency-only breakdown of one candidate; each segment runs at its
-    device's roofline-attainable rate for the segment's intensity."""
-    (c1, m1), (c2, m2) = _segments(model, cut, theta1, theta2)
+def _latency_of(model: ModelProfile, cut: int, segments, d1: DeviceProfile,
+                d2: DeviceProfile, link: LinkProfile) -> CostBreakdown:
+    (c1, m1), (c2, m2) = segments
     t1 = c1 / roofline.effective_rate(d1, c1 / m1)
     t2 = c2 / roofline.effective_rate(d2, c2 / m2)
     embedding = model.layers[cut - 1].output_activation_bytes
@@ -63,6 +60,14 @@ def latency(model: ModelProfile, cut: int, theta1: FusionStrategy,
     t_total = t1 + t2 + t3
     return CostBreakdown(t1=t1, t2=t2, t3=t3, t_total=t_total,
                          accuracy_loss=0.0, lagrangian=t_total)
+
+
+def latency(model: ModelProfile, cut: int, theta1: FusionStrategy,
+            theta2: FusionStrategy, d1: DeviceProfile, d2: DeviceProfile,
+            link: LinkProfile) -> CostBreakdown:
+    """Latency-only breakdown of one candidate; each segment runs at its
+    device's roofline-attainable rate for the segment's intensity."""
+    return _latency_of(model, cut, _segments(model, cut, theta1, theta2), d1, d2, link)
 
 
 def accuracy_loss(theta1: FusionStrategy, theta2: FusionStrategy, lam: float,
@@ -81,8 +86,9 @@ def evaluate_plan(model: ModelProfile, cut: int, theta1: FusionStrategy,
                   link: LinkProfile, table: AccuracyPenaltyTable,
                   lambda1: float) -> PartitionPlan:
     """Full evaluation of one candidate plan."""
-    (c1, m1), (c2, m2) = _segments(model, cut, theta1, theta2)
-    base = latency(model, cut, theta1, theta2, d1, d2, link)
+    segments = _segments(model, cut, theta1, theta2)
+    base = _latency_of(model, cut, segments, d1, d2, link)
+    (c1, m1), (c2, m2) = segments
     lam_c = c1 / (c1 + c2)
     lam_m = m1 / (m1 + m2)
     loss = accuracy_loss(theta1, theta2, lam_c, table)

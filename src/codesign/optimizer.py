@@ -1,21 +1,31 @@
 """Plan search.
 
 The authoritative optimizer is an exhaustive, deterministic grid over every
-interior cut position and every (theta1, theta2) strategy pair.  A
-gradient-descent refinement of the cut fraction on a continuous relaxation
+interior cut position and every (theta1, theta2) strategy pair.  The cost
+model is additive per layer, so the grid is one sweep: per-strategy prefix
+and suffix sums of FLOPs and bytes give every segment load, and all
+16(n-1) candidates are evaluated elementwise in numpy.  That is O(n) work
+plus one sort of the 16(n-1) rows.  The candidates whose objective is
+within a relative 1e-9 of the minimum are evaluated again by the scalar
+``evaluate_plan``, so the winner carries exactly the values ``cost`` prints
+and its ties are broken on exact keys.
+
+A gradient-descent refinement of the cut fraction on a continuous relaxation
 is available as a demonstrative extra; since the true objective is
 piecewise over discrete cuts, the refined fraction is snapped back to a
-boundary and compared against its neighbors.
+boundary and compared against its neighbors.  Each relaxed point costs
+O(log n): binary searches over prefix sums built once per refinement.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, fields
+
+import numpy as np
 
 from . import roofline
-from .cost_model import PartitionPlan, evaluate_plan
+from .cost_model import CostBreakdown, PartitionPlan, evaluate_plan
 from .errors import DegenerateSplit, NoFeasiblePlan
 from .profiles import (
     FULL_STRUCTURE,
@@ -29,6 +39,13 @@ from .profiles import (
 
 _EPS = 1e-9
 
+# Candidates whose vectorized objective lies within this relative distance of
+# the minimum are re-evaluated by the scalar cost model: a suffix sum can
+# differ from a left-to-right segment sum in the last bit.
+_RECHECK_RTOL = 1e-9
+
+_STRATEGIES = tuple(FusionStrategy)
+
 
 def plan_sort_key(plan: PartitionPlan):
     """Canonical ranking: objective, then latency, then cut, then strategy
@@ -38,49 +55,148 @@ def plan_sort_key(plan: PartitionPlan):
             STRATEGY_RANK[plan.theta1], STRATEGY_RANK[plan.theta2])
 
 
+@dataclass(frozen=True)
+class PlanGrid:
+    """Candidates of the (cut, theta1, theta2) grid as parallel 1-D arrays,
+    one entry per candidate.  ``theta1``/``theta2`` hold strategy ranks
+    (indices into ``FusionStrategy`` declaration order)."""
+
+    cut: np.ndarray
+    theta1: np.ndarray
+    theta2: np.ndarray
+    lambda_c: np.ndarray
+    lambda_m: np.ndarray
+    t1: np.ndarray
+    t2: np.ndarray
+    t3: np.ndarray
+    t_total: np.ndarray
+    accuracy_loss: np.ndarray
+    lagrangian: np.ndarray
+    feasible1: np.ndarray
+    feasible2: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.cut)
+
+    def _take(self, index) -> PlanGrid:
+        return PlanGrid(**{f.name: getattr(self, f.name)[index] for f in fields(self)})
+
+    def ranked(self) -> PlanGrid:
+        """Rows in canonical order (see ``plan_sort_key``)."""
+        return self._take(np.lexsort((self.theta2, self.theta1, self.cut,
+                                      self.t_total, self.lagrangian)))
+
+    def first(self) -> PartitionPlan:
+        return self._take(slice(0, 1)).plans()[0]
+
+    def plans(self) -> list[PartitionPlan]:
+        columns = [getattr(self, f.name).tolist() for f in fields(self)]
+        return [PartitionPlan(cut_index=cut, lambda_c=lam_c, lambda_m=lam_m,
+                              theta1=_STRATEGIES[th1], theta2=_STRATEGIES[th2],
+                              cost=CostBreakdown(t1=t1, t2=t2, t3=t3, t_total=t_total,
+                                                 accuracy_loss=loss, lagrangian=objective),
+                              feasible=(f1, f2))
+                for (cut, th1, th2, lam_c, lam_m, t1, t2, t3, t_total, loss, objective,
+                     f1, f2) in zip(*columns)]
+
+
+def _choices(strategies) -> list[FusionStrategy]:
+    return sorted(strategies or _STRATEGIES, key=STRATEGY_RANK.__getitem__)
+
+
+def _attainable_rate(device: DeviceProfile, intensity: np.ndarray) -> np.ndarray:
+    # roofline.effective_rate, elementwise
+    return device.utilization * np.minimum(device.peak_compute,
+                                           intensity * device.mem_bandwidth)
+
+
+def evaluate_grid(model: ModelProfile, d1: DeviceProfile, d2: DeviceProfile,
+                  link: LinkProfile, table: AccuracyPenaltyTable, lambda1: float,
+                  require_feasible: bool = False, theta1_choices=None,
+                  theta2_choices=None) -> PlanGrid:
+    """Every candidate of the grid, unranked, in one vectorized sweep.
+
+    With ``require_feasible`` only candidates whose segments both reach
+    their device's balance point are kept; ``NoFeasiblePlan`` is raised if
+    none does.
+    """
+    layers = model.layers
+    if len(layers) < 2:
+        raise DegenerateSplit("model has no interior layer boundary to cut at")
+    theta1s, theta2s = _choices(theta1_choices), _choices(theta2_choices)
+    rank1 = np.array([STRATEGY_RANK[s] for s in theta1s])
+    rank2 = np.array([STRATEGY_RANK[s] for s in theta2s])
+    flops = np.array([[layer.flops_by_strategy[s] for s in _STRATEGIES] for layer in layers])
+    data = np.array([[layer.bytes_by_strategy[s] for s in _STRATEGIES] for layer in layers])
+
+    # Row k-1 holds layers [0, k) (heads) and [k, n) (tails) for cut k.
+    # cumsum runs left to right, as segment_load does, so heads match it;
+    # tails are summed right to left, which avoids the cancellation of
+    # total - head.
+    def heads(per_layer):
+        return np.cumsum(per_layer, axis=0)[:-1][:, rank1, None]
+
+    def tails(per_layer):
+        return np.cumsum(per_layer[::-1], axis=0)[::-1][1:][:, None, rank2]
+
+    c1, m1, c2, m2 = heads(flops), heads(data), tails(flops), tails(data)
+    t1 = c1 / _attainable_rate(d1, c1 / m1)
+    t2 = c2 / _attainable_rate(d2, c2 / m2)
+    embedding = np.array([layer.output_activation_bytes for layer in layers[:-1]])
+    t3 = (embedding / link.bandwidth + link.fixed_latency)[:, None, None]
+    t_total = t1 + t2 + t3
+    lam_c = c1 / (c1 + c2)
+    penalty1 = np.array([table.penalty(1, s) for s in theta1s])[None, :, None]
+    penalty2 = np.array([table.penalty(2, s) for s in theta2s])[None, None, :]
+    loss = lam_c * penalty1 + (1 - lam_c) * penalty2
+    feasible1, feasible2 = roofline.feasibility(c1 / m1, c2 / m2, d1, d2)
+
+    shape = t_total.shape
+    cut = np.arange(1, len(layers))[:, None, None]
+    columns = {
+        "cut": cut, "theta1": rank1[None, :, None], "theta2": rank2[None, None, :],
+        "lambda_c": lam_c, "lambda_m": m1 / (m1 + m2), "t1": t1, "t2": t2, "t3": t3,
+        "t_total": t_total, "accuracy_loss": loss, "lagrangian": t_total + lambda1 * loss,
+        "feasible1": feasible1, "feasible2": feasible2,
+    }
+    grid = PlanGrid(**{name: np.broadcast_to(value, shape).flatten()
+                       for name, value in columns.items()})
+    if require_feasible:
+        grid = grid._take(grid.feasible1 & grid.feasible2)
+        if not len(grid):
+            raise NoFeasiblePlan("every candidate violates an intensity requirement")
+
+    best = grid.lagrangian.min()
+    for i in np.flatnonzero(grid.lagrangian <= best + _RECHECK_RTOL * abs(best)).tolist():
+        exact = evaluate_plan(model, int(grid.cut[i]), _STRATEGIES[grid.theta1[i]],
+                              _STRATEGIES[grid.theta2[i]], d1, d2, link, table, lambda1)
+        grid.lambda_c[i], grid.lambda_m[i] = exact.lambda_c, exact.lambda_m
+        for name in ("t1", "t2", "t3", "t_total", "accuracy_loss", "lagrangian"):
+            getattr(grid, name)[i] = getattr(exact.cost, name)
+    return grid
+
+
 def enumerate_plans(model: ModelProfile, d1: DeviceProfile, d2: DeviceProfile,
                     link: LinkProfile, table: AccuracyPenaltyTable, lambda1: float,
-                    theta1_choices=None, theta2_choices=None,
-                    threads: int = 1) -> list[PartitionPlan]:
+                    theta1_choices=None, theta2_choices=None) -> list[PartitionPlan]:
     """Evaluate every candidate and return them ranked best-first."""
-    if len(model.layers) < 2:
-        raise DegenerateSplit("model has no interior layer boundary to cut at")
-    theta1s = tuple(theta1_choices) if theta1_choices else tuple(FusionStrategy)
-    theta2s = tuple(theta2_choices) if theta2_choices else tuple(FusionStrategy)
-    candidates = [(cut, t1, t2)
-                  for cut in model.boundaries for t1 in theta1s for t2 in theta2s]
-
-    def evaluate(candidate):
-        cut, t1, t2 = candidate
-        return evaluate_plan(model, cut, t1, t2, d1, d2, link, table, lambda1)
-
-    workers = (os.cpu_count() or 1) if threads == 0 else threads
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            plans = list(pool.map(evaluate, candidates))
-    else:
-        plans = [evaluate(c) for c in candidates]
-    plans.sort(key=plan_sort_key)
-    return plans
+    return evaluate_grid(model, d1, d2, link, table, lambda1,
+                         theta1_choices=theta1_choices,
+                         theta2_choices=theta2_choices).ranked().plans()
 
 
 def grid_search(model: ModelProfile, d1: DeviceProfile, d2: DeviceProfile,
                 link: LinkProfile, table: AccuracyPenaltyTable, lambda1: float,
                 require_feasible: bool = False, theta1_choices=None,
-                theta2_choices=None, threads: int = 1) -> PartitionPlan:
+                theta2_choices=None) -> PartitionPlan:
     """Best plan over the full grid.
 
     By default infeasible candidates stay in (the roofline rate cap already
     prices memory-bound segments); with ``require_feasible`` both segments
     must reach their device's balance point or the candidate is dropped.
     """
-    plans = enumerate_plans(model, d1, d2, link, table, lambda1,
-                            theta1_choices, theta2_choices, threads)
-    if require_feasible:
-        plans = [p for p in plans if p.feasible[0] and p.feasible[1]]
-        if not plans:
-            raise NoFeasiblePlan("every candidate violates an intensity requirement")
-    return plans[0]
+    return evaluate_grid(model, d1, d2, link, table, lambda1, require_feasible,
+                         theta1_choices, theta2_choices).ranked().first()
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +223,64 @@ def snap_to_boundary(lam: float, model: ModelProfile) -> int:
     return min(model.boundaries, key=lambda k: (abs(fractions[k - 1] - lam), k))
 
 
+def _prefix_sums(values: list[float]) -> list[float]:
+    """Entry k is the left-to-right sum of values[:k]."""
+    sums, acc = [0.0], 0.0
+    for value in values:
+        acc += value
+        sums.append(acc)
+    return sums
+
+
+def _relaxed_latency_curve(model: ModelProfile, theta1: FusionStrategy,
+                           theta2: FusionStrategy, d1: DeviceProfile,
+                           d2: DeviceProfile, link: LinkProfile):
+    """``relaxed_total_latency`` as a function of lam alone.  The fractions,
+    prefix sums and boundary activations are built once, so each point costs
+    two binary searches."""
+    layers = model.layers
+    n = len(layers)
+    grid = [0.0] + cumulative_flop_fractions(model)
+    flops1 = [layer.flops_by_strategy[theta1] for layer in layers]
+    bytes1 = [layer.bytes_by_strategy[theta1] for layer in layers]
+    flops2 = [layer.flops_by_strategy[theta2] for layer in layers]
+    bytes2 = [layer.bytes_by_strategy[theta2] for layer in layers]
+    head1_f, head1_b = _prefix_sums(flops1), _prefix_sums(bytes1)
+    head2_f, head2_b = _prefix_sums(flops2), _prefix_sums(bytes2)
+    tot2_f, tot2_b = head2_f[n], head2_b[n]
+    positions = list(model.boundaries)
+    acts = [layers[j - 1].output_activation_bytes for j in positions]
+
+    def total(lam: float) -> float:
+        lam = min(max(lam, _EPS), 1.0 - _EPS)
+        k = min(max(bisect_right(grid, lam) - 1, 0), n - 1)
+        t = (lam - grid[k]) / (grid[k + 1] - grid[k])
+
+        # segment sums interpolated inside layer k
+        c1 = head1_f[k] + t * flops1[k]
+        m1 = head1_b[k] + t * bytes1[k]
+        c2 = tot2_f - (head2_f[k] + t * flops2[k])
+        m2 = tot2_b - (head2_b[k] + t * bytes2[k])
+
+        # activation bytes at the fractional position k + t, clamped to the
+        # interior boundary values at the ends
+        s = k + t
+        if s <= positions[0]:
+            embedding = acts[0]
+        elif s >= positions[-1]:
+            embedding = acts[-1]
+        else:
+            j = bisect_right(positions, s) - 1
+            frac = (s - positions[j]) / (positions[j + 1] - positions[j])
+            embedding = acts[j] + frac * (acts[j + 1] - acts[j])
+
+        t1 = c1 / roofline.effective_rate(d1, c1 / m1)
+        t2 = c2 / roofline.effective_rate(d2, c2 / m2)
+        return t1 + t2 + embedding / link.bandwidth + link.fixed_latency
+
+    return total
+
+
 def relaxed_total_latency(model: ModelProfile, lam: float,
                           theta1: FusionStrategy, theta2: FusionStrategy,
                           d1: DeviceProfile, d2: DeviceProfile,
@@ -117,43 +291,7 @@ def relaxed_total_latency(model: ModelProfile, lam: float,
     FLOP/byte sums are linearly interpolated inside the layer the fraction
     falls in; the shipped activation interpolates between boundary values.
     """
-    layers = model.layers
-    n = len(layers)
-    lam = min(max(lam, _EPS), 1.0 - _EPS)
-
-    grid = [0.0] + cumulative_flop_fractions(model)
-    k = min(max(bisect_right(grid, lam) - 1, 0), n - 1)
-    t = (lam - grid[k]) / (grid[k + 1] - grid[k])
-
-    def partial(strategy):
-        head_f = sum(l.flops_by_strategy[strategy] for l in layers[:k])
-        head_b = sum(l.bytes_by_strategy[strategy] for l in layers[:k])
-        return (head_f + t * layers[k].flops_by_strategy[strategy],
-                head_b + t * layers[k].bytes_by_strategy[strategy])
-
-    c1, m1 = partial(theta1)
-    tot2_f, tot2_b = (sum(l.flops_by_strategy[theta2] for l in layers),
-                      sum(l.bytes_by_strategy[theta2] for l in layers))
-    head2_f, head2_b = partial(theta2)
-    c2, m2 = tot2_f - head2_f, tot2_b - head2_b
-
-    # activation bytes at the fractional position k + t, clamped to the
-    # interior boundary values at the ends
-    positions = list(model.boundaries)
-    acts = [layers[j - 1].output_activation_bytes for j in positions]
-    s = k + t
-    if s <= positions[0]:
-        embedding = acts[0]
-    elif s >= positions[-1]:
-        embedding = acts[-1]
-    else:
-        j = bisect_right(positions, s) - 1
-        frac = (s - positions[j]) / (positions[j + 1] - positions[j])
-        embedding = acts[j] + frac * (acts[j + 1] - acts[j])
-
-    t1 = c1 / roofline.effective_rate(d1, c1 / m1)
-    t2 = c2 / roofline.effective_rate(d2, c2 / m2)
-    return t1 + t2 + embedding / link.bandwidth + link.fixed_latency
+    return _relaxed_latency_curve(model, theta1, theta2, d1, d2, link)(lam)
 
 
 def refine_lambda(model: ModelProfile, start: PartitionPlan, d1: DeviceProfile,
@@ -166,9 +304,7 @@ def refine_lambda(model: ModelProfile, start: PartitionPlan, d1: DeviceProfile,
     h = 1e-6
     fractions = cumulative_flop_fractions(model)
     lam = fractions[start.cut_index - 1]
-
-    def total(x):
-        return relaxed_total_latency(model, x, start.theta1, start.theta2, d1, d2, link)
+    total = _relaxed_latency_curve(model, start.theta1, start.theta2, d1, d2, link)
 
     trace = [(lam, total(lam))]
     for _ in range(iters):

@@ -1,12 +1,16 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from codesign import cli
 from conftest import FIXTURES
 
 CONFIG = str(FIXTURES / "paper.json")
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def codesign(*args, env=None):
@@ -171,14 +175,27 @@ def test_convergence_lab_output():
     assert "violated_at=None" in result.stderr
 
 
-def test_threads_env_var():
-    import os
-    env = dict(os.environ, CODESIGN_THREADS="4")
-    threaded = codesign("plan", "--config", CONFIG, env=env)
-    assert threaded.returncode == 0
-    assert threaded.stdout == codesign("plan", "--config", CONFIG).stdout
-    env = dict(os.environ, CODESIGN_THREADS="bogus")
-    assert codesign("plan", "--config", CONFIG, env=env).returncode == 1
+def test_plan_and_trace_match_golden_files(tmp_path):
+    # golden files written by the per-candidate scalar planner, which the
+    # vectorized grid and the prefix-sum refinement replaced
+    plan, trace = tmp_path / "plan.csv", tmp_path / "trace.csv"
+    assert cli.main(["plan", "--config", CONFIG, "--refine", "--trace-out", str(trace),
+                     "--out", str(plan)]) == 0
+    assert plan.read_bytes() == (GOLDEN / "paper_plan.csv").read_bytes()
+    assert trace.read_bytes() == (GOLDEN / "paper_trace.csv").read_bytes()
+
+
+def test_trace_env_var_prints_stages_and_leaves_stdout_alone():
+    plain = codesign("plan", "--config", CONFIG, "--refine")
+    traced = codesign("plan", "--config", CONFIG, "--refine",
+                      env=dict(os.environ, CODESIGN_TRACE="1"))
+    assert plain.returncode == traced.returncode == 0
+    assert traced.stdout == plain.stdout
+    assert plain.stderr == ""
+    lines = [json.loads(line) for line in traced.stderr.splitlines()]
+    assert [line["stage"] for line in lines] == ["load", "evaluate", "rank", "refine", "emit"]
+    assert [line["items"] for line in lines] == [14, 13 * 16, 13 * 16, 501, 13 * 16]
+    assert all(line["seconds"] >= 0 for line in lines)
 
 
 HELP_FLAGS = {

@@ -1,23 +1,30 @@
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 
-from codesign import optimizer
+from codesign import optimizer, reparam, roofline
 from codesign.cost_model import evaluate_plan
 from codesign.errors import NoFeasiblePlan
 from codesign.profiles import (
     STRATEGY_RANK,
     DeviceProfile,
     FusionStrategy,
+    LayerProfile,
     ModelProfile,
+    load_config,
 )
 
 from conftest import (
+    FIXTURES,
     FULL,
     S3,
     S3_1X1,
     S3_SKIP,
     random_device,
     random_model,
+    nano,
+    nx,
     random_table,
     simple_link,
     uniform_layer,
@@ -121,16 +128,6 @@ def test_zero_weight_reduces_to_pure_latency_ranking():
         assert plans[0] == by_latency
 
 
-def test_threaded_enumeration_identical():
-    rng = np.random.default_rng(58)
-    model = random_model(rng, 8)
-    d1, d2 = random_device(rng, "a"), random_device(rng, "b")
-    serial = optimizer.enumerate_plans(model, d1, d2, simple_link(), zero_table(), 0.1)
-    threaded = optimizer.enumerate_plans(model, d1, d2, simple_link(), zero_table(), 0.1,
-                                         threads=4)
-    assert serial == threaded
-
-
 def test_strict_mode_raises_when_nothing_feasible():
     # tiny intensities on devices with sky-high balance points
     model = uniform_model(3, flops=1e6, data=1e8)
@@ -152,6 +149,85 @@ def test_strict_mode_picks_best_feasible():
         plan = optimizer.grid_search(model, d1, d2, simple_link(), zero_table(), 0.0,
                                      require_feasible=True)
         assert plan == feasible[0]
+
+
+# --- vectorized grid vs the scalar cost model ---------------------------------
+
+def scaled_model(model, factor):
+    """The same model with every cost multiplied by a non-integer factor, so
+    segment sums round and a suffix sum can differ from a left-to-right one."""
+    return ModelProfile(model.name, tuple(
+        LayerProfile(index=layer.index,
+                     flops_by_strategy={s: v * factor for s, v in layer.flops_by_strategy.items()},
+                     bytes_by_strategy={s: v * factor for s, v in layer.bytes_by_strategy.items()},
+                     output_activation_bytes=layer.output_activation_bytes * factor,
+                     fusible=layer.fusible)
+        for layer in model.layers))
+
+
+def assert_grid_agrees_with_scalar(model, d1, d2, link, table, lambda1):
+    plans = optimizer.enumerate_plans(model, d1, d2, link, table, lambda1)
+    assert len(plans) == 16 * (len(model.layers) - 1)
+    keys = [optimizer.plan_sort_key(p) for p in plans]
+    assert keys == sorted(keys)
+    assert len({(p.cut_index, p.theta1, p.theta2) for p in plans}) == len(plans)
+    for plan in plans:
+        exact = evaluate_plan(model, plan.cut_index, plan.theta1, plan.theta2,
+                              d1, d2, link, table, lambda1)
+        assert plan.feasible == exact.feasible
+        for got, want in ((plan.lambda_c, exact.lambda_c), (plan.lambda_m, exact.lambda_m),
+                          (plan.cost.t1, exact.cost.t1), (plan.cost.t2, exact.cost.t2),
+                          (plan.cost.t3, exact.cost.t3), (plan.cost.t_total, exact.cost.t_total),
+                          (plan.cost.accuracy_loss, exact.cost.accuracy_loss),
+                          (plan.cost.lagrangian, exact.cost.lagrangian)):
+            assert abs(got - want) <= 1e-12 * abs(want)
+    best = plans[0]
+    assert best == evaluate_plan(model, best.cut_index, best.theta1, best.theta2,
+                                 d1, d2, link, table, lambda1)
+    assert (best.cut_index, best.theta1, best.theta2) == \
+        brute_force_argmin(model, d1, d2, link, table, lambda1)
+    assert optimizer.grid_search(model, d1, d2, link, table, lambda1) == best
+
+
+def test_vectorized_grid_matches_scalar_on_random_models():
+    rng = np.random.default_rng(63)
+    for case in range(24):
+        model = random_model(rng, int(rng.integers(2, 41)))
+        if case % 3 == 2:
+            model = scaled_model(model, float(rng.uniform(0.1, 3.0)))
+        d1, d2 = random_device(rng, "a"), random_device(rng, "b")
+        link = simple_link(float(rng.uniform(1e6, 1e9)), float(rng.choice([0.0, 1e-3])))
+        table = random_table(rng) if case % 2 else zero_table()
+        assert_grid_agrees_with_scalar(model, d1, d2, link, table,
+                                       float(rng.choice([0.0, 0.01, 1.0])))
+
+
+def test_vectorized_grid_matches_scalar_under_ties():
+    rng = np.random.default_rng(64)
+    d = DeviceProfile("d", 1e12, 1e10)
+    for n_layers in (2, 3, 7, 12):
+        for model in (uniform_model(n_layers),
+                      scaled_model(uniform_model(n_layers, 1e9 / 3, 1e8 / 7, 1e5 / 3), 0.3)):
+            assert_grid_agrees_with_scalar(model, d, d, simple_link(), zero_table(), 0.0)
+            assert_grid_agrees_with_scalar(model, d, d, simple_link(), random_table(rng), 0.01)
+
+
+def test_vectorized_grid_matches_scalar_on_paper_config():
+    config = load_config(FIXTURES / "paper.json")
+    assert_grid_agrees_with_scalar(config.model, config.device1, config.device2,
+                                   config.link, config.penalties, config.lambda1)
+
+
+def test_strategy_choices_keep_canonical_order():
+    rng = np.random.default_rng(65)
+    model = random_model(rng, 6)
+    d1, d2 = random_device(rng, "a"), random_device(rng, "b")
+    plans = optimizer.enumerate_plans(model, d1, d2, simple_link(), zero_table(), 0.0,
+                                      theta1_choices=[FULL, S3], theta2_choices=[S3_1X1])
+    assert len(plans) == 5 * 2
+    keys = [optimizer.plan_sort_key(p) for p in plans]
+    assert keys == sorted(keys)
+    assert {(p.theta1, p.theta2) for p in plans} == {(FULL, S3_1X1), (S3, S3_1X1)}
 
 
 # --- continuous refinement ---------------------------------------------------
@@ -256,3 +332,90 @@ def test_snapped_refinement_beats_neighbors():
                 other = evaluate_plan(model, neighbor, start.theta1, start.theta2,
                                       d1, d2, link, table, 0.01)
                 assert optimizer.plan_sort_key(best) <= optimizer.plan_sort_key(other)
+
+
+# --- prefix-sum relaxation vs the O(n) reference ------------------------------
+
+def reference_relaxed_total_latency(model, lam, theta1, theta2, d1, d2, link):
+    """The relaxed latency re-summing every segment per call, kept as the
+    reference the prefix-sum version must match bit for bit."""
+    eps = 1e-9
+    layers = model.layers
+    n = len(layers)
+    lam = min(max(lam, eps), 1.0 - eps)
+
+    grid = [0.0] + optimizer.cumulative_flop_fractions(model)
+    k = min(max(bisect_right(grid, lam) - 1, 0), n - 1)
+    t = (lam - grid[k]) / (grid[k + 1] - grid[k])
+
+    def partial(strategy):
+        head_f = sum(l.flops_by_strategy[strategy] for l in layers[:k])
+        head_b = sum(l.bytes_by_strategy[strategy] for l in layers[:k])
+        return (head_f + t * layers[k].flops_by_strategy[strategy],
+                head_b + t * layers[k].bytes_by_strategy[strategy])
+
+    c1, m1 = partial(theta1)
+    tot2_f, tot2_b = (sum(l.flops_by_strategy[theta2] for l in layers),
+                      sum(l.bytes_by_strategy[theta2] for l in layers))
+    head2_f, head2_b = partial(theta2)
+    c2, m2 = tot2_f - head2_f, tot2_b - head2_b
+
+    positions = list(model.boundaries)
+    acts = [layers[j - 1].output_activation_bytes for j in positions]
+    s = k + t
+    if s <= positions[0]:
+        embedding = acts[0]
+    elif s >= positions[-1]:
+        embedding = acts[-1]
+    else:
+        j = bisect_right(positions, s) - 1
+        frac = (s - positions[j]) / (positions[j + 1] - positions[j])
+        embedding = acts[j] + frac * (acts[j + 1] - acts[j])
+
+    t1 = c1 / roofline.effective_rate(d1, c1 / m1)
+    t2 = c2 / roofline.effective_rate(d2, c2 / m2)
+    return t1 + t2 + embedding / link.bandwidth + link.fixed_latency
+
+
+def reference_trace(model, start, d1, d2, link, step, iters):
+    eps, h = 1e-9, 1e-6
+    lam = optimizer.cumulative_flop_fractions(model)[start.cut_index - 1]
+
+    def total(x):
+        return reference_relaxed_total_latency(model, x, start.theta1, start.theta2,
+                                               d1, d2, link)
+
+    trace = [(lam, total(lam))]
+    for _ in range(iters):
+        grad = (total(min(lam + h, 1.0 - eps)) - total(max(lam - h, eps))) / (2 * h)
+        lam = min(max(lam - step * grad, eps), 1.0 - eps)
+        trace.append((lam, total(lam)))
+    return trace
+
+
+def rep_stack(n_layers, seed):
+    rng = np.random.default_rng(seed)
+    return ModelProfile("rep-stack", tuple(
+        reparam.rep_block_layer(i, int(rng.choice([16, 32, 64])),
+                                int(rng.choice([8, 16, 32])), int(rng.choice([8, 16, 32])))
+        for i in range(n_layers)))
+
+
+@pytest.mark.parametrize("case", ["paper", "rep224"])
+def test_refine_trace_bit_identical_to_reference(case):
+    if case == "paper":
+        config = load_config(FIXTURES / "paper.json")
+        model, d1, d2, link = config.model, config.device1, config.device2, config.link
+        table, lambda1 = config.penalties, config.lambda1
+    else:
+        model, d1, d2, link = rep_stack(224, 66), nano(), nx(), simple_link()
+        table, lambda1 = random_table(np.random.default_rng(66)), 1e-4
+    winner = optimizer.grid_search(model, d1, d2, link, table, lambda1)
+    mixed = evaluate_plan(model, len(model.layers) // 3, S3, S3_1X1, d1, d2, link,
+                          table, lambda1)
+    for start, step in ((winner, 1e-3), (mixed, 1e-3), (mixed, 50.0)):
+        _, trace = optimizer.refine_lambda(model, start, d1, d2, link, step, 500)
+        assert trace == reference_trace(model, start, d1, d2, link, step, 500)
+    for lam in np.linspace(0.0, 1.0, 97).tolist():
+        assert optimizer.relaxed_total_latency(model, lam, S3_SKIP, FULL, d1, d2, link) == \
+            reference_relaxed_total_latency(model, lam, S3_SKIP, FULL, d1, d2, link)
