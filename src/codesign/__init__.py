@@ -1,6 +1,6 @@
 """Co-design planner for two-device edge inference pipelines: roofline
-analysis, branch-fusion algebra, latency/accuracy plan search, and an event
-simulator to validate the analytical model."""
+analysis, branch-fusion algebra, latency/accuracy plan search, and a
+tandem-queue simulator to validate the analytical model."""
 
 from .cost_model import CostBreakdown, PartitionPlan, accuracy_loss, evaluate_plan, lagrangian, latency
 from .errors import CodesignError

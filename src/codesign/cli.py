@@ -314,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_convergence_lab)
 
-    p = sub.add_parser("simulate", help="event simulation of a plan; report as JSON")
+    p = sub.add_parser("simulate",
+                       help="tandem-queue simulation of a plan (Lindley recursion); report as JSON")
     add_config(p)
     p.add_argument("--rate", type=float, required=True, help="arrival rate, requests/s")
     p.add_argument("--horizon", type=float, required=True, help="simulated seconds")

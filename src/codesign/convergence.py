@@ -70,10 +70,10 @@ class QuadraticObjective:
 
 
 def admissible_step_limit(obj: QuadraticObjective) -> float:
-    """Largest admissible learning rate: the intersection of the
-    loss-decrease bound 2/mu and the smoothness bound 2/L."""
-    mu, lip = obj.curvature_bounds()
-    return min(2.0 / mu, 2.0 / lip)
+    """Largest admissible learning rate: the smoothness bound 2/L.  The
+    loss-decrease bound 2/mu is never smaller, since mu <= L."""
+    _, lip = obj.curvature_bounds()
+    return 2.0 / lip
 
 
 def split_gradient(obj: QuadraticObjective, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

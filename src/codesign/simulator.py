@@ -1,25 +1,31 @@
-"""Event-driven simulation of the two-device inference pipeline.
+"""Tandem-queue simulation of the two-device inference pipeline.
 
 Requests arrive with exponential inter-arrival times and flow through three
 stages in series (device 1 compute, link transfer, device 2 compute), each
 a single server with an unbounded FIFO queue and a deterministic service
 time taken from the analytical cost breakdown.  Arrivals are the only
 source of randomness, so queueing effects can be isolated and compared
-against the analytical model.
+against the analytical model.  Departures follow from the tandem-queue
+recursion (Lindley 1952) in one pass over the arrivals; no event list is
+needed.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
+import numbers
 import random
-from collections import deque
 from dataclasses import dataclass, field
 
 from .cost_model import PartitionPlan
 from .errors import InvariantViolation
 
 STAGES = ("device1", "link", "device2")
+
+
+def _finite(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -29,19 +35,18 @@ class SimConfig:
     horizon: float                             # simulated seconds
     seed: int = 0
     warmup: float | None = None                # default: 10% of horizon
-    queue_policy: str = "fifo"
 
     def __post_init__(self):
-        if self.arrival_rate <= 0:
-            raise InvariantViolation("arrival_rate must be > 0")
-        if len(self.service_times) != 3 or min(self.service_times) <= 0:
-            raise InvariantViolation("service_times must be three positive stage times")
-        if self.horizon <= 0:
-            raise InvariantViolation("horizon must be > 0")
-        if self.queue_policy != "fifo":
-            raise InvariantViolation(f"unsupported queue policy {self.queue_policy!r}")
-        if self.warmup is not None and not 0 <= self.warmup < self.horizon:
-            raise InvariantViolation("warmup must satisfy 0 <= warmup < horizon")
+        if not (_finite(self.arrival_rate) and self.arrival_rate > 0):
+            raise InvariantViolation("arrival_rate must be a finite number > 0")
+        if len(self.service_times) != 3 or not all(
+                _finite(s) and s > 0 for s in self.service_times):
+            raise InvariantViolation("service_times must be three finite positive stage times")
+        if not (_finite(self.horizon) and self.horizon > 0):
+            raise InvariantViolation("horizon must be a finite number > 0")
+        if self.warmup is not None and not (
+                _finite(self.warmup) and 0 <= self.warmup < self.horizon):
+            raise InvariantViolation("warmup must be finite and satisfy 0 <= warmup < horizon")
 
     @property
     def effective_warmup(self) -> float:
@@ -76,123 +81,47 @@ def _percentile(sorted_values: list[float], q: float) -> float:
     return sorted_values[rank - 1]
 
 
-class _Stage:
-    """Single FIFO server; tracks a time-weighted occupancy integral over
-    the measurement window."""
-
-    __slots__ = ("service_time", "queue", "busy", "count", "last_t", "integral",
-                 "window_lo", "window_hi")
-
-    def __init__(self, service_time: float, window_lo: float, window_hi: float):
-        self.service_time = service_time
-        self.queue: deque[int] = deque()
-        self.busy: int | None = None  # request id in service
-        self.count = 0                # queued + in service
-        self.last_t = 0.0
-        self.integral = 0.0
-        self.window_lo = window_lo
-        self.window_hi = window_hi
-
-    def _advance(self, t: float):
-        lo = max(self.last_t, self.window_lo)
-        hi = min(t, self.window_hi)
-        if hi > lo:
-            self.integral += self.count * (hi - lo)
-        self.last_t = t
-
-    def enter(self, t: float, req: int) -> float | None:
-        """Returns the service completion time if the server was free."""
-        self._advance(t)
-        self.count += 1
-        if self.busy is None:
-            self.busy = req
-            return t + self.service_time
-        self.queue.append(req)
-        return None
-
-    def leave(self, t: float) -> tuple[int, int | None, float | None]:
-        """Finish the in-service request; start the next one if queued.
-        Returns (finished id, started id, started completion time)."""
-        self._advance(t)
-        finished = self.busy
-        self.count -= 1
-        if self.queue:
-            self.busy = self.queue.popleft()
-            return finished, self.busy, t + self.service_time
-        self.busy = None
-        return finished, None, None
-
-    def mean_occupancy(self) -> float:
-        span = self.window_hi - self.window_lo
-        return self.integral / span if span > 0 else 0.0
-
-
 def run(config: SimConfig, keep_log: bool = False) -> SimReport:
     """Simulate up to the horizon; statistics cover completions (and
     occupancy) inside the [warmup, horizon] window.  Identical seeds give
-    identical event sequences and reports."""
-    rng = random.Random(config.seed)
+    identical arrivals and reports.
+
+    Each stage is a FIFO server with a deterministic service time, so a
+    request leaves a stage at max(its arrival there, the previous request's
+    departure) + service time (Lindley's recursion), and one stage's
+    departures are the next stage's arrivals.  A stage's occupancy is the
+    sum of each request's [enter, leave) interval clipped to the window.
+    """
+    expovariate = random.Random(config.seed).expovariate
+    rate, horizon = config.arrival_rate, config.horizon
     warmup = config.effective_warmup
-    stages = [_Stage(s, warmup, config.horizon) for s in config.service_times]
+    s1, s_link, s2 = config.service_times
 
-    events: list[tuple[float, int, int, int]] = []  # (time, seq, stage or -1 for arrival, req)
-    seq = 0
-
-    def push(t: float, stage: int, req: int):
-        nonlocal seq
-        heapq.heappush(events, (t, seq, stage, req))
-        seq += 1
-
-    # timestamps per request: [arrival, start1, end1, end_link, end2]
-    stamps: dict[int, list[float]] = {}
-    next_id = 0
-
-    first = rng.expovariate(config.arrival_rate)
-    if first <= config.horizon:
-        push(first, -1, next_id)
-
-    completed_total = 0
+    d1 = d_link = d2 = 0.0              # latest departure from each stage
+    occ1 = occ_link = occ2 = 0.0        # occupancy integrals over the window
+    arrivals = completed_total = 0
     responses: list[float] = []
     records: list[RequestRecord] = []
 
-    while events:
-        t, _, stage_idx, req = heapq.heappop(events)
-        if t > config.horizon:
-            break  # whatever is left is in flight at the horizon
-        if stage_idx == -1:
-            stamps[req] = [t, None, None, None, None]
-            done = stages[0].enter(t, req)
-            if done is not None:
-                stamps[req][1] = t  # service starts immediately
-                push(done, 0, req)
-            next_id += 1
-            gap = rng.expovariate(config.arrival_rate)
-            if t + gap <= config.horizon:
-                push(t + gap, -1, next_id)
-        else:
-            finished, started, started_done = stages[stage_idx].leave(t)
-            if started is not None:
-                if stage_idx == 0:
-                    stamps[started][1] = t
-                push(started_done, stage_idx, started)
-            stamps[finished][2 + stage_idx] = t
-            if stage_idx < 2:
-                done = stages[stage_idx + 1].enter(t, finished)
-                if done is not None:
-                    push(done, stage_idx + 1, finished)
-            else:
-                completed_total += 1
-                if t > warmup:
-                    responses.append(t - stamps[finished][0])
-                    if keep_log:
-                        a, s1, e1, el, e2 = stamps[finished]
-                        records.append(RequestRecord(finished, a, s1, e1, el, e2))
-                del stamps[finished]
+    a = expovariate(rate)
+    while a <= horizon:
+        start1 = max(a, d1)
+        d1 = start1 + s1
+        d_link = max(d1, d_link) + s_link
+        d2 = max(d_link, d2) + s2
+        occ1 += max(0.0, min(d1, horizon) - max(a, warmup))
+        occ_link += max(0.0, min(d_link, horizon) - max(d1, warmup))
+        occ2 += max(0.0, min(d2, horizon) - max(d_link, warmup))
+        if d2 <= horizon:
+            completed_total += 1
+            if d2 > warmup:
+                responses.append(d2 - a)
+                if keep_log:
+                    records.append(RequestRecord(arrivals, a, start1, d1, d_link, d2))
+        arrivals += 1
+        a += expovariate(rate)
 
-    for stage in stages:
-        stage._advance(config.horizon)
-
-    window = config.horizon - warmup
+    window = horizon - warmup
     if responses:
         ordered = sorted(responses)
         response_time = {
@@ -207,12 +136,12 @@ def run(config: SimConfig, keep_log: bool = False) -> SimReport:
     return SimReport(
         throughput=len(responses) / window,
         response_time=response_time,
-        queue_occupancy={name: stage.mean_occupancy()
-                         for name, stage in zip(STAGES, stages)},
+        queue_occupancy=dict(zip(STAGES, (occ1 / window, occ_link / window,
+                                          occ2 / window))),
         completed=len(responses),
-        arrivals=next_id,
+        arrivals=arrivals,
         completed_total=completed_total,
-        in_system_at_end=len(stamps),
+        in_system_at_end=arrivals - completed_total,
         records=tuple(records),
     )
 

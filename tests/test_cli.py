@@ -13,9 +13,9 @@ CONFIG = str(FIXTURES / "paper.json")
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def codesign(*args, env=None):
+def codesign(*args, env=None, timeout=None):
     return subprocess.run([sys.executable, "-m", "codesign", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def test_plan_happy_path():
@@ -98,6 +98,13 @@ def test_simulate_json_and_csv(tmp_path):
     assert payload["completed"] > 0
     header = log.read_text().splitlines()[0]
     assert header == "id,arrival,start1,end1,end_link,end2"
+
+
+def test_simulate_rejects_infinite_horizon():
+    result = codesign("simulate", "--config", CONFIG, "--rate", "100",
+                      "--horizon", "inf", timeout=60)
+    assert result.returncode == 1
+    assert result.stderr.startswith("InvariantViolation:")
 
 
 def test_report_merges_plan_and_sim(tmp_path):

@@ -1,4 +1,7 @@
+import heapq
 import math
+import random
+from collections import deque
 
 import numpy as np
 import pytest
@@ -6,9 +9,11 @@ import pytest
 from codesign import simulator
 from codesign.cost_model import CostBreakdown, PartitionPlan
 from codesign.errors import InvariantViolation
-from codesign.simulator import SimConfig
+from codesign.optimizer import grid_search
+from codesign.profiles import load_config
+from codesign.simulator import RequestRecord, SimConfig, SimReport
 
-from conftest import FULL
+from conftest import FIXTURES, FULL
 
 
 def make_plan(t1, t3, t2):
@@ -53,9 +58,20 @@ def test_config_validation():
     with pytest.raises(InvariantViolation):
         SimConfig(arrival_rate=1.0, service_times=(0.1, 0.1, 0.1), horizon=1.0,
                   warmup=2.0)
-    with pytest.raises(InvariantViolation):
-        SimConfig(arrival_rate=1.0, service_times=(0.1, 0.1, 0.1), horizon=1.0,
-                  queue_policy="lifo")
+    nan, inf = math.nan, math.inf
+    for rate, times, horizon, warmup in [
+        (inf, (0.1, 0.1, 0.1), 1.0, None),
+        (nan, (0.1, 0.1, 0.1), 1.0, None),
+        (1.0, (0.1, 0.1, 0.1), inf, None),
+        (1.0, (0.1, 0.1, 0.1), nan, None),
+        (1.0, (0.1, 0.1, 0.1), 1.0, nan),
+        (1.0, (nan, 0.1, 0.1), 1.0, None),
+        (1.0, (0.1, inf, 0.1), 1.0, None),
+        (1.0, (0.1, 0.1, nan), 1.0, None),
+    ]:
+        with pytest.raises(InvariantViolation):
+            SimConfig(arrival_rate=rate, service_times=times, horizon=horizon,
+                      warmup=warmup)
 
 
 def test_conservation_of_requests():
@@ -150,3 +166,164 @@ def test_record_timestamps_are_ordered():
     for r in report.records:
         assert r.arrival <= r.start1 < r.end1 < r.end_link < r.end2
         assert math.isclose(r.end1 - r.start1, 0.03, rel_tol=1e-9)
+
+
+class _ReferenceStage:
+    """Single FIFO server; tracks a time-weighted occupancy integral over
+    the measurement window."""
+
+    def __init__(self, service_time, window_lo, window_hi):
+        self.service_time = service_time
+        self.queue = deque()
+        self.busy = None
+        self.count = 0
+        self.last_t = 0.0
+        self.integral = 0.0
+        self.window_lo = window_lo
+        self.window_hi = window_hi
+
+    def advance(self, t):
+        lo = max(self.last_t, self.window_lo)
+        hi = min(t, self.window_hi)
+        if hi > lo:
+            self.integral += self.count * (hi - lo)
+        self.last_t = t
+
+    def enter(self, t, req):
+        self.advance(t)
+        self.count += 1
+        if self.busy is None:
+            self.busy = req
+            return t + self.service_time
+        self.queue.append(req)
+        return None
+
+    def leave(self, t):
+        self.advance(t)
+        finished = self.busy
+        self.count -= 1
+        if self.queue:
+            self.busy = self.queue.popleft()
+            return finished, self.busy, t + self.service_time
+        self.busy = None
+        return finished, None, None
+
+
+def reference_event_run(config: SimConfig) -> SimReport:
+    """Discrete-event simulation of the same pipeline: a heap of
+    (time, seq, stage, request) events over three FIFO stages, with
+    per-request timestamps.  The oracle for `simulator.run`."""
+    rng = random.Random(config.seed)
+    warmup = config.effective_warmup
+    stages = [_ReferenceStage(s, warmup, config.horizon) for s in config.service_times]
+    events, seq = [], 0
+
+    def push(t, stage, req):
+        nonlocal seq
+        heapq.heappush(events, (t, seq, stage, req))
+        seq += 1
+
+    stamps, next_id = {}, 0  # request -> [arrival, start1, end1, end_link, end2]
+    first = rng.expovariate(config.arrival_rate)
+    if first <= config.horizon:
+        push(first, -1, next_id)
+    completed_total, responses, records = 0, [], []
+    while events:
+        t, _, stage_idx, req = heapq.heappop(events)
+        if t > config.horizon:
+            break
+        if stage_idx == -1:
+            stamps[req] = [t, None, None, None, None]
+            done = stages[0].enter(t, req)
+            if done is not None:
+                stamps[req][1] = t
+                push(done, 0, req)
+            next_id += 1
+            gap = rng.expovariate(config.arrival_rate)
+            if t + gap <= config.horizon:
+                push(t + gap, -1, next_id)
+        else:
+            finished, started, started_done = stages[stage_idx].leave(t)
+            if started is not None:
+                if stage_idx == 0:
+                    stamps[started][1] = t
+                push(started_done, stage_idx, started)
+            stamps[finished][2 + stage_idx] = t
+            if stage_idx < 2:
+                done = stages[stage_idx + 1].enter(t, finished)
+                if done is not None:
+                    push(done, stage_idx + 1, finished)
+            else:
+                completed_total += 1
+                if t > warmup:
+                    responses.append(t - stamps[finished][0])
+                    records.append(RequestRecord(finished, *stamps[finished]))
+                del stamps[finished]
+    for stage in stages:
+        stage.advance(config.horizon)
+
+    window = config.horizon - warmup
+    ordered = sorted(responses)
+
+    def rank(q):
+        return ordered[min(len(ordered), max(1, math.ceil(q * len(ordered)))) - 1]
+
+    response_time = {"mean": sum(ordered) / len(ordered), "p50": rank(0.50),
+                     "p95": rank(0.95), "max": ordered[-1]} if ordered else None
+    return SimReport(
+        throughput=len(responses) / window,
+        response_time=response_time,
+        queue_occupancy={name: stage.integral / window
+                         for name, stage in zip(simulator.STAGES, stages)},
+        completed=len(responses),
+        arrivals=next_id,
+        completed_total=completed_total,
+        in_system_at_end=len(stamps),
+        records=tuple(records),
+    )
+
+
+def _paper_winner_times():
+    config = load_config(FIXTURES / "paper.json")
+    cost = grid_search(config.model, config.device1, config.device2, config.link,
+                       config.penalties, config.lambda1).cost
+    return (cost.t1, cost.t3, cost.t2)
+
+
+def _assert_matches_reference(config: SimConfig):
+    got = simulator.run(config, keep_log=True)
+    want = reference_event_run(config)
+    assert got.records == want.records
+    for name in ("arrivals", "completed", "completed_total", "in_system_at_end",
+                 "throughput", "response_time"):
+        assert getattr(got, name) == getattr(want, name), name
+    for stage in simulator.STAGES:
+        assert got.queue_occupancy[stage] == pytest.approx(
+            want.queue_occupancy[stage], rel=1e-12, abs=0.0)
+    return got
+
+
+@pytest.mark.parametrize("times", [(0.05, 0.02, 0.03), (0.01, 0.03, 0.02), "paper"])
+def test_recursion_matches_event_simulation(times):
+    if times == "paper":
+        times = _paper_winner_times()
+    for rho in (0.3, 0.9, 1.5, 3.0):
+        rate = rho / max(times)
+        for seed in range(6):
+            _assert_matches_reference(SimConfig(arrival_rate=rate, service_times=times,
+                                                horizon=300.0 / rate, seed=seed))
+
+
+def test_events_exactly_at_the_horizon_count():
+    times = (0.03, 0.01, 0.02)
+    base = SimConfig(arrival_rate=20.0, service_times=times, horizon=100.0, seed=3)
+    last = simulator.run(base, keep_log=True).records[-1]
+    # a request leaving exactly at the horizon is complete
+    report = _assert_matches_reference(
+        SimConfig(arrival_rate=20.0, service_times=times, horizon=last.end2, seed=3))
+    assert report.records[-1] == last
+    # a request arriving exactly at the horizon is counted, still in the system
+    report = _assert_matches_reference(
+        SimConfig(arrival_rate=20.0, service_times=times, horizon=last.arrival, seed=3))
+    assert report.arrivals == last.id + 1
+    assert report.in_system_at_end >= 1
