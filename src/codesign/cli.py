@@ -23,7 +23,7 @@ from time import perf_counter
 from . import convergence, optimizer, reparam, simulator
 from .cost_model import evaluate_plan
 from .errors import CodesignError, InvalidConfig, SchemaMismatch
-from .profiles import FULL_STRUCTURE, FusionStrategy, load_config, parse_strategy
+from .profiles import FULL_STRUCTURE, FusionStrategy, _read_json, load_config, parse_strategy
 
 SCHEMA_VERSION = 1
 
@@ -241,14 +241,9 @@ def build_report(plan_path, sim_path=None) -> dict:
         "analytical_only": True,
     }
     if sim_path is not None:
-        try:
-            sim = json.loads(Path(sim_path).read_text())
-        except OSError as exc:
-            raise InvalidConfig(f"{sim_path}: {exc.strerror or exc}") from None
-        except json.JSONDecodeError as exc:
-            raise InvalidConfig(f"{sim_path}: {exc}") from None
+        sim = _read_json(sim_path)
         if sim:
-            if "model" not in sim or "throughput" not in sim:
+            if not isinstance(sim, dict) or "model" not in sim or "throughput" not in sim:
                 raise SchemaMismatch(f"{sim_path} is not a simulation report")
             if sim["model"] != model:
                 raise SchemaMismatch(

@@ -7,7 +7,8 @@ class CodesignError(Exception):
 
 
 class InvalidConfig(CodesignError):
-    """Config file missing, unreadable, or not valid JSON."""
+    """Config file missing, unreadable or not valid JSON, or a value in it
+    of the wrong type or not finite."""
 
 
 class MissingField(CodesignError):

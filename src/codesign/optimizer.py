@@ -100,10 +100,6 @@ class PlanGrid:
                      f1, f2) in zip(*columns)]
 
 
-def _choices(strategies) -> list[FusionStrategy]:
-    return sorted(strategies or _STRATEGIES, key=STRATEGY_RANK.__getitem__)
-
-
 def _attainable_rate(device: DeviceProfile, intensity: np.ndarray) -> np.ndarray:
     # roofline.effective_rate, elementwise
     return device.utilization * np.minimum(device.peak_compute,
@@ -112,8 +108,7 @@ def _attainable_rate(device: DeviceProfile, intensity: np.ndarray) -> np.ndarray
 
 def evaluate_grid(model: ModelProfile, d1: DeviceProfile, d2: DeviceProfile,
                   link: LinkProfile, table: AccuracyPenaltyTable, lambda1: float,
-                  require_feasible: bool = False, theta1_choices=None,
-                  theta2_choices=None) -> PlanGrid:
+                  require_feasible: bool = False) -> PlanGrid:
     """Every candidate of the grid, unranked, in one vectorized sweep.
 
     With ``require_feasible`` only candidates whose segments both reach
@@ -123,9 +118,7 @@ def evaluate_grid(model: ModelProfile, d1: DeviceProfile, d2: DeviceProfile,
     layers = model.layers
     if len(layers) < 2:
         raise DegenerateSplit("model has no interior layer boundary to cut at")
-    theta1s, theta2s = _choices(theta1_choices), _choices(theta2_choices)
-    rank1 = np.array([STRATEGY_RANK[s] for s in theta1s])
-    rank2 = np.array([STRATEGY_RANK[s] for s in theta2s])
+    ranks = np.arange(len(_STRATEGIES))  # _STRATEGIES is in rank order
     flops = np.array([[layer.flops_by_strategy[s] for s in _STRATEGIES] for layer in layers])
     data = np.array([[layer.bytes_by_strategy[s] for s in _STRATEGIES] for layer in layers])
 
@@ -134,10 +127,10 @@ def evaluate_grid(model: ModelProfile, d1: DeviceProfile, d2: DeviceProfile,
     # tails are summed right to left, which avoids the cancellation of
     # total - head.
     def heads(per_layer):
-        return np.cumsum(per_layer, axis=0)[:-1][:, rank1, None]
+        return np.cumsum(per_layer, axis=0)[:-1][:, :, None]
 
     def tails(per_layer):
-        return np.cumsum(per_layer[::-1], axis=0)[::-1][1:][:, None, rank2]
+        return np.cumsum(per_layer[::-1], axis=0)[::-1][1:][:, None, :]
 
     c1, m1, c2, m2 = heads(flops), heads(data), tails(flops), tails(data)
     t1 = c1 / _attainable_rate(d1, c1 / m1)
@@ -146,15 +139,15 @@ def evaluate_grid(model: ModelProfile, d1: DeviceProfile, d2: DeviceProfile,
     t3 = (embedding / link.bandwidth + link.fixed_latency)[:, None, None]
     t_total = t1 + t2 + t3
     lam_c = c1 / (c1 + c2)
-    penalty1 = np.array([table.penalty(1, s) for s in theta1s])[None, :, None]
-    penalty2 = np.array([table.penalty(2, s) for s in theta2s])[None, None, :]
+    penalty1 = np.array([table.penalty(1, s) for s in _STRATEGIES])[None, :, None]
+    penalty2 = np.array([table.penalty(2, s) for s in _STRATEGIES])[None, None, :]
     loss = lam_c * penalty1 + (1 - lam_c) * penalty2
     feasible1, feasible2 = roofline.feasibility(c1 / m1, c2 / m2, d1, d2)
 
     shape = t_total.shape
     cut = np.arange(1, len(layers))[:, None, None]
     columns = {
-        "cut": cut, "theta1": rank1[None, :, None], "theta2": rank2[None, None, :],
+        "cut": cut, "theta1": ranks[None, :, None], "theta2": ranks[None, None, :],
         "lambda_c": lam_c, "lambda_m": m1 / (m1 + m2), "t1": t1, "t2": t2, "t3": t3,
         "t_total": t_total, "accuracy_loss": loss, "lagrangian": t_total + lambda1 * loss,
         "feasible1": feasible1, "feasible2": feasible2,
@@ -177,26 +170,23 @@ def evaluate_grid(model: ModelProfile, d1: DeviceProfile, d2: DeviceProfile,
 
 
 def enumerate_plans(model: ModelProfile, d1: DeviceProfile, d2: DeviceProfile,
-                    link: LinkProfile, table: AccuracyPenaltyTable, lambda1: float,
-                    theta1_choices=None, theta2_choices=None) -> list[PartitionPlan]:
+                    link: LinkProfile, table: AccuracyPenaltyTable,
+                    lambda1: float) -> list[PartitionPlan]:
     """Evaluate every candidate and return them ranked best-first."""
-    return evaluate_grid(model, d1, d2, link, table, lambda1,
-                         theta1_choices=theta1_choices,
-                         theta2_choices=theta2_choices).ranked().plans()
+    return evaluate_grid(model, d1, d2, link, table, lambda1).ranked().plans()
 
 
 def grid_search(model: ModelProfile, d1: DeviceProfile, d2: DeviceProfile,
                 link: LinkProfile, table: AccuracyPenaltyTable, lambda1: float,
-                require_feasible: bool = False, theta1_choices=None,
-                theta2_choices=None) -> PartitionPlan:
+                require_feasible: bool = False) -> PartitionPlan:
     """Best plan over the full grid.
 
     By default infeasible candidates stay in (the roofline rate cap already
     prices memory-bound segments); with ``require_feasible`` both segments
     must reach their device's balance point or the candidate is dropped.
     """
-    return evaluate_grid(model, d1, d2, link, table, lambda1, require_feasible,
-                         theta1_choices, theta2_choices).ranked().first()
+    return evaluate_grid(model, d1, d2, link, table, lambda1,
+                         require_feasible).ranked().first()
 
 
 # ---------------------------------------------------------------------------

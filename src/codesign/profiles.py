@@ -11,6 +11,8 @@ Config files are JSON with top-level keys ``devices``, ``link``, ``model``,
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -40,6 +42,7 @@ class FusionStrategy(Enum):
 
 
 STRATEGY_RANK = {s: i for i, s in enumerate(FusionStrategy)}
+_BY_NAME = {s.value: s for s in FusionStrategy}
 
 # The structure with every branch retained; used as the canonical measure
 # for cut fractions and as the zero-penalty reference in penalty tables.
@@ -48,8 +51,8 @@ FULL_STRUCTURE = FusionStrategy.CONV3_SKIP_CONV1
 
 def parse_strategy(name: str, where: str = "strategy") -> FusionStrategy:
     try:
-        return FusionStrategy(name)
-    except ValueError:
+        return _BY_NAME[name]
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise UnknownStrategyName(f"{where}: {name!r}") from None
 
 
@@ -220,94 +223,92 @@ class Config:
 # Parsing / serialization
 # ---------------------------------------------------------------------------
 
-def _require(mapping, key, where):
-    if not isinstance(mapping, dict) or key not in mapping:
-        raise MissingField(f"{where}.{key}" if where else key)
-    return mapping[key]
+_EXPECTED = {float: "a finite number", str: "a JSON string", int: "a JSON integer",
+             bool: "a JSON bool", list: "a JSON array", dict: "a JSON object"}
 
 
-def _rescope(exc: CodesignError, where: str) -> CodesignError:
-    return type(exc)(f"{where}.{exc}")
+def is_finite_real(value) -> bool:
+    """A real number that converts to a finite float; a bool is not a number."""
+    try:  # int and float come first in the tuple: the numbers.Real check is slow
+        return (isinstance(value, (int, float, numbers.Real)) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
-def _strategy_map(raw, where) -> dict[FusionStrategy, float]:
+def _field(raw, key, where, kind=float, default=None):
+    """``raw[key]`` as a finite float or as exactly the JSON type ``kind``,
+    required unless ``default`` is given.  Errors name the key's full path."""
     if not isinstance(raw, dict):
-        raise MissingField(where)
-    return {parse_strategy(name, where): float(value) for name, value in raw.items()}
+        raise InvalidConfig(f"{where or 'config'} must be a JSON object")
+    value = raw.get(key, default)
+    if kind is float:
+        if is_finite_real(value):
+            return float(value)
+    elif type(value) is kind:
+        return value
+    path = f"{where}.{key}" if where else key
+    if key not in raw:
+        raise MissingField(path)
+    raise InvalidConfig(f"{path} must be {_EXPECTED[kind]}")
+
+
+def _build(cls, where, **fields):
+    """``cls(**fields)``; an error its validation raises gets ``where`` as prefix."""
+    try:
+        return cls(**fields)
+    except CodesignError as exc:
+        raise type(exc)(f"{where}.{exc}") from None
+
+
+def _strategy_map(raw, key, where) -> dict[FusionStrategy, float]:
+    table, where = _field(raw, key, where, dict), f"{where}.{key}"
+    return {parse_strategy(name, where): _field(table, name, where) for name in table}
 
 
 def device_from_dict(raw: dict, where: str = "device") -> DeviceProfile:
-    try:
-        return DeviceProfile(
-            name=str(_require(raw, "name", where)),
-            peak_compute=float(_require(raw, "peak_compute", where)),
-            mem_bandwidth=float(_require(raw, "mem_bandwidth", where)),
-            utilization=float(raw.get("utilization", 1.0)),
-        )
-    except (NonPositiveQuantity, InvariantViolation) as exc:
-        raise _rescope(exc, where) from None
+    return _build(DeviceProfile, where,
+                  name=_field(raw, "name", where, str),
+                  peak_compute=_field(raw, "peak_compute", where),
+                  mem_bandwidth=_field(raw, "mem_bandwidth", where),
+                  utilization=_field(raw, "utilization", where, default=1.0))
 
 
 def _link_from_dict(raw: dict, where: str = "link") -> LinkProfile:
-    try:
-        return LinkProfile(
-            bandwidth=float(_require(raw, "bandwidth", where)),
-            fixed_latency=float(raw.get("fixed_latency", 0.0)),
-        )
-    except (NonPositiveQuantity, InvariantViolation) as exc:
-        raise _rescope(exc, where) from None
+    return _build(LinkProfile, where,
+                  bandwidth=_field(raw, "bandwidth", where),
+                  fixed_latency=_field(raw, "fixed_latency", where, default=0.0))
 
 
 def _layer_from_dict(raw: dict, where: str) -> LayerProfile:
-    try:
-        return LayerProfile(
-            index=int(_require(raw, "index", where)),
-            flops_by_strategy=_strategy_map(
-                _require(raw, "flops_by_strategy", where), f"{where}.flops_by_strategy"),
-            bytes_by_strategy=_strategy_map(
-                _require(raw, "bytes_by_strategy", where), f"{where}.bytes_by_strategy"),
-            output_activation_bytes=float(_require(raw, "output_activation_bytes", where)),
-            fusible=bool(_require(raw, "fusible", where)),
-        )
-    except (NonPositiveQuantity, InvariantViolation, MissingField) as exc:
-        message = str(exc)
-        if message.startswith(where):
-            raise
-        raise _rescope(exc, where) from None
+    return _build(LayerProfile, where,
+                  index=_field(raw, "index", where, int),
+                  flops_by_strategy=_strategy_map(raw, "flops_by_strategy", where),
+                  bytes_by_strategy=_strategy_map(raw, "bytes_by_strategy", where),
+                  output_activation_bytes=_field(raw, "output_activation_bytes", where),
+                  fusible=_field(raw, "fusible", where, bool))
 
 
 def model_from_dict(raw: dict, where: str = "model") -> ModelProfile:
-    layers_raw = _require(raw, "layers", where)
-    layers = tuple(
-        _layer_from_dict(layer, f"{where}.layers[{i}]") for i, layer in enumerate(layers_raw)
-    )
-    return ModelProfile(name=str(_require(raw, "name", where)), layers=layers)
+    return _build(ModelProfile, where, name=_field(raw, "name", where, str), layers=tuple(
+        _layer_from_dict(layer, f"{where}.layers[{i}]")
+        for i, layer in enumerate(_field(raw, "layers", where, list))))
 
 
 def _penalties_from_dict(raw: dict, where: str = "penalties") -> AccuracyPenaltyTable:
-    if not isinstance(raw, dict):
-        raise MissingField(where)
-    penalties = {}
-    for key, table in raw.items():
-        try:
-            sub = int(key)
-        except ValueError:
-            raise InvariantViolation(f"{where} keys must be sub-model ids 1 or 2, got {key!r}") from None
-        penalties[sub] = _strategy_map(table, f"{where}[{key}]")
-    return AccuracyPenaltyTable(penalties=penalties)
+    if set(raw) != {"1", "2"}:
+        raise InvalidConfig(f'{where} keys must be exactly "1" and "2"')
+    # the table's messages already name the top-level "penalties" key
+    return AccuracyPenaltyTable({int(key): _strategy_map(raw, key, where) for key in raw})
 
 
 def config_from_dict(raw: dict) -> Config:
-    devices = tuple(
-        device_from_dict(d, f"devices[{i}]") for i, d in enumerate(_require(raw, "devices", ""))
-    )
-    return Config(
-        devices=devices,
-        link=_link_from_dict(_require(raw, "link", "")),
-        model=model_from_dict(_require(raw, "model", "")),
-        penalties=_penalties_from_dict(_require(raw, "penalties", "")),
-        lambda1=float(_require(raw, "lambda1", "")),
-    )
+    return Config(devices=tuple(device_from_dict(d, f"devices[{i}]")
+                                for i, d in enumerate(_field(raw, "devices", "", list))),
+                  link=_link_from_dict(_field(raw, "link", "", dict)),
+                  model=model_from_dict(_field(raw, "model", "", dict)),
+                  penalties=_penalties_from_dict(_field(raw, "penalties", "", dict)),
+                  lambda1=_field(raw, "lambda1", ""))
 
 
 def config_to_dict(config: Config) -> dict:

@@ -13,19 +13,16 @@ needed.
 from __future__ import annotations
 
 import math
-import numbers
 import random
 from dataclasses import dataclass, field
 
 from .cost_model import PartitionPlan
 from .errors import InvariantViolation
+from .profiles import is_finite_real
 
 STAGES = ("device1", "link", "device2")
 
-
-def _finite(value) -> bool:
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
+MAX_EXPECTED_ARRIVALS = 1e7  # run() keeps a response time per completion
 
 
 @dataclass(frozen=True)
@@ -37,15 +34,17 @@ class SimConfig:
     warmup: float | None = None                # default: 10% of horizon
 
     def __post_init__(self):
-        if not (_finite(self.arrival_rate) and self.arrival_rate > 0):
+        if not (is_finite_real(self.arrival_rate) and self.arrival_rate > 0):
             raise InvariantViolation("arrival_rate must be a finite number > 0")
         if len(self.service_times) != 3 or not all(
-                _finite(s) and s > 0 for s in self.service_times):
+                is_finite_real(s) and s > 0 for s in self.service_times):
             raise InvariantViolation("service_times must be three finite positive stage times")
-        if not (_finite(self.horizon) and self.horizon > 0):
+        if not (is_finite_real(self.horizon) and self.horizon > 0):
             raise InvariantViolation("horizon must be a finite number > 0")
+        if self.arrival_rate * self.horizon > MAX_EXPECTED_ARRIVALS:
+            raise InvariantViolation(f"arrival_rate * horizon exceeds {MAX_EXPECTED_ARRIVALS:g}")
         if self.warmup is not None and not (
-                _finite(self.warmup) and 0 <= self.warmup < self.horizon):
+                is_finite_real(self.warmup) and 0 <= self.warmup < self.horizon):
             raise InvariantViolation("warmup must be finite and satisfy 0 <= warmup < horizon")
 
     @property

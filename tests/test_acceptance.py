@@ -204,7 +204,7 @@ def test_c5_geometric_bound_and_split_consistency():
             eta = 0.9 * convergence.admissible_step_limit(obj)  # < 2/L by construction
             w0 = rng.standard_normal(16)
 
-            violated, _ = convergence.rate_check(obj, w0, eta, 500)
+            violated, _, _ = convergence.rate_check(obj, w0, eta, 500)
             assert violated is None
 
             w_split, w_full = w0.copy(), w0.copy()

@@ -4,9 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from codesign import cli
+from codesign import cli, convergence
 from conftest import FIXTURES
 
 CONFIG = str(FIXTURES / "paper.json")
@@ -107,6 +108,42 @@ def test_simulate_rejects_infinite_horizon():
     assert result.stderr.startswith("InvariantViolation:")
 
 
+def test_simulate_rejects_unbounded_arrival_count():
+    result = codesign("simulate", "--config", CONFIG, "--rate", "1e20",
+                      "--horizon", "1", timeout=60)
+    assert result.returncode == 1
+    assert result.stderr.startswith("InvariantViolation: arrival_rate * horizon")
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("path, value, named", [
+    (["devices", 0, "peak_compute"], NAN, "devices[0].peak_compute"),
+    (["devices", 0, "peak_compute"], "abc", "devices[0].peak_compute"),
+    (["lambda1"], NAN, "lambda1"),
+    (["link", "bandwidth"], INF, "link.bandwidth"),
+    (["devices"], 5, "devices"),
+    (["model", "layers"], 5, "model.layers"),
+    (["model", "layers", 0, "fusible"], "false", "model.layers[0].fusible"),
+    (["model", "layers", 0, "index"], 0.7, "model.layers[0].index"),
+    (["penalties", "1", "conv3"], NAN, "penalties.1.conv3"),
+    (["penalties", "3"], {"conv3": 1.0}, "penalties"),
+])
+def test_bad_config_value_is_named(tmp_path, path, value, named):
+    raw = json.loads((FIXTURES / "paper.json").read_text())
+    target = raw
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    result = codesign("plan", "--config", str(bad))
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"InvalidConfig: {named} ")
+    assert result.stdout == ""
+
+
 def test_report_merges_plan_and_sim(tmp_path):
     plan_csv = tmp_path / "plan.csv"
     sim_json = tmp_path / "sim.json"
@@ -151,6 +188,16 @@ def test_report_model_mismatch(tmp_path):
     assert result.stderr.startswith("SchemaMismatch")
 
 
+def test_report_rejects_sim_that_is_not_an_object(tmp_path):
+    plan_csv = tmp_path / "plan.csv"
+    codesign("plan", "--config", CONFIG, "--out", str(plan_csv))
+    sim_json = tmp_path / "sim.json"
+    sim_json.write_text("5")
+    result = codesign("report", "--plan", str(plan_csv), "--sim", str(sim_json))
+    assert result.returncode == 1
+    assert result.stderr.startswith("SchemaMismatch")
+
+
 def test_plan_strict_and_refine_flags(tmp_path):
     trace = tmp_path / "trace.csv"
     result = codesign("plan", "--config", CONFIG, "--refine", "--trace-out", str(trace))
@@ -180,6 +227,24 @@ def test_convergence_lab_output():
     assert lines[0] == "step,gap,bound,ratio,within_bound"
     assert len(lines) == 13
     assert "violated_at=None" in result.stderr
+
+
+def test_convergence_lab_prints_measured_gaps():
+    result = codesign("convergence-lab", "--seed", "7")
+    assert result.returncode == 0
+    printed = [row.split(",")[1] for row in result.stdout.splitlines()[1:]]
+    assert len(printed) == 200
+
+    rng = np.random.default_rng(7)
+    obj = convergence.random_objective(rng, 16)
+    eta = 0.9 * convergence.admissible_step_limit(obj)
+    w = rng.standard_normal(16)
+    optimum = obj.optimum()
+    for gap in printed:
+        w = convergence.split_step(obj, w, eta)
+        assert gap == repr(obj.loss(w) - optimum)
+    # the measured gaps stay informative below the noise floor
+    assert sum(float(gap) != 0.0 for gap in printed) > 100
 
 
 def test_plan_and_trace_match_golden_files(tmp_path):

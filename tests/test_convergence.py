@@ -84,7 +84,7 @@ def test_rate_check_scalar_closed_form():
     mu = 1.5
     obj = diag_objective([mu, mu])
     eta = 0.4  # well inside (0, 2/mu)
-    violated, ratios = convergence.rate_check(obj, np.array([2.0, -1.0]), eta, 50)
+    violated, ratios, _ = convergence.rate_check(obj, np.array([2.0, -1.0]), eta, 50)
     assert violated is None
     # gap contracts by exactly (1 - eta*mu)^2 per step until it hits noise
     expected = (1 - eta * mu) ** 2
@@ -114,7 +114,7 @@ def test_rate_check_random_spd_no_violation():
     mu, lip = obj.curvature_bounds()
     assert mu == pytest.approx(0.5, rel=1e-9)
     assert lip == pytest.approx(2.0, rel=1e-9)
-    violated, _ = convergence.rate_check(obj, rng.standard_normal(6), 0.5, 200)
+    violated, _, _ = convergence.rate_check(obj, rng.standard_normal(6), 0.5, 200)
     assert violated is None
 
 
@@ -125,7 +125,7 @@ def test_gap_non_increasing_and_geometric():
         mu, _ = obj.curvature_bounds()
         eta = 0.9 * convergence.admissible_step_limit(obj)
         w0 = rng.standard_normal(10)
-        violated, ratios = convergence.rate_check(obj, w0, eta, 300)
+        violated, ratios, _ = convergence.rate_check(obj, w0, eta, 300)
         assert violated is None
         assert all(r <= 1.0 + 1e-12 for r in ratios)
 

@@ -80,14 +80,6 @@ def test_huge_weight_forces_full_structure():
     assert plan.cost.accuracy_loss == 0.0
 
 
-def test_singleton_search_space():
-    model = uniform_model(2)
-    d = DeviceProfile("d", 1e12, 1e10)
-    plan = optimizer.grid_search(model, d, d, simple_link(), zero_table(), 0.0,
-                                 theta1_choices=[S3_SKIP], theta2_choices=[S3_1X1])
-    assert (plan.cut_index, plan.theta1, plan.theta2) == (1, S3_SKIP, S3_1X1)
-
-
 def test_exhaustiveness_on_random_instances():
     rng = np.random.default_rng(57)
     for _ in range(20):
@@ -216,18 +208,6 @@ def test_vectorized_grid_matches_scalar_on_paper_config():
     config = load_config(FIXTURES / "paper.json")
     assert_grid_agrees_with_scalar(config.model, config.device1, config.device2,
                                    config.link, config.penalties, config.lambda1)
-
-
-def test_strategy_choices_keep_canonical_order():
-    rng = np.random.default_rng(65)
-    model = random_model(rng, 6)
-    d1, d2 = random_device(rng, "a"), random_device(rng, "b")
-    plans = optimizer.enumerate_plans(model, d1, d2, simple_link(), zero_table(), 0.0,
-                                      theta1_choices=[FULL, S3], theta2_choices=[S3_1X1])
-    assert len(plans) == 5 * 2
-    keys = [optimizer.plan_sort_key(p) for p in plans]
-    assert keys == sorted(keys)
-    assert {(p.theta1, p.theta2) for p in plans} == {(FULL, S3_1X1), (S3, S3_1X1)}
 
 
 # --- continuous refinement ---------------------------------------------------
