@@ -5,6 +5,9 @@ report.  Tabular output is CSV, structured output is JSON (schema version
 1); both are byte-stable for identical inputs and seeds.  Exit codes:
 0 success, 1 domain error (printed as "ErrorName: detail"), 2 usage error.
 
+Each subcommand imports the modules it runs when it runs, so only plan,
+simulate, fuse-check and convergence-lab load numpy.
+
 With CODESIGN_TRACE=1, ``plan`` prints one JSON line per stage to stderr:
 {"stage": ..., "seconds": ..., "items": ...}.  stdout is unchanged.
 """
@@ -20,8 +23,6 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
-from . import convergence, optimizer, reparam, simulator
-from .cost_model import evaluate_plan
 from .errors import CodesignError, InvalidConfig, SchemaMismatch
 from .profiles import FULL_STRUCTURE, FusionStrategy, _read_json, load_config, parse_strategy
 
@@ -52,16 +53,34 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buffer.getvalue()
 
 
-def _plan_rows(model_name: str, grid: optimizer.PlanGrid) -> list[list]:
+class _FloatReprs(dict):
+    """repr of each float, computed once per distinct value.  Zeros are not
+    kept: 0.0 and -0.0 are one dict key but print differently."""
+
+    def __missing__(self, value: float) -> str:
+        text = repr(value)
+        if value:
+            self[value] = text
+        return text
+
+
+def _plan_csv(model_name: str, grid) -> str:
+    """The ranked grid as CSV, byte-identical to ``csv.writer`` output.  The
+    model name is the only field that can need quoting, so only it goes
+    through ``csv``."""
+    model = _csv_text([model_name, ""], [])[:-2]
     # tolist() first: it yields Python floats, whose repr is the shortest
-    # round-trip form (a numpy 2 scalar's repr adds a type wrapper)
+    # round-trip form (a numpy 2 scalar's repr adds a type wrapper).  t1, t2
+    # and t3 repeat across the strategy pairs of a cut, so they share reprs.
     columns = [getattr(grid, name).tolist() for name in (
         "cut", "theta1", "theta2", "t1", "t2", "t3", "t_total", "accuracy_loss",
         "lagrangian", "feasible1", "feasible2")]
-    return [[model_name, cut, _STRATEGY_NAMES[th1], _STRATEGY_NAMES[th2],
-             repr(t1), repr(t2), repr(t3), repr(t_total), repr(loss), repr(objective),
-             str(f1).lower(), str(f2).lower()]
-            for cut, th1, th2, t1, t2, t3, t_total, loss, objective, f1, f2 in zip(*columns)]
+    names, flags, text = _STRATEGY_NAMES, ("false", "true"), _FloatReprs()
+    lines = [",".join(PLAN_COLUMNS)]
+    lines += [f"{model},{cut},{names[th1]},{names[th2]},{text[t1]},{text[t2]},{text[t3]},"
+              f"{t_total!r},{loss!r},{objective!r},{flags[f1]},{flags[f2]}"
+              for cut, th1, th2, t1, t2, t3, t_total, loss, objective, f1, f2 in zip(*columns)]
+    return "\n".join(lines) + "\n"
 
 
 class _StageClock:
@@ -100,6 +119,8 @@ def _cmd_roofline(args) -> int:
 
 
 def _cmd_cost(args) -> int:
+    from .cost_model import evaluate_plan
+
     config = load_config(args.config)
     plan = evaluate_plan(config.model, args.cut, parse_strategy(args.theta1, "--theta1"),
                          parse_strategy(args.theta2, "--theta2"), config.device1,
@@ -121,6 +142,8 @@ def _cmd_cost(args) -> int:
 
 
 def _cmd_plan(args) -> int:
+    from . import optimizer
+
     clock = _StageClock()
     config = load_config(args.config)
     clock.lap("load", len(config.model.layers))
@@ -141,12 +164,14 @@ def _cmd_plan(args) -> int:
             Path(args.trace_out).write_text(
                 _csv_text(["iteration", "lambda", "t_total"], rows))
         clock.lap("refine", len(trace))
-    _emit(_csv_text(PLAN_COLUMNS, _plan_rows(config.model.name, grid)), args.out)
+    _emit(_plan_csv(config.model.name, grid), args.out)
     clock.lap("emit", len(grid))
     return 0
 
 
 def _cmd_fuse_check(args) -> int:
+    from . import reparam
+
     worst = reparam.run_equivalence_suite(args.seed, trials=args.trials)
     rows = [[s.value, args.trials, repr(err)] for s, err in worst.items()]
     _emit(_csv_text(["strategy", "trials", "max_rel_error"], rows), args.out)
@@ -154,6 +179,8 @@ def _cmd_fuse_check(args) -> int:
 
 
 def _cmd_convergence_lab(args) -> int:
+    from . import convergence
+
     result = convergence.run_lab(args.seed, args.dim, args.steps)
     rows = [[r["step"], repr(r["gap"]), repr(r["bound"]), repr(r["ratio"]),
              str(r["within_bound"]).lower()] for r in result["rows"]]
@@ -164,6 +191,9 @@ def _cmd_convergence_lab(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import optimizer, simulator
+    from .cost_model import evaluate_plan
+
     config = load_config(args.config)
     if args.cut is not None:
         plan = evaluate_plan(config.model, args.cut,

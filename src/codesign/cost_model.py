@@ -7,10 +7,11 @@ k-1 over the link, and runs layers [k, n) on device 2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import roofline
-from .errors import DegenerateSplit
+from .errors import DegenerateSplit, InvariantViolation
 from .profiles import (
     AccuracyPenaltyTable,
     DeviceProfile,
@@ -29,6 +30,10 @@ class CostBreakdown:
     t_total: float
     accuracy_loss: float    # accuracy points
     lagrangian: float       # t_total + lambda1 * accuracy_loss
+
+
+# The CostBreakdown fields a plan must hold as finite numbers.
+COST_FIELDS = ("t1", "t2", "t3", "t_total", "accuracy_loss", "lagrangian")
 
 
 @dataclass(frozen=True)
@@ -50,11 +55,16 @@ def _segments(model: ModelProfile, cut: int, theta1: FusionStrategy,
     return segment_load(model, 0, cut, theta1), segment_load(model, cut, n, theta2)
 
 
+def _seconds(work: float, rate: float) -> float:
+    # a rate that underflows to 0 gives an infinite time, as in numpy
+    return work / rate if rate else math.inf
+
+
 def _latency_of(model: ModelProfile, cut: int, segments, d1: DeviceProfile,
                 d2: DeviceProfile, link: LinkProfile) -> CostBreakdown:
     (c1, m1), (c2, m2) = segments
-    t1 = c1 / roofline.effective_rate(d1, c1 / m1)
-    t2 = c2 / roofline.effective_rate(d2, c2 / m2)
+    t1 = _seconds(c1, roofline.effective_rate(d1, c1 / m1))
+    t2 = _seconds(c2, roofline.effective_rate(d2, c2 / m2))
     embedding = model.layers[cut - 1].output_activation_bytes
     t3 = embedding / link.bandwidth + link.fixed_latency
     t_total = t1 + t2 + t3
@@ -85,7 +95,8 @@ def evaluate_plan(model: ModelProfile, cut: int, theta1: FusionStrategy,
                   theta2: FusionStrategy, d1: DeviceProfile, d2: DeviceProfile,
                   link: LinkProfile, table: AccuracyPenaltyTable,
                   lambda1: float) -> PartitionPlan:
-    """Full evaluation of one candidate plan."""
+    """Full evaluation of one candidate plan.  A latency, the accuracy loss
+    or the objective that is not finite raises ``InvariantViolation``."""
     segments = _segments(model, cut, theta1, theta2)
     base = _latency_of(model, cut, segments, d1, d2, link)
     (c1, m1), (c2, m2) = segments
@@ -97,6 +108,19 @@ def evaluate_plan(model: ModelProfile, cut: int, theta1: FusionStrategy,
         accuracy_loss=loss, lagrangian=lagrangian(base, loss, lambda1),
     )
     feasible = roofline.feasibility(c1 / m1, c2 / m2, d1, d2)
-    return PartitionPlan(cut_index=cut, lambda_c=lam_c, lambda_m=lam_m,
+    plan = PartitionPlan(cut_index=cut, lambda_c=lam_c, lambda_m=lam_m,
                          theta1=theta1, theta2=theta2, cost=cost,
                          feasible=feasible)
+    _require_finite(plan)
+    return plan
+
+
+def _require_finite(plan: PartitionPlan):
+    """Raise ``InvariantViolation`` naming the first cost of ``plan`` that
+    is not finite: the config's magnitudes overflow float arithmetic."""
+    for name in COST_FIELDS:
+        value = getattr(plan.cost, name)
+        if not math.isfinite(value):
+            raise InvariantViolation(
+                f"{name} is {value!r} at cut {plan.cut_index}, theta1 {plan.theta1.value}, "
+                f"theta2 {plan.theta2.value}; the config's magnitudes overflow float arithmetic")

@@ -24,7 +24,8 @@ class UnknownStrategyName(CodesignError):
 
 
 class InvariantViolation(CodesignError):
-    """A structural constraint on loaded data does not hold."""
+    """A structural constraint on loaded data does not hold, or a cost
+    computed from it is not finite."""
 
 
 class DegenerateSplit(CodesignError):

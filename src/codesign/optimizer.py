@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import roofline
-from .cost_model import CostBreakdown, PartitionPlan, evaluate_plan
+from .cost_model import COST_FIELDS, CostBreakdown, PartitionPlan, _require_finite, evaluate_plan
 from .errors import DegenerateSplit, NoFeasiblePlan
 from .profiles import (
     FULL_STRUCTURE,
@@ -106,18 +106,9 @@ def _attainable_rate(device: DeviceProfile, intensity: np.ndarray) -> np.ndarray
                                            intensity * device.mem_bandwidth)
 
 
-def evaluate_grid(model: ModelProfile, d1: DeviceProfile, d2: DeviceProfile,
-                  link: LinkProfile, table: AccuracyPenaltyTable, lambda1: float,
-                  require_feasible: bool = False) -> PlanGrid:
-    """Every candidate of the grid, unranked, in one vectorized sweep.
-
-    With ``require_feasible`` only candidates whose segments both reach
-    their device's balance point are kept; ``NoFeasiblePlan`` is raised if
-    none does.
-    """
+def _sweep(model: ModelProfile, d1: DeviceProfile, d2: DeviceProfile, link: LinkProfile,
+           table: AccuracyPenaltyTable, lambda1: float) -> PlanGrid:
     layers = model.layers
-    if len(layers) < 2:
-        raise DegenerateSplit("model has no interior layer boundary to cut at")
     ranks = np.arange(len(_STRATEGIES))  # _STRATEGIES is in rank order
     flops = np.array([[layer.flops_by_strategy[s] for s in _STRATEGIES] for layer in layers])
     data = np.array([[layer.bytes_by_strategy[s] for s in _STRATEGIES] for layer in layers])
@@ -152,8 +143,27 @@ def evaluate_grid(model: ModelProfile, d1: DeviceProfile, d2: DeviceProfile,
         "t_total": t_total, "accuracy_loss": loss, "lagrangian": t_total + lambda1 * loss,
         "feasible1": feasible1, "feasible2": feasible2,
     }
-    grid = PlanGrid(**{name: np.broadcast_to(value, shape).flatten()
+    return PlanGrid(**{name: np.broadcast_to(value, shape).flatten()
                        for name, value in columns.items()})
+
+
+def evaluate_grid(model: ModelProfile, d1: DeviceProfile, d2: DeviceProfile,
+                  link: LinkProfile, table: AccuracyPenaltyTable, lambda1: float,
+                  require_feasible: bool = False) -> PlanGrid:
+    """Every candidate of the grid, unranked, in one vectorized sweep.
+
+    With ``require_feasible`` only candidates whose segments both reach
+    their device's balance point are kept; ``NoFeasiblePlan`` is raised if
+    none does.  A latency or objective that is not finite in any candidate
+    raises ``InvariantViolation``, as in ``cost_model.evaluate_plan``.
+    """
+    if len(model.layers) < 2:
+        raise DegenerateSplit("model has no interior layer boundary to cut at")
+    with np.errstate(all="ignore"):  # overflow is named below instead
+        grid = _sweep(model, d1, d2, link, table, lambda1)
+    finite = np.logical_and.reduce([np.isfinite(getattr(grid, name)) for name in COST_FIELDS])
+    if not finite.all():
+        _require_finite(grid._take(~finite).first())
     if require_feasible:
         grid = grid._take(grid.feasible1 & grid.feasible2)
         if not len(grid):
@@ -164,7 +174,7 @@ def evaluate_grid(model: ModelProfile, d1: DeviceProfile, d2: DeviceProfile,
         exact = evaluate_plan(model, int(grid.cut[i]), _STRATEGIES[grid.theta1[i]],
                               _STRATEGIES[grid.theta2[i]], d1, d2, link, table, lambda1)
         grid.lambda_c[i], grid.lambda_m[i] = exact.lambda_c, exact.lambda_m
-        for name in ("t1", "t2", "t3", "t_total", "accuracy_loss", "lagrangian"):
+        for name in COST_FIELDS:
             getattr(grid, name)[i] = getattr(exact.cost, name)
     return grid
 

@@ -170,15 +170,15 @@ def fuse(branches: list[BranchSpec], strategy: FusionStrategy) -> Kernel3x3:
 # ---------------------------------------------------------------------------
 
 def conv2d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
-    """Dense convolution of x [in_ch, H, W], stride 1, zero padding (k-1)/2."""
+    """Dense convolution of x [in_ch, H, W], stride 1, zero padding (k-1)/2:
+    one contraction of the weights with every k x k window of x."""
     k = weight.shape[-1]
     pad = (k - 1) // 2
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
-    _, height, width = x.shape
-    out = np.zeros((weight.shape[0], height, width))
-    for u in range(k):
-        for v in range(k):
-            out += np.tensordot(weight[:, :, u, v], xp[:, u:u + height, v:v + width], axes=1)
+    channels, height, width = x.shape
+    xp = np.zeros((channels, height + 2 * pad, width + 2 * pad))
+    xp[:, pad:pad + height, pad:pad + width] = x
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
+    out = np.tensordot(weight, windows, axes=([1, 2, 3], [0, 3, 4]))
     if bias is not None:
         out += bias[:, None, None]
     return out

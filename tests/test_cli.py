@@ -115,6 +115,19 @@ def test_simulate_rejects_unbounded_arrival_count():
     assert result.stderr.startswith("InvariantViolation: arrival_rate * horizon")
 
 
+def _config_with(tmp_path, *changes):
+    """paper.json with each (key path, value) of ``changes`` set."""
+    raw = json.loads((FIXTURES / "paper.json").read_text())
+    for path, value in changes:
+        target = raw
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    return str(config)
+
+
 NAN, INF = float("nan"), float("inf")
 
 
@@ -131,17 +144,47 @@ NAN, INF = float("nan"), float("inf")
     (["penalties", "3"], {"conv3": 1.0}, "penalties"),
 ])
 def test_bad_config_value_is_named(tmp_path, path, value, named):
-    raw = json.loads((FIXTURES / "paper.json").read_text())
-    target = raw
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(raw))
-    result = codesign("plan", "--config", str(bad))
+    result = codesign("plan", "--config", _config_with(tmp_path, (path, value)))
     assert result.returncode == 1
     assert result.stderr.startswith(f"InvalidConfig: {named} ")
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize("changes, quantity", [
+    ([(["link", "bandwidth"], 1e-320)], "t3"),
+    ([(["devices", 0, "peak_compute"], 1e-320)], "t1"),
+    ([(["lambda1"], 1e308)], "lagrangian"),
+    # utilization * peak_compute underflows to a rate of 0
+    ([(["devices", 0, "peak_compute"], 5e-324), (["devices", 0, "utilization"], 0.5)], "t1"),
+])
+@pytest.mark.parametrize("command", [
+    ["plan"],
+    ["cost", "--cut", "3", "--theta1", "conv3", "--theta2", "conv3"],
+    ["simulate", "--rate", "10", "--horizon", "1"],
+])
+def test_overflowing_cost_is_named(tmp_path, changes, quantity, command):
+    config = _config_with(tmp_path, *changes)
+    result = codesign(*command, "--config", config)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    # one line: the named error, and no numpy overflow warning
+    assert result.stderr.startswith(f"InvariantViolation: {quantity} is inf at cut ")
+    assert result.stderr.count("\n") == 1
+
+
+def test_plan_quotes_the_model_name_once(tmp_path):
+    config = _config_with(tmp_path, (["model", "name"], 'a,"b'))
+    plan = tmp_path / "plan.csv"
+    assert codesign("plan", "--config", config, "--out", str(plan)).returncode == 0
+    golden = (GOLDEN / "paper_plan.csv").read_text().splitlines(keepends=True)
+    assert plan.read_text() == golden[0] + "".join(
+        line.replace("repvgg-mini,", '"a,""b",', 1) for line in golden[1:])
+    assert cli.read_plan_csv(plan)[0] == 'a,"b'
+
+
+def test_float_reprs_keep_the_sign_of_zero():
+    text = cli._FloatReprs()
+    assert [text[x] for x in (0.0, -0.0, 1.5, -0.0, 1.5)] == ["0.0", "-0.0", "1.5", "-0.0", "1.5"]
 
 
 def test_report_merges_plan_and_sim(tmp_path):

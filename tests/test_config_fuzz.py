@@ -1,12 +1,17 @@
-"""Property test of the config loader: any JSON document either loads into a
-Config whose numbers are all finite or raises a domain error."""
+"""Property test of the config loader and the planner: any JSON document
+either loads into a Config whose numbers are all finite and which plans to
+finite costs, or raises a domain error."""
 
 import copy
 import json
 import math
+import warnings
 
+import numpy as np
 import pytest
 
+from codesign import optimizer
+from codesign.cost_model import COST_FIELDS
 from codesign.errors import CodesignError
 from codesign.profiles import Config, config_from_dict, config_to_dict
 from conftest import FIXTURES
@@ -55,6 +60,10 @@ JSON = st.recursive(
 
 @hypothesis.settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @hypothesis.given(path=st.sampled_from(PATHS), value=JSON)
+# finite values whose costs overflow
+@hypothesis.example(path=("link", "bandwidth"), value=1e-320)
+@hypothesis.example(path=("devices", 0, "peak_compute"), value=1e-320)
+@hypothesis.example(path=("lambda1",), value=1e308)
 def test_fuzzed_config_loads_finite_or_raises_domain_error(path, value):
     raw = copy.deepcopy(PAPER)
     if path:
@@ -72,3 +81,12 @@ def test_fuzzed_config_loads_finite_or_raises_domain_error(path, value):
     numbers = [leaf for leaf in _leaves(config_to_dict(config))
                if isinstance(leaf, (int, float)) and not isinstance(leaf, bool)]
     assert all(math.isfinite(number) for number in numbers)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning gets through
+        try:
+            grid = optimizer.evaluate_grid(config.model, config.device1, config.device2,
+                                           config.link, config.penalties, config.lambda1)
+        except CodesignError:
+            return
+    assert all(np.isfinite(getattr(grid, name)).all() for name in COST_FIELDS)
