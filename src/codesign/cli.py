@@ -5,8 +5,8 @@ report.  Tabular output is CSV, structured output is JSON (schema version
 1); both are byte-stable for identical inputs and seeds.  Exit codes:
 0 success, 1 domain error (printed as "ErrorName: detail"), 2 usage error.
 
-Each subcommand imports the modules it runs when it runs, so only plan,
-simulate, fuse-check and convergence-lab load numpy.
+Each subcommand imports the modules it runs when it runs, so only
+fuse-check and convergence-lab load numpy.
 
 With CODESIGN_TRACE=1, ``plan`` prints one JSON line per stage to stderr:
 {"stage": ..., "seconds": ..., "items": ...}.  stdout is unchanged.
@@ -32,6 +32,9 @@ PLAN_COLUMNS = ["model", "cut", "theta1", "theta2", "t1", "t2", "t3",
                 "t_total", "dA", "L", "feasible1", "feasible2"]
 
 _STRATEGY_NAMES = [s.value for s in FusionStrategy]
+# plan CSV fields "theta1,theta2" by strategy ranks, "feasible1,feasible2" by flags
+_STRATEGY_PAIRS = [[f"{a},{b}" for b in _STRATEGY_NAMES] for a in _STRATEGY_NAMES]
+_FLAG_PAIRS = (("false,false", "false,true"), ("true,false", "true,true"))
 
 
 def _emit(text: str, out: str | None):
@@ -69,17 +72,14 @@ def _plan_csv(model_name: str, grid) -> str:
     model name is the only field that can need quoting, so only it goes
     through ``csv``."""
     model = _csv_text([model_name, ""], [])[:-2]
-    # tolist() first: it yields Python floats, whose repr is the shortest
-    # round-trip form (a numpy 2 scalar's repr adds a type wrapper).  t1, t2
-    # and t3 repeat across the strategy pairs of a cut, so they share reprs.
-    columns = [getattr(grid, name).tolist() for name in (
-        "cut", "theta1", "theta2", "t1", "t2", "t3", "t_total", "accuracy_loss",
-        "lagrangian", "feasible1", "feasible2")]
-    names, flags, text = _STRATEGY_NAMES, ("false", "true"), _FloatReprs()
+    # t1, t2 and t3 repeat across the strategy pairs of a cut, so they share
+    # reprs
+    pairs, flags, text = _STRATEGY_PAIRS, _FLAG_PAIRS, _FloatReprs()
     lines = [",".join(PLAN_COLUMNS)]
-    lines += [f"{model},{cut},{names[th1]},{names[th2]},{text[t1]},{text[t2]},{text[t3]},"
-              f"{t_total!r},{loss!r},{objective!r},{flags[f1]},{flags[f2]}"
-              for cut, th1, th2, t1, t2, t3, t_total, loss, objective, f1, f2 in zip(*columns)]
+    lines += [f"{model},{cut},{pairs[th1][th2]},{text[t1]},{text[t2]},{text[t3]},"
+              f"{t_total!r},{loss!r},{objective!r},{flags[f1][f2]}"
+              for objective, t_total, cut, th1, th2, t1, t2, t3, loss, _, _, f1, f2
+              in grid.rows]
     return "\n".join(lines) + "\n"
 
 

@@ -56,7 +56,8 @@ def _segments(model: ModelProfile, cut: int, theta1: FusionStrategy,
 
 
 def _seconds(work: float, rate: float) -> float:
-    # a rate that underflows to 0 gives an infinite time, as in numpy
+    # a rate that underflows to 0 gives an infinite time, which the finite
+    # check then names, instead of a ZeroDivisionError
     return work / rate if rate else math.inf
 
 

@@ -3,12 +3,13 @@
 The authoritative optimizer is an exhaustive, deterministic grid over every
 interior cut position and every (theta1, theta2) strategy pair.  The cost
 model is additive per layer, so the grid is one sweep: per-strategy prefix
-and suffix sums of FLOPs and bytes give every segment load, and all
-16(n-1) candidates are evaluated elementwise in numpy.  That is O(n) work
-plus one sort of the 16(n-1) rows.  The candidates whose objective is
-within a relative 1e-9 of the minimum are evaluated again by the scalar
-``evaluate_plan``, so the winner carries exactly the values ``cost`` prints
-and its ties are broken on exact keys.
+and suffix sums of FLOPs and bytes give every segment load, each segment's
+time is computed once per (cut, strategy), and the 16 strategy pairs of a
+cut are combined into row tuples.  That is O(n) work plus one sort of the
+16(n-1) rows.  The candidates whose objective is within a relative 1e-9 of
+the minimum are evaluated again by the scalar ``evaluate_plan``, so the
+winner carries exactly the values ``cost`` prints and its ties are broken
+on exact keys.
 
 A gradient-descent refinement of the cut fraction on a continuous relaxation
 is available as a demonstrative extra; since the true objective is
@@ -19,13 +20,13 @@ O(log n): binary searches over prefix sums built once per refinement.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
-from dataclasses import dataclass, fields
-
-import numpy as np
+from dataclasses import dataclass
+from itertools import accumulate
 
 from . import roofline
-from .cost_model import COST_FIELDS, CostBreakdown, PartitionPlan, _require_finite, evaluate_plan
+from .cost_model import CostBreakdown, PartitionPlan, _require_finite, _seconds, evaluate_plan
 from .errors import DegenerateSplit, NoFeasiblePlan
 from .profiles import (
     FULL_STRUCTURE,
@@ -39,7 +40,7 @@ from .profiles import (
 
 _EPS = 1e-9
 
-# Candidates whose vectorized objective lies within this relative distance of
+# Candidates whose swept objective lies within this relative distance of
 # the minimum are re-evaluated by the scalar cost model: a suffix sum can
 # differ from a left-to-right segment sum in the last bit.
 _RECHECK_RTOL = 1e-9
@@ -55,102 +56,104 @@ def plan_sort_key(plan: PartitionPlan):
             STRATEGY_RANK[plan.theta1], STRATEGY_RANK[plan.theta2])
 
 
+# Fields of a grid row, in order.  The first five are the canonical sort key
+# (see ``plan_sort_key``), so sorting the row tuples ranks the grid.
+ROW_FIELDS = ("lagrangian", "t_total", "cut", "theta1", "theta2", "t1", "t2", "t3",
+              "accuracy_loss", "lambda_c", "lambda_m", "feasible1", "feasible2")
+
+
+def _plan(row: tuple) -> PartitionPlan:
+    objective, t_total, cut, th1, th2, t1, t2, t3, loss, lam_c, lam_m, f1, f2 = row
+    return PartitionPlan(cut_index=cut, lambda_c=lam_c, lambda_m=lam_m,
+                         theta1=_STRATEGIES[th1], theta2=_STRATEGIES[th2],
+                         cost=CostBreakdown(t1=t1, t2=t2, t3=t3, t_total=t_total,
+                                            accuracy_loss=loss, lagrangian=objective),
+                         feasible=(f1, f2))
+
+
+def _row(plan: PartitionPlan) -> tuple:
+    c = plan.cost
+    return (c.lagrangian, c.t_total, plan.cut_index, STRATEGY_RANK[plan.theta1],
+            STRATEGY_RANK[plan.theta2], c.t1, c.t2, c.t3, c.accuracy_loss,
+            plan.lambda_c, plan.lambda_m, *plan.feasible)
+
+
 @dataclass(frozen=True)
 class PlanGrid:
-    """Candidates of the (cut, theta1, theta2) grid as parallel 1-D arrays,
-    one entry per candidate.  ``theta1``/``theta2`` hold strategy ranks
-    (indices into ``FusionStrategy`` declaration order)."""
+    """Candidates of the (cut, theta1, theta2) grid, one tuple per
+    candidate laid out as ``ROW_FIELDS``.  ``theta1``/``theta2`` hold
+    strategy ranks (indices into ``FusionStrategy`` declaration order).  A
+    field name reads a column: ``grid.t1`` lists every row's t1."""
 
-    cut: np.ndarray
-    theta1: np.ndarray
-    theta2: np.ndarray
-    lambda_c: np.ndarray
-    lambda_m: np.ndarray
-    t1: np.ndarray
-    t2: np.ndarray
-    t3: np.ndarray
-    t_total: np.ndarray
-    accuracy_loss: np.ndarray
-    lagrangian: np.ndarray
-    feasible1: np.ndarray
-    feasible2: np.ndarray
+    rows: list[tuple]
 
     def __len__(self) -> int:
-        return len(self.cut)
+        return len(self.rows)
 
-    def _take(self, index) -> PlanGrid:
-        return PlanGrid(**{f.name: getattr(self, f.name)[index] for f in fields(self)})
+    def __getattr__(self, name: str) -> list:
+        if name not in ROW_FIELDS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        index = ROW_FIELDS.index(name)
+        return [row[index] for row in self.rows]
 
     def ranked(self) -> PlanGrid:
         """Rows in canonical order (see ``plan_sort_key``)."""
-        return self._take(np.lexsort((self.theta2, self.theta1, self.cut,
-                                      self.t_total, self.lagrangian)))
+        return PlanGrid(sorted(self.rows))
 
     def first(self) -> PartitionPlan:
-        return self._take(slice(0, 1)).plans()[0]
+        return _plan(self.rows[0])
 
     def plans(self) -> list[PartitionPlan]:
-        columns = [getattr(self, f.name).tolist() for f in fields(self)]
-        return [PartitionPlan(cut_index=cut, lambda_c=lam_c, lambda_m=lam_m,
-                              theta1=_STRATEGIES[th1], theta2=_STRATEGIES[th2],
-                              cost=CostBreakdown(t1=t1, t2=t2, t3=t3, t_total=t_total,
-                                                 accuracy_loss=loss, lagrangian=objective),
-                              feasible=(f1, f2))
-                for (cut, th1, th2, lam_c, lam_m, t1, t2, t3, t_total, loss, objective,
-                     f1, f2) in zip(*columns)]
+        return [_plan(row) for row in self.rows]
 
 
-def _attainable_rate(device: DeviceProfile, intensity: np.ndarray) -> np.ndarray:
-    # roofline.effective_rate, elementwise
-    return device.utilization * np.minimum(device.peak_compute,
-                                           intensity * device.mem_bandwidth)
+def _segments(flops: list[float], data: list[float], device: DeviceProfile, rank: int,
+              penalty: float):
+    """Yield (FLOPs, bytes, seconds, feasible, rank, penalty) of each segment
+    whose FLOP and byte sums are given, run on ``device`` under the strategy
+    of ``rank``."""
+    peak, bandwidth, utilization = device.peak_compute, device.mem_bandwidth, device.utilization
+    balance = roofline.machine_balance(device)
+    for c, m in zip(flops, data):
+        intensity = c / m
+        rate = utilization * min(peak, intensity * bandwidth)  # roofline.effective_rate
+        yield c, m, _seconds(c, rate), intensity >= balance, rank, penalty
 
 
 def _sweep(model: ModelProfile, d1: DeviceProfile, d2: DeviceProfile, link: LinkProfile,
            table: AccuracyPenaltyTable, lambda1: float) -> PlanGrid:
     layers = model.layers
-    ranks = np.arange(len(_STRATEGIES))  # _STRATEGIES is in rank order
-    flops = np.array([[layer.flops_by_strategy[s] for s in _STRATEGIES] for layer in layers])
-    data = np.array([[layer.bytes_by_strategy[s] for s in _STRATEGIES] for layer in layers])
+    heads, tails = [], []
+    for rank, strategy in enumerate(_STRATEGIES):
+        flops = [layer.flops_by_strategy[strategy] for layer in layers]
+        data = [layer.bytes_by_strategy[strategy] for layer in layers]
+        # Entry k-1 is the segment of cut k.  Heads sum layers [0, k) left
+        # to right, as segment_load does; tails sum layers [k, n) right to
+        # left, which avoids the cancellation of total - head.  Segments
+        # are generated cut by cut, so only the rows outlive the sweep.
+        heads.append(_segments(list(accumulate(flops))[:-1], list(accumulate(data))[:-1],
+                               d1, rank, table.penalty(1, strategy)))
+        tails.append(_segments(list(accumulate(reversed(flops)))[-2::-1],
+                               list(accumulate(reversed(data)))[-2::-1],
+                               d2, rank, table.penalty(2, strategy)))
 
-    # Row k-1 holds layers [0, k) (heads) and [k, n) (tails) for cut k.
-    # cumsum runs left to right, as segment_load does, so heads match it;
-    # tails are summed right to left, which avoids the cancellation of
-    # total - head.
-    def heads(per_layer):
-        return np.cumsum(per_layer, axis=0)[:-1][:, :, None]
-
-    def tails(per_layer):
-        return np.cumsum(per_layer[::-1], axis=0)[::-1][1:][:, None, :]
-
-    c1, m1, c2, m2 = heads(flops), heads(data), tails(flops), tails(data)
-    t1 = c1 / _attainable_rate(d1, c1 / m1)
-    t2 = c2 / _attainable_rate(d2, c2 / m2)
-    embedding = np.array([layer.output_activation_bytes for layer in layers[:-1]])
-    t3 = (embedding / link.bandwidth + link.fixed_latency)[:, None, None]
-    t_total = t1 + t2 + t3
-    lam_c = c1 / (c1 + c2)
-    penalty1 = np.array([table.penalty(1, s) for s in _STRATEGIES])[None, :, None]
-    penalty2 = np.array([table.penalty(2, s) for s in _STRATEGIES])[None, None, :]
-    loss = lam_c * penalty1 + (1 - lam_c) * penalty2
-    feasible1, feasible2 = roofline.feasibility(c1 / m1, c2 / m2, d1, d2)
-
-    shape = t_total.shape
-    cut = np.arange(1, len(layers))[:, None, None]
-    columns = {
-        "cut": cut, "theta1": ranks[None, :, None], "theta2": ranks[None, None, :],
-        "lambda_c": lam_c, "lambda_m": m1 / (m1 + m2), "t1": t1, "t2": t2, "t3": t3,
-        "t_total": t_total, "accuracy_loss": loss, "lagrangian": t_total + lambda1 * loss,
-        "feasible1": feasible1, "feasible2": feasible2,
-    }
-    return PlanGrid(**{name: np.broadcast_to(value, shape).flatten()
-                       for name, value in columns.items()})
+    rows = []
+    for cut, (layer, side1, side2) in enumerate(zip(layers, zip(*heads), zip(*tails)), 1):
+        t3 = layer.output_activation_bytes / link.bandwidth + link.fixed_latency
+        for c1, m1, t1, f1, th1, p1 in side1:
+            for c2, m2, t2, f2, th2, p2 in side2:
+                t_total = t1 + t2 + t3
+                lam_c = c1 / (c1 + c2)
+                loss = lam_c * p1 + (1 - lam_c) * p2
+                rows.append((t_total + lambda1 * loss, t_total, cut, th1, th2, t1, t2, t3,
+                             loss, lam_c, m1 / (m1 + m2), f1, f2))
+    return PlanGrid(rows)
 
 
 def evaluate_grid(model: ModelProfile, d1: DeviceProfile, d2: DeviceProfile,
                   link: LinkProfile, table: AccuracyPenaltyTable, lambda1: float,
                   require_feasible: bool = False) -> PlanGrid:
-    """Every candidate of the grid, unranked, in one vectorized sweep.
+    """Every candidate of the grid, unranked, in one sweep.
 
     With ``require_feasible`` only candidates whose segments both reach
     their device's balance point are kept; ``NoFeasiblePlan`` is raised if
@@ -159,24 +162,26 @@ def evaluate_grid(model: ModelProfile, d1: DeviceProfile, d2: DeviceProfile,
     """
     if len(model.layers) < 2:
         raise DegenerateSplit("model has no interior layer boundary to cut at")
-    with np.errstate(all="ignore"):  # overflow is named below instead
-        grid = _sweep(model, d1, d2, link, table, lambda1)
-    finite = np.logical_and.reduce([np.isfinite(getattr(grid, name)) for name in COST_FIELDS])
-    if not finite.all():
-        _require_finite(grid._take(~finite).first())
+    rows = _sweep(model, d1, d2, link, table, lambda1).rows
+    objectives = [row[0] for row in rows]
+    # the objective is summed from every other cost, so it is finite only
+    # if they all are
+    if not all(map(math.isfinite, objectives)):
+        _require_finite(next(_plan(row) for row in rows if not math.isfinite(row[0])))
     if require_feasible:
-        grid = grid._take(grid.feasible1 & grid.feasible2)
-        if not len(grid):
+        rows = [row for row in rows if row[-2] and row[-1]]
+        if not rows:
             raise NoFeasiblePlan("every candidate violates an intensity requirement")
+        objectives = [row[0] for row in rows]
 
-    best = grid.lagrangian.min()
-    for i in np.flatnonzero(grid.lagrangian <= best + _RECHECK_RTOL * abs(best)).tolist():
-        exact = evaluate_plan(model, int(grid.cut[i]), _STRATEGIES[grid.theta1[i]],
-                              _STRATEGIES[grid.theta2[i]], d1, d2, link, table, lambda1)
-        grid.lambda_c[i], grid.lambda_m[i] = exact.lambda_c, exact.lambda_m
-        for name in COST_FIELDS:
-            getattr(grid, name)[i] = getattr(exact.cost, name)
-    return grid
+    best = min(objectives)
+    limit = best + _RECHECK_RTOL * abs(best)
+    for i, objective in enumerate(objectives):
+        if objective <= limit:
+            cut, th1, th2 = rows[i][2:5]
+            rows[i] = _row(evaluate_plan(model, cut, _STRATEGIES[th1], _STRATEGIES[th2],
+                                         d1, d2, link, table, lambda1))
+    return PlanGrid(rows)
 
 
 def enumerate_plans(model: ModelProfile, d1: DeviceProfile, d2: DeviceProfile,
@@ -195,8 +200,9 @@ def grid_search(model: ModelProfile, d1: DeviceProfile, d2: DeviceProfile,
     prices memory-bound segments); with ``require_feasible`` both segments
     must reach their device's balance point or the candidate is dropped.
     """
-    return evaluate_grid(model, d1, d2, link, table, lambda1,
-                         require_feasible).ranked().first()
+    # the smallest row tuple is the first in canonical order
+    return _plan(min(evaluate_grid(model, d1, d2, link, table, lambda1,
+                                   require_feasible).rows))
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@ compute/memory classification of a workload running on a device."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DegenerateSplit
+from .errors import DegenerateSplit, InvariantViolation
 from .profiles import DeviceProfile
 
 
@@ -40,7 +41,16 @@ def classify(intensity: float, device: DeviceProfile) -> Bottleneck:
 
 
 def report(flops: float, data_bytes: float, device: DeviceProfile) -> IntensityReport:
+    """Intensity and class of a workload on ``device``.  An intensity,
+    machine balance or byte count that is not finite raises
+    ``InvariantViolation``, as a cost does in ``cost_model.evaluate_plan``
+    (an infinite byte count would give a finite intensity of 0)."""
     intensity = model_intensity(flops, data_bytes)
+    for name, value in (("intensity", intensity), ("balance", machine_balance(device)),
+                        ("bytes", data_bytes)):
+        if not math.isfinite(value):
+            raise InvariantViolation(f"{name} is {value!r} on {device.name}; "
+                                     f"the config's magnitudes overflow float arithmetic")
     return IntensityReport(
         intensity=intensity,
         bottleneck=classify(intensity, device),

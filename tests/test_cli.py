@@ -172,6 +172,41 @@ def test_overflowing_cost_is_named(tmp_path, changes, quantity, command):
     assert result.stderr.count("\n") == 1
 
 
+def _every_layer_cost(*keys, value=1e308):
+    """Changes that set each of ``keys`` to ``value`` for every strategy of
+    each of paper.json's 14 layers."""
+    return [(["model", "layers", i, key, s], value) for i in range(14) for key in keys
+            for s in ("conv3", "conv3+skip", "conv3+conv1", "conv3+skip+conv1")]
+
+
+def test_overflowed_intensity_is_named_alike_by_every_command(tmp_path):
+    # every FLOP and byte sum of two or more layers is inf, so the segment
+    # intensities are inf/inf
+    config = _config_with(tmp_path, *_every_layer_cost("flops_by_strategy",
+                                                       "bytes_by_strategy"))
+    for command in (["plan"], ["cost", "--cut", "1", "--theta1", "conv3", "--theta2", "conv3"],
+                    ["simulate", "--rate", "10", "--horizon", "1"]):
+        result = codesign(*command, "--config", config)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith(
+            "InvariantViolation: t2 is inf at cut 1, theta1 conv3, theta2 conv3; ")
+
+
+@pytest.mark.parametrize("changes, quantity", [
+    (_every_layer_cost("flops_by_strategy"), "intensity"),
+    (_every_layer_cost("bytes_by_strategy"), "bytes"),
+    ([(["devices", 0, "peak_compute"], 1e308), (["devices", 0, "mem_bandwidth"], 1e-10)],
+     "balance"),
+])
+def test_roofline_overflow_is_named(tmp_path, changes, quantity):
+    result = codesign("roofline", "--config", _config_with(tmp_path, *changes))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"InvariantViolation: {quantity} is inf on jetson-nano; ")
+    assert result.stderr.count("\n") == 1
+
+
 def test_plan_quotes_the_model_name_once(tmp_path):
     config = _config_with(tmp_path, (["model", "name"], 'a,"b'))
     plan = tmp_path / "plan.csv"

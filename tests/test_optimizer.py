@@ -143,7 +143,7 @@ def test_strict_mode_picks_best_feasible():
         assert plan == feasible[0]
 
 
-# --- vectorized grid vs the scalar cost model ---------------------------------
+# --- the grid sweep vs the scalar cost model -----------------------------------
 
 def scaled_model(model, factor):
     """The same model with every cost multiplied by a non-integer factor, so
@@ -208,6 +208,95 @@ def test_vectorized_grid_matches_scalar_on_paper_config():
     config = load_config(FIXTURES / "paper.json")
     assert_grid_agrees_with_scalar(config.model, config.device1, config.device2,
                                    config.link, config.penalties, config.lambda1)
+
+
+# --- the pure-Python sweep vs the numpy sweep it replaced ----------------------
+
+def numpy_sweep(model, d1, d2, link, table, lambda1):
+    """The grid columns as the numpy sweep computed them (prefix sums by
+    np.cumsum, every candidate elementwise), kept as the reference the row
+    sweep must match bit for bit."""
+    strategies = tuple(FusionStrategy)
+    layers = model.layers
+    ranks = np.arange(len(strategies))
+    flops = np.array([[layer.flops_by_strategy[s] for s in strategies] for layer in layers])
+    data = np.array([[layer.bytes_by_strategy[s] for s in strategies] for layer in layers])
+
+    def heads(per_layer):
+        return np.cumsum(per_layer, axis=0)[:-1][:, :, None]
+
+    def tails(per_layer):
+        return np.cumsum(per_layer[::-1], axis=0)[::-1][1:][:, None, :]
+
+    def attainable_rate(device, intensity):
+        return device.utilization * np.minimum(device.peak_compute,
+                                               intensity * device.mem_bandwidth)
+
+    c1, m1, c2, m2 = heads(flops), heads(data), tails(flops), tails(data)
+    t1 = c1 / attainable_rate(d1, c1 / m1)
+    t2 = c2 / attainable_rate(d2, c2 / m2)
+    embedding = np.array([layer.output_activation_bytes for layer in layers[:-1]])
+    t3 = (embedding / link.bandwidth + link.fixed_latency)[:, None, None]
+    t_total = t1 + t2 + t3
+    lam_c = c1 / (c1 + c2)
+    penalty1 = np.array([table.penalty(1, s) for s in strategies])[None, :, None]
+    penalty2 = np.array([table.penalty(2, s) for s in strategies])[None, None, :]
+    loss = lam_c * penalty1 + (1 - lam_c) * penalty2
+    feasible1, feasible2 = roofline.feasibility(c1 / m1, c2 / m2, d1, d2)
+    columns = {
+        "cut": np.arange(1, len(layers))[:, None, None],
+        "theta1": ranks[None, :, None], "theta2": ranks[None, None, :],
+        "lambda_c": lam_c, "lambda_m": m1 / (m1 + m2), "t1": t1, "t2": t2, "t3": t3,
+        "t_total": t_total, "accuracy_loss": loss, "lagrangian": t_total + lambda1 * loss,
+        "feasible1": feasible1, "feasible2": feasible2,
+    }
+    return {name: np.broadcast_to(value, t_total.shape).flatten().tolist()
+            for name, value in columns.items()}
+
+
+def random_grid_cases():
+    """The 24 cases of test_vectorized_grid_matches_scalar_on_random_models."""
+    rng = np.random.default_rng(63)
+    for case in range(24):
+        model = random_model(rng, int(rng.integers(2, 41)))
+        if case % 3 == 2:
+            model = scaled_model(model, float(rng.uniform(0.1, 3.0)))
+        d1, d2 = random_device(rng, "a"), random_device(rng, "b")
+        link = simple_link(float(rng.uniform(1e6, 1e9)), float(rng.choice([0.0, 1e-3])))
+        table = random_table(rng) if case % 2 else zero_table()
+        yield model, d1, d2, link, table, float(rng.choice([0.0, 0.01, 1.0]))
+
+
+def sweep_cases():
+    config = load_config(FIXTURES / "paper.json")
+    yield (config.model, config.device1, config.device2, config.link, config.penalties,
+           config.lambda1)
+    yield from random_grid_cases()
+    yield rep_stack(224, 66), nano(), nx(), simple_link(), random_table(
+        np.random.default_rng(66)), 1e-4
+
+
+def test_sweep_bit_identical_to_numpy_sweep():
+    cases = list(sweep_cases())
+    assert len(cases) == 26
+    for case in cases:
+        grid = optimizer._sweep(*case)
+        reference = numpy_sweep(*case)
+        assert len(grid) == 16 * (len(case[0].layers) - 1)
+        for name in optimizer.ROW_FIELDS:
+            assert getattr(grid, name) == reference[name], name
+
+
+def test_grid_columns_and_rows_agree():
+    config = load_config(FIXTURES / "paper.json")
+    grid = optimizer.evaluate_grid(config.model, config.device1, config.device2,
+                                   config.link, config.penalties, config.lambda1).ranked()
+    columns = [getattr(grid, name) for name in optimizer.ROW_FIELDS]
+    assert list(zip(*columns)) == grid.rows
+    assert [optimizer.plan_sort_key(p) for p in grid.plans()] == [row[:5] for row in grid.rows]
+    assert grid.first() == grid.plans()[0]
+    with pytest.raises(AttributeError, match="no_such_column"):
+        grid.no_such_column  # noqa: B018
 
 
 # --- continuous refinement ---------------------------------------------------

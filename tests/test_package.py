@@ -65,6 +65,10 @@ def test_light_commands_do_not_import_numpy(tmp_path):
         ["roofline", "--config", config],
         ["cost", "--config", config, "--cut", "5", "--theta1", "conv3",
          "--theta2", "conv3+skip+conv1"],
+        ["plan", "--config", config],
+        ["plan", "--refine", "--config", config, "--trace-out", str(tmp_path / "trace.csv")],
+        ["simulate", "--config", config, "--rate", "100", "--horizon", "1"],
+        ["simulate", "--config", config, "--rate", "100", "--horizon", "1", "--cut", "5"],
     ]
     script = f"""
 import contextlib, io, sys
