@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -67,10 +68,10 @@ class _FloatReprs(dict):
         return text
 
 
-def _plan_csv(model_name: str, grid) -> str:
-    """The ranked grid as CSV, byte-identical to ``csv.writer`` output.  The
-    model name is the only field that can need quoting, so only it goes
-    through ``csv``."""
+def _plan_csv(model_name: str, rows: list[tuple]) -> str:
+    """The ranked grid rows (``optimizer.ROW_FIELDS`` tuples) as CSV,
+    byte-identical to ``csv.writer`` output.  The model name is the only
+    field that can need quoting, so only it goes through ``csv``."""
     model = _csv_text([model_name, ""], [])[:-2]
     # t1, t2 and t3 repeat across the strategy pairs of a cut, so they share
     # reprs
@@ -79,7 +80,7 @@ def _plan_csv(model_name: str, grid) -> str:
     lines += [f"{model},{cut},{pairs[th1][th2]},{text[t1]},{text[t2]},{text[t3]},"
               f"{t_total!r},{loss!r},{objective!r},{flags[f1][f2]}"
               for objective, t_total, cut, th1, th2, t1, t2, t3, loss, _, _, f1, f2
-              in grid.rows]
+              in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -147,25 +148,25 @@ def _cmd_plan(args) -> int:
     clock = _StageClock()
     config = load_config(args.config)
     clock.lap("load", len(config.model.layers))
-    grid = optimizer.evaluate_grid(config.model, config.device1, config.device2,
+    rows = optimizer.evaluate_grid(config.model, config.device1, config.device2,
                                    config.link, config.penalties, config.lambda1,
                                    require_feasible=args.strict)
-    clock.lap("evaluate", len(grid))
-    grid = grid.ranked()
-    clock.lap("rank", len(grid))
+    clock.lap("evaluate", len(rows))
+    rows.sort()
+    clock.lap("rank", len(rows))
     if args.refine:
         # the grid is exhaustive, so the snapped plan never beats its winner;
         # only the descent trace is reported
         _, _, trace = optimizer.refine_and_snap(
-            config.model, grid.first(), config.device1, config.device2, config.link,
-            config.penalties, config.lambda1)
+            config.model, optimizer.row_plan(rows[0]), config.device1, config.device2,
+            config.link, config.penalties, config.lambda1)
         if args.trace_out:
-            rows = [[i, repr(lam), repr(t)] for i, (lam, t) in enumerate(trace)]
-            Path(args.trace_out).write_text(
-                _csv_text(["iteration", "lambda", "t_total"], rows))
+            Path(args.trace_out).write_text(_csv_text(
+                ["iteration", "lambda", "t_total"],
+                [[i, repr(lam), repr(t)] for i, (lam, t) in enumerate(trace)]))
         clock.lap("refine", len(trace))
-    _emit(_plan_csv(config.model.name, grid), args.out)
-    clock.lap("emit", len(grid))
+    _emit(_plan_csv(config.model.name, rows), args.out)
+    clock.lap("emit", len(rows))
     return 0
 
 
@@ -245,26 +246,49 @@ def read_plan_csv(path) -> tuple[str, dict, int]:
             rows = list(csv.DictReader(handle))
     except OSError as exc:
         raise InvalidConfig(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InvalidConfig(f"{path}: {exc}") from None
     if not rows or any(col not in rows[0] for col in PLAN_COLUMNS):
         raise SchemaMismatch(f"{path} is not a plan table (expected columns {PLAN_COLUMNS})")
     return rows[0]["model"], rows[0], len(rows)
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def _flag(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(text)
+    return text == "true"
+
+
 def build_report(plan_path, sim_path=None) -> dict:
     """Merge a plan table and a simulation report into one document."""
     model, winner, candidates = read_plan_csv(plan_path)
+
+    def field(column: str, parse):
+        try:
+            return parse(winner[column])
+        except (TypeError, ValueError):
+            raise SchemaMismatch(f"{plan_path}: the winning row's {column} is "
+                                 f"{winner[column]!r}") from None
+
     document = {
         "schema_version": SCHEMA_VERSION,
         "model": model,
         "plan": {
-            "cut": int(winner["cut"]),
+            "cut": field("cut", int),
             "theta1": winner["theta1"],
             "theta2": winner["theta2"],
-            "t1": float(winner["t1"]), "t2": float(winner["t2"]),
-            "t3": float(winner["t3"]), "t_total": float(winner["t_total"]),
-            "dA": float(winner["dA"]), "L": float(winner["L"]),
-            "feasible1": winner["feasible1"] == "true",
-            "feasible2": winner["feasible2"] == "true",
+            "t1": field("t1", _finite), "t2": field("t2", _finite),
+            "t3": field("t3", _finite), "t_total": field("t_total", _finite),
+            "dA": field("dA", _finite), "L": field("L", _finite),
+            "feasible1": field("feasible1", _flag),
+            "feasible2": field("feasible2", _flag),
         },
         "candidates": candidates,
         "simulation": None,
@@ -362,7 +386,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "plan" and args.trace_out is not None and not args.refine:
+        parser.error("plan: --trace-out needs --refine")
     try:
         return args.func(args)
     except CodesignError as err:

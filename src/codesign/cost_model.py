@@ -3,6 +3,11 @@
 A candidate is a cut position plus one fusion strategy per sub-model.  The
 cut at ``k`` runs layers [0, k) on device 1, ships the activation of layer
 k-1 over the link, and runs layers [k, n) on device 2.
+
+Segment loads are summed in one order, which the planner's grid sweep
+follows too, so a grid row and ``evaluate_plan`` agree to the last bit: the
+head [0, k) is summed from layer 0 up to the cut, the tail [k, n) from the
+last layer down to the cut, one float addition at a time.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from .profiles import (
     FusionStrategy,
     LinkProfile,
     ModelProfile,
-    segment_load,
 )
 
 
@@ -47,12 +51,22 @@ class PartitionPlan:
     feasible: tuple[bool, bool]
 
 
+def _load(layers, strategy: FusionStrategy) -> tuple[float, float]:
+    # not ``sum``: from Python 3.12 it compensates, and running sums do not
+    flops = data = 0.0
+    for layer in layers:
+        flops += layer.flops_by_strategy[strategy]
+        data += layer.bytes_by_strategy[strategy]
+    return flops, data
+
+
 def _segments(model: ModelProfile, cut: int, theta1: FusionStrategy,
               theta2: FusionStrategy):
-    n = len(model.layers)
+    layers = model.layers
+    n = len(layers)
     if not 1 <= cut <= n - 1:
         raise DegenerateSplit(f"cut={cut} leaves an empty segment (valid: 1..{n - 1})")
-    return segment_load(model, 0, cut, theta1), segment_load(model, cut, n, theta2)
+    return _load(layers[:cut], theta1), _load(reversed(layers[cut:]), theta2)
 
 
 def _seconds(work: float, rate: float) -> float:

@@ -2,14 +2,13 @@
 
 The authoritative optimizer is an exhaustive, deterministic grid over every
 interior cut position and every (theta1, theta2) strategy pair.  The cost
-model is additive per layer, so the grid is one sweep: per-strategy prefix
-and suffix sums of FLOPs and bytes give every segment load, each segment's
-time is computed once per (cut, strategy), and the 16 strategy pairs of a
-cut are combined into row tuples.  That is O(n) work plus one sort of the
-16(n-1) rows.  The candidates whose objective is within a relative 1e-9 of
-the minimum are evaluated again by the scalar ``evaluate_plan``, so the
-winner carries exactly the values ``cost`` prints and its ties are broken
-on exact keys.
+model is additive per layer, so the grid is one sweep: per-strategy running
+sums of FLOPs and bytes give every segment load, each segment's time is
+computed once per (cut, strategy), and the 16 strategy pairs of a cut are
+combined into row tuples.  That is O(n) work plus one sort of the 16(n-1)
+rows.  The running sums add layers in the order ``cost_model`` states, so
+every row, the winner included, carries exactly the values ``cost`` prints
+and ties are broken on exact keys.
 
 A gradient-descent refinement of the cut fraction on a continuous relaxation
 is available as a demonstrative extra; since the true objective is
@@ -22,7 +21,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
 
 from . import roofline
@@ -39,11 +37,6 @@ from .profiles import (
 )
 
 _EPS = 1e-9
-
-# Candidates whose swept objective lies within this relative distance of
-# the minimum are re-evaluated by the scalar cost model: a suffix sum can
-# differ from a left-to-right segment sum in the last bit.
-_RECHECK_RTOL = 1e-9
 
 _STRATEGIES = tuple(FusionStrategy)
 
@@ -62,49 +55,14 @@ ROW_FIELDS = ("lagrangian", "t_total", "cut", "theta1", "theta2", "t1", "t2", "t
               "accuracy_loss", "lambda_c", "lambda_m", "feasible1", "feasible2")
 
 
-def _plan(row: tuple) -> PartitionPlan:
+def row_plan(row: tuple) -> PartitionPlan:
+    """The plan a grid row (laid out as ``ROW_FIELDS``) describes."""
     objective, t_total, cut, th1, th2, t1, t2, t3, loss, lam_c, lam_m, f1, f2 = row
     return PartitionPlan(cut_index=cut, lambda_c=lam_c, lambda_m=lam_m,
                          theta1=_STRATEGIES[th1], theta2=_STRATEGIES[th2],
                          cost=CostBreakdown(t1=t1, t2=t2, t3=t3, t_total=t_total,
                                             accuracy_loss=loss, lagrangian=objective),
                          feasible=(f1, f2))
-
-
-def _row(plan: PartitionPlan) -> tuple:
-    c = plan.cost
-    return (c.lagrangian, c.t_total, plan.cut_index, STRATEGY_RANK[plan.theta1],
-            STRATEGY_RANK[plan.theta2], c.t1, c.t2, c.t3, c.accuracy_loss,
-            plan.lambda_c, plan.lambda_m, *plan.feasible)
-
-
-@dataclass(frozen=True)
-class PlanGrid:
-    """Candidates of the (cut, theta1, theta2) grid, one tuple per
-    candidate laid out as ``ROW_FIELDS``.  ``theta1``/``theta2`` hold
-    strategy ranks (indices into ``FusionStrategy`` declaration order).  A
-    field name reads a column: ``grid.t1`` lists every row's t1."""
-
-    rows: list[tuple]
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getattr__(self, name: str) -> list:
-        if name not in ROW_FIELDS:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        index = ROW_FIELDS.index(name)
-        return [row[index] for row in self.rows]
-
-    def ranked(self) -> PlanGrid:
-        """Rows in canonical order (see ``plan_sort_key``)."""
-        return PlanGrid(sorted(self.rows))
-
-    def first(self) -> PartitionPlan:
-        return _plan(self.rows[0])
-
-    def plans(self) -> list[PartitionPlan]:
-        return [_plan(row) for row in self.rows]
 
 
 def _segments(flops: list[float], data: list[float], device: DeviceProfile, rank: int,
@@ -121,16 +79,17 @@ def _segments(flops: list[float], data: list[float], device: DeviceProfile, rank
 
 
 def _sweep(model: ModelProfile, d1: DeviceProfile, d2: DeviceProfile, link: LinkProfile,
-           table: AccuracyPenaltyTable, lambda1: float) -> PlanGrid:
+           table: AccuracyPenaltyTable, lambda1: float) -> list[tuple]:
     layers = model.layers
     heads, tails = [], []
     for rank, strategy in enumerate(_STRATEGIES):
         flops = [layer.flops_by_strategy[strategy] for layer in layers]
         data = [layer.bytes_by_strategy[strategy] for layer in layers]
-        # Entry k-1 is the segment of cut k.  Heads sum layers [0, k) left
-        # to right, as segment_load does; tails sum layers [k, n) right to
-        # left, which avoids the cancellation of total - head.  Segments
-        # are generated cut by cut, so only the rows outlive the sweep.
+        # Entry k-1 is the segment of cut k, summed in the order the
+        # cost_model docstring states: heads from layer 0 up, tails from
+        # the last layer down (which also avoids the cancellation of
+        # total - head).  Segments are generated cut by cut, so only the
+        # rows outlive the sweep.
         heads.append(_segments(list(accumulate(flops))[:-1], list(accumulate(data))[:-1],
                                d1, rank, table.penalty(1, strategy)))
         tails.append(_segments(list(accumulate(reversed(flops)))[-2::-1],
@@ -147,13 +106,15 @@ def _sweep(model: ModelProfile, d1: DeviceProfile, d2: DeviceProfile, link: Link
                 loss = lam_c * p1 + (1 - lam_c) * p2
                 rows.append((t_total + lambda1 * loss, t_total, cut, th1, th2, t1, t2, t3,
                              loss, lam_c, m1 / (m1 + m2), f1, f2))
-    return PlanGrid(rows)
+    return rows
 
 
 def evaluate_grid(model: ModelProfile, d1: DeviceProfile, d2: DeviceProfile,
                   link: LinkProfile, table: AccuracyPenaltyTable, lambda1: float,
-                  require_feasible: bool = False) -> PlanGrid:
-    """Every candidate of the grid, unranked, in one sweep.
+                  require_feasible: bool = False) -> list[tuple]:
+    """Every candidate of the grid, unranked, in one sweep: one tuple per
+    candidate laid out as ``ROW_FIELDS``.  ``sorted`` ranks the rows (see
+    ``plan_sort_key``) and ``row_plan`` turns one into a plan.
 
     With ``require_feasible`` only candidates whose segments both reach
     their device's balance point are kept; ``NoFeasiblePlan`` is raised if
@@ -162,33 +123,23 @@ def evaluate_grid(model: ModelProfile, d1: DeviceProfile, d2: DeviceProfile,
     """
     if len(model.layers) < 2:
         raise DegenerateSplit("model has no interior layer boundary to cut at")
-    rows = _sweep(model, d1, d2, link, table, lambda1).rows
-    objectives = [row[0] for row in rows]
+    rows = _sweep(model, d1, d2, link, table, lambda1)
     # the objective is summed from every other cost, so it is finite only
     # if they all are
-    if not all(map(math.isfinite, objectives)):
-        _require_finite(next(_plan(row) for row in rows if not math.isfinite(row[0])))
+    if not all(map(math.isfinite, [row[0] for row in rows])):
+        _require_finite(next(row_plan(row) for row in rows if not math.isfinite(row[0])))
     if require_feasible:
         rows = [row for row in rows if row[-2] and row[-1]]
         if not rows:
             raise NoFeasiblePlan("every candidate violates an intensity requirement")
-        objectives = [row[0] for row in rows]
-
-    best = min(objectives)
-    limit = best + _RECHECK_RTOL * abs(best)
-    for i, objective in enumerate(objectives):
-        if objective <= limit:
-            cut, th1, th2 = rows[i][2:5]
-            rows[i] = _row(evaluate_plan(model, cut, _STRATEGIES[th1], _STRATEGIES[th2],
-                                         d1, d2, link, table, lambda1))
-    return PlanGrid(rows)
+    return rows
 
 
 def enumerate_plans(model: ModelProfile, d1: DeviceProfile, d2: DeviceProfile,
                     link: LinkProfile, table: AccuracyPenaltyTable,
                     lambda1: float) -> list[PartitionPlan]:
     """Evaluate every candidate and return them ranked best-first."""
-    return evaluate_grid(model, d1, d2, link, table, lambda1).ranked().plans()
+    return [row_plan(row) for row in sorted(evaluate_grid(model, d1, d2, link, table, lambda1))]
 
 
 def grid_search(model: ModelProfile, d1: DeviceProfile, d2: DeviceProfile,
@@ -201,8 +152,7 @@ def grid_search(model: ModelProfile, d1: DeviceProfile, d2: DeviceProfile,
     must reach their device's balance point or the candidate is dropped.
     """
     # the smallest row tuple is the first in canonical order
-    return _plan(min(evaluate_grid(model, d1, d2, link, table, lambda1,
-                                   require_feasible).rows))
+    return row_plan(min(evaluate_grid(model, d1, d2, link, table, lambda1, require_feasible)))
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +163,8 @@ def cumulative_flop_fractions(model: ModelProfile) -> list[float]:
     """Cumulative FLOP fraction at each boundary 1..n, measured on the full
     (all branches retained) structure.  Entry k-1 is the fraction at
     boundary k; the last entry is 1.0."""
-    per_layer = [layer.flops_by_strategy[FULL_STRUCTURE] for layer in model.layers]
-    total = sum(per_layer)
-    fractions, acc = [], 0.0
-    for flops in per_layer:
-        acc += flops
-        fractions.append(acc / total)
-    return fractions
+    sums = list(accumulate(layer.flops_by_strategy[FULL_STRUCTURE] for layer in model.layers))
+    return [acc / sums[-1] for acc in sums]
 
 
 def snap_to_boundary(lam: float, model: ModelProfile) -> int:
@@ -227,15 +172,6 @@ def snap_to_boundary(lam: float, model: ModelProfile) -> int:
     ties go to the smaller index."""
     fractions = cumulative_flop_fractions(model)
     return min(model.boundaries, key=lambda k: (abs(fractions[k - 1] - lam), k))
-
-
-def _prefix_sums(values: list[float]) -> list[float]:
-    """Entry k is the left-to-right sum of values[:k]."""
-    sums, acc = [0.0], 0.0
-    for value in values:
-        acc += value
-        sums.append(acc)
-    return sums
 
 
 def _relaxed_latency_curve(model: ModelProfile, theta1: FusionStrategy,
@@ -251,8 +187,9 @@ def _relaxed_latency_curve(model: ModelProfile, theta1: FusionStrategy,
     bytes1 = [layer.bytes_by_strategy[theta1] for layer in layers]
     flops2 = [layer.flops_by_strategy[theta2] for layer in layers]
     bytes2 = [layer.bytes_by_strategy[theta2] for layer in layers]
-    head1_f, head1_b = _prefix_sums(flops1), _prefix_sums(bytes1)
-    head2_f, head2_b = _prefix_sums(flops2), _prefix_sums(bytes2)
+    # entry k of a head is the left-to-right sum of layers [0, k)
+    head1_f, head1_b, head2_f, head2_b = (
+        list(accumulate(values, initial=0.0)) for values in (flops1, bytes1, flops2, bytes2))
     tot2_f, tot2_b = head2_f[n], head2_b[n]
     positions = list(model.boundaries)
     acts = [layers[j - 1].output_activation_bytes for j in positions]

@@ -2,7 +2,7 @@
 
 Everything downstream consumes only the types defined here.  All quantities
 are raw SI numbers: FLOPs, bytes, bytes/s, seconds.  Profiles are immutable
-after loading and safe to share across worker threads.
+after loading.
 
 Config files are JSON with top-level keys ``devices``, ``link``, ``model``,
 ``penalties`` and ``lambda1`` (see README for the full schema).
@@ -353,6 +353,8 @@ def _read_json(path) -> dict:
         text = path.read_text()
     except OSError as exc:
         raise InvalidConfig(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InvalidConfig(f"{path}: {exc}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,8 @@ import numpy as np
 import pytest
 
 from codesign import cli, convergence
+from codesign.errors import InvalidConfig
+from codesign.profiles import load_device
 from conftest import FIXTURES
 
 CONFIG = str(FIXTURES / "paper.json")
@@ -274,6 +277,61 @@ def test_report_rejects_sim_that_is_not_an_object(tmp_path):
     result = codesign("report", "--plan", str(plan_csv), "--sim", str(sim_json))
     assert result.returncode == 1
     assert result.stderr.startswith("SchemaMismatch")
+
+
+NOT_UTF8 = b"\xff\xfe{"
+
+
+@pytest.mark.parametrize("command", [
+    ["plan", "--config"],
+    ["cost", "--cut", "3", "--theta1", "conv3", "--theta2", "conv3", "--config"],
+    ["simulate", "--rate", "10", "--horizon", "1", "--config"],
+    ["roofline", "--config"],
+    ["report", "--plan", str(GOLDEN / "paper_plan.csv"), "--sim"],
+    ["report", "--plan"],
+])
+def test_undecodable_input_file_is_named(tmp_path, command):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(NOT_UTF8)
+    result = codesign(*command, str(bad))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"InvalidConfig: {bad}: 'utf-8' codec can't decode")
+    assert result.stderr.count("\n") == 1
+
+
+def test_undecodable_device_file_is_named(tmp_path):
+    bad = tmp_path / "device.json"
+    bad.write_bytes(NOT_UTF8)
+    with pytest.raises(InvalidConfig, match=f"^{re.escape(str(bad))}: 'utf-8' codec"):
+        load_device(bad)
+
+
+@pytest.mark.parametrize("column, edit", [
+    ("t1", lambda fields: fields[:4] + ["abc"] + fields[5:]),
+    ("t2", lambda fields: fields[:5]),  # too few fields: t2 and later read as None
+    ("cut", lambda fields: fields[:1] + ["5.5"] + fields[2:]),
+    ("L", lambda fields: fields[:9] + ["nan"] + fields[10:]),
+    ("feasible2", lambda fields: fields[:11] + ["yes"]),
+])
+def test_report_names_a_malformed_winner_field(tmp_path, column, edit):
+    header, winner, *rest = (GOLDEN / "paper_plan.csv").read_text().splitlines()
+    plan_csv = tmp_path / "plan.csv"
+    plan_csv.write_text("\n".join([header, ",".join(edit(winner.split(","))), *rest]) + "\n")
+    result = codesign("report", "--plan", str(plan_csv))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"SchemaMismatch: {plan_csv}: the winning row's {column} is ")
+    assert result.stderr.count("\n") == 1
+
+
+def test_trace_out_without_refine_is_usage_error(tmp_path):
+    trace = tmp_path / "trace.csv"
+    result = codesign("plan", "--config", CONFIG, "--trace-out", str(trace))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "--trace-out needs --refine" in result.stderr
+    assert not trace.exists()
 
 
 def test_plan_strict_and_refine_flags(tmp_path):

@@ -164,18 +164,9 @@ def assert_grid_agrees_with_scalar(model, d1, d2, link, table, lambda1):
     assert keys == sorted(keys)
     assert len({(p.cut_index, p.theta1, p.theta2) for p in plans}) == len(plans)
     for plan in plans:
-        exact = evaluate_plan(model, plan.cut_index, plan.theta1, plan.theta2,
-                              d1, d2, link, table, lambda1)
-        assert plan.feasible == exact.feasible
-        for got, want in ((plan.lambda_c, exact.lambda_c), (plan.lambda_m, exact.lambda_m),
-                          (plan.cost.t1, exact.cost.t1), (plan.cost.t2, exact.cost.t2),
-                          (plan.cost.t3, exact.cost.t3), (plan.cost.t_total, exact.cost.t_total),
-                          (plan.cost.accuracy_loss, exact.cost.accuracy_loss),
-                          (plan.cost.lagrangian, exact.cost.lagrangian)):
-            assert abs(got - want) <= 1e-12 * abs(want)
+        assert plan == evaluate_plan(model, plan.cut_index, plan.theta1, plan.theta2,
+                                     d1, d2, link, table, lambda1)
     best = plans[0]
-    assert best == evaluate_plan(model, best.cut_index, best.theta1, best.theta2,
-                                 d1, d2, link, table, lambda1)
     assert (best.cut_index, best.theta1, best.theta2) == \
         brute_force_argmin(model, d1, d2, link, table, lambda1)
     assert optimizer.grid_search(model, d1, d2, link, table, lambda1) == best
@@ -280,23 +271,20 @@ def test_sweep_bit_identical_to_numpy_sweep():
     cases = list(sweep_cases())
     assert len(cases) == 26
     for case in cases:
-        grid = optimizer._sweep(*case)
+        rows = optimizer._sweep(*case)
         reference = numpy_sweep(*case)
-        assert len(grid) == 16 * (len(case[0].layers) - 1)
-        for name in optimizer.ROW_FIELDS:
-            assert getattr(grid, name) == reference[name], name
+        assert len(rows) == 16 * (len(case[0].layers) - 1)
+        for index, name in enumerate(optimizer.ROW_FIELDS):
+            assert [row[index] for row in rows] == reference[name], name
 
 
 def test_grid_columns_and_rows_agree():
     config = load_config(FIXTURES / "paper.json")
-    grid = optimizer.evaluate_grid(config.model, config.device1, config.device2,
-                                   config.link, config.penalties, config.lambda1).ranked()
-    columns = [getattr(grid, name) for name in optimizer.ROW_FIELDS]
-    assert list(zip(*columns)) == grid.rows
-    assert [optimizer.plan_sort_key(p) for p in grid.plans()] == [row[:5] for row in grid.rows]
-    assert grid.first() == grid.plans()[0]
-    with pytest.raises(AttributeError, match="no_such_column"):
-        grid.no_such_column  # noqa: B018
+    rows = sorted(optimizer.evaluate_grid(config.model, config.device1, config.device2,
+                                          config.link, config.penalties, config.lambda1))
+    assert len(rows) == 13 * 16
+    for row in rows:
+        assert optimizer.plan_sort_key(optimizer.row_plan(row)) == row[:5]
 
 
 # --- continuous refinement ---------------------------------------------------
