@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
-from .errors import CodesignError, InvalidConfig, SchemaMismatch
+from .errors import CodesignError, InvalidConfig, SchemaMismatch, UnknownStrategyName
 from .profiles import FULL_STRUCTURE, FusionStrategy, _read_json, load_config, parse_strategy
 
 SCHEMA_VERSION = 1
@@ -69,7 +69,7 @@ class _FloatReprs(dict):
 
 
 def _plan_csv(model_name: str, rows: list[tuple]) -> str:
-    """The ranked grid rows (``optimizer.ROW_FIELDS`` tuples) as CSV,
+    """The ranked grid rows (``cost_model.ROW_FIELDS`` tuples) as CSV,
     byte-identical to ``csv.writer`` output.  The model name is the only
     field that can need quoting, so only it goes through ``csv``."""
     model = _csv_text([model_name, ""], [])[:-2]
@@ -198,8 +198,8 @@ def _cmd_simulate(args) -> int:
     config = load_config(args.config)
     if args.cut is not None:
         plan = evaluate_plan(config.model, args.cut,
-                             parse_strategy(args.theta1, "--theta1"),
-                             parse_strategy(args.theta2, "--theta2"),
+                             parse_strategy(args.theta1 or FULL_STRUCTURE.value, "--theta1"),
+                             parse_strategy(args.theta2 or FULL_STRUCTURE.value, "--theta2"),
                              config.device1, config.device2, config.link,
                              config.penalties, config.lambda1)
     else:
@@ -248,6 +248,8 @@ def read_plan_csv(path) -> tuple[str, dict, int]:
         raise InvalidConfig(f"{path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise InvalidConfig(f"{path}: {exc}") from None
+    except csv.Error as exc:
+        raise SchemaMismatch(f"{path}: {exc}") from None
     if not rows or any(col not in rows[0] for col in PLAN_COLUMNS):
         raise SchemaMismatch(f"{path} is not a plan table (expected columns {PLAN_COLUMNS})")
     return rows[0]["model"], rows[0], len(rows)
@@ -273,7 +275,7 @@ def build_report(plan_path, sim_path=None) -> dict:
     def field(column: str, parse):
         try:
             return parse(winner[column])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, UnknownStrategyName):
             raise SchemaMismatch(f"{plan_path}: the winning row's {column} is "
                                  f"{winner[column]!r}") from None
 
@@ -282,8 +284,8 @@ def build_report(plan_path, sim_path=None) -> dict:
         "model": model,
         "plan": {
             "cut": field("cut", int),
-            "theta1": winner["theta1"],
-            "theta2": winner["theta2"],
+            "theta1": field("theta1", parse_strategy).value,
+            "theta2": field("theta2", parse_strategy).value,
             "t1": field("t1", _finite), "t2": field("t2", _finite),
             "t3": field("t3", _finite), "t_total": field("t_total", _finite),
             "dA": field("dA", _finite), "L": field("L", _finite),
@@ -345,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true",
                    help="drop candidates whose segments miss their device's balance point")
     p.add_argument("--refine", action="store_true",
-                   help="also run the continuous cut refinement and snap-compare it")
+                   help="also run the cut refinement from the grid winner (see --trace-out)")
     p.add_argument("--trace-out", help="with --refine: write the descent trace CSV here")
     p.set_defaults(func=_cmd_plan)
 
@@ -371,8 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--warmup", type=float, help="seconds excluded from stats (default 10%% of horizon)")
     p.add_argument("--cut", type=int, help="simulate this cut instead of the grid winner")
-    p.add_argument("--theta1", choices=_STRATEGY_NAMES, default=FULL_STRUCTURE.value)
-    p.add_argument("--theta2", choices=_STRATEGY_NAMES, default=FULL_STRUCTURE.value)
+    p.add_argument("--theta1", choices=_STRATEGY_NAMES, help="with --cut (default: full structure)")
+    p.add_argument("--theta2", choices=_STRATEGY_NAMES, help="with --cut (default: full structure)")
     p.add_argument("--csv", help="also write a per-request completion CSV here")
     p.set_defaults(func=_cmd_simulate)
 
@@ -390,6 +392,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "plan" and args.trace_out is not None and not args.refine:
         parser.error("plan: --trace-out needs --refine")
+    if args.command == "simulate" and args.cut is None and (args.theta1 or args.theta2):
+        parser.error("simulate: --theta1 and --theta2 need --cut")
     try:
         return args.func(args)
     except CodesignError as err:

@@ -4,10 +4,11 @@ A candidate is a cut position plus one fusion strategy per sub-model.  The
 cut at ``k`` runs layers [0, k) on device 1, ships the activation of layer
 k-1 over the link, and runs layers [k, n) on device 2.
 
-Segment loads are summed in one order, which the planner's grid sweep
-follows too, so a grid row and ``evaluate_plan`` agree to the last bit: the
-head [0, k) is summed from layer 0 up to the cut, the tail [k, n) from the
-last layer down to the cut, one float addition at a time.
+Every candidate, in the planner's grid sweep as here, is costed by one path:
+``profiles.running_load`` sums the head [0, k) from layer 0 up and the tail
+[k, n) from the last layer down, ``_price`` runs each segment on its
+device's roofline, and ``_cut_rows`` builds the ``ROW_FIELDS`` rows.  So a
+grid row and ``evaluate_plan`` agree to the last bit.
 """
 
 from __future__ import annotations
@@ -18,11 +19,13 @@ from dataclasses import dataclass
 from . import roofline
 from .errors import DegenerateSplit, InvariantViolation
 from .profiles import (
+    STRATEGY_RANK,
     AccuracyPenaltyTable,
     DeviceProfile,
     FusionStrategy,
     LinkProfile,
     ModelProfile,
+    running_load,
 )
 
 
@@ -51,40 +54,74 @@ class PartitionPlan:
     feasible: tuple[bool, bool]
 
 
-def _load(layers, strategy: FusionStrategy) -> tuple[float, float]:
-    # not ``sum``: from Python 3.12 it compensates, and running sums do not
-    flops = data = 0.0
-    for layer in layers:
-        flops += layer.flops_by_strategy[strategy]
-        data += layer.bytes_by_strategy[strategy]
-    return flops, data
+# Fields of a row, in order: one candidate as the grid sweep and
+# ``evaluate_plan`` both build it.  The first five are the canonical sort key
+# (see ``optimizer.plan_sort_key``), so sorting row tuples ranks them.
+ROW_FIELDS = ("lagrangian", "t_total", "cut", "theta1", "theta2", "t1", "t2", "t3",
+              "accuracy_loss", "lambda_c", "lambda_m", "feasible1", "feasible2")
+
+_STRATEGIES = tuple(FusionStrategy)
 
 
-def _segments(model: ModelProfile, cut: int, theta1: FusionStrategy,
-              theta2: FusionStrategy):
-    layers = model.layers
-    n = len(layers)
-    if not 1 <= cut <= n - 1:
-        raise DegenerateSplit(f"cut={cut} leaves an empty segment (valid: 1..{n - 1})")
-    return _load(layers[:cut], theta1), _load(reversed(layers[cut:]), theta2)
+def row_plan(row: tuple) -> PartitionPlan:
+    """The plan a row (laid out as ``ROW_FIELDS``) describes."""
+    objective, t_total, cut, th1, th2, t1, t2, t3, loss, lam_c, lam_m, f1, f2 = row
+    return PartitionPlan(cut_index=cut, lambda_c=lam_c, lambda_m=lam_m,
+                         theta1=_STRATEGIES[th1], theta2=_STRATEGIES[th2],
+                         cost=CostBreakdown(t1=t1, t2=t2, t3=t3, t_total=t_total,
+                                            accuracy_loss=loss, lagrangian=objective),
+                         feasible=(f1, f2))
 
 
-def _seconds(work: float, rate: float) -> float:
+def _price(flops: float, data: float, device: DeviceProfile) -> tuple[float, bool]:
+    """Seconds of a segment at ``device``'s roofline-attainable rate, and
+    whether the segment reaches the device's balance point."""
+    intensity = flops / data
+    rate = roofline.effective_rate(device, intensity)
     # a rate that underflows to 0 gives an infinite time, which the finite
     # check then names, instead of a ZeroDivisionError
-    return work / rate if rate else math.inf
+    return flops / rate if rate else math.inf, roofline.reaches_balance(intensity, device)
 
 
-def _latency_of(model: ModelProfile, cut: int, segments, d1: DeviceProfile,
-                d2: DeviceProfile, link: LinkProfile) -> CostBreakdown:
-    (c1, m1), (c2, m2) = segments
-    t1 = _seconds(c1, roofline.effective_rate(d1, c1 / m1))
-    t2 = _seconds(c2, roofline.effective_rate(d2, c2 / m2))
-    embedding = model.layers[cut - 1].output_activation_bytes
-    t3 = embedding / link.bandwidth + link.fixed_latency
-    t_total = t1 + t2 + t3
-    return CostBreakdown(t1=t1, t2=t2, t3=t3, t_total=t_total,
-                         accuracy_loss=0.0, lagrangian=t_total)
+def _transfer(data: float, link: LinkProfile) -> float:
+    return data / link.bandwidth + link.fixed_latency
+
+
+def _priced_segments(flops: list[float], data: list[float], device: DeviceProfile,
+                     strategy: FusionStrategy, penalty: float) -> list[tuple]:
+    """(FLOPs, bytes, seconds, feasible, strategy rank, penalty) of each
+    segment whose sums are given, run on ``device`` under ``strategy``."""
+    rank = STRATEGY_RANK[strategy]
+    return [(c, m, *_price(c, m, device), rank, penalty) for c, m in zip(flops, data)]
+
+
+def _cut_rows(cut: int, t3: float, heads, tails, lambda1: float) -> list[tuple]:
+    """The ``ROW_FIELDS`` rows of one cut with link time ``t3``: each head
+    segment (device 1) paired with each tail segment (device 2)."""
+    rows = []
+    for c1, m1, t1, f1, th1, p1 in heads:
+        for c2, m2, t2, f2, th2, p2 in tails:
+            t_total = t1 + t2 + t3
+            lam_c = c1 / (c1 + c2)
+            loss = lam_c * p1 + (1 - lam_c) * p2  # as accuracy_loss
+            rows.append((t_total + lambda1 * loss, t_total, cut, th1, th2, t1, t2, t3,
+                         loss, lam_c, m1 / (m1 + m2), f1, f2))
+    return rows
+
+
+def _plan(model: ModelProfile, cut: int, theta1: FusionStrategy, theta2: FusionStrategy,
+          d1: DeviceProfile, d2: DeviceProfile, link: LinkProfile, penalty1: float,
+          penalty2: float, lambda1: float) -> PartitionPlan:
+    """One candidate whose sub-models lose ``penalty1``/``penalty2`` points."""
+    layers = model.layers
+    if not 1 <= cut < len(layers):
+        raise DegenerateSplit(f"cut={cut} leaves an empty segment (valid: 1..{len(layers) - 1})")
+    c1, m1 = running_load(layers[:cut], theta1)
+    c2, m2 = running_load(layers[cut:][::-1], theta2)
+    [row] = _cut_rows(cut, _transfer(layers[cut - 1].output_activation_bytes, link),
+                      _priced_segments(c1[-1:], m1[-1:], d1, theta1, penalty1),
+                      _priced_segments(c2[-1:], m2[-1:], d2, theta2, penalty2), lambda1)
+    return row_plan(row)
 
 
 def latency(model: ModelProfile, cut: int, theta1: FusionStrategy,
@@ -92,7 +129,7 @@ def latency(model: ModelProfile, cut: int, theta1: FusionStrategy,
             link: LinkProfile) -> CostBreakdown:
     """Latency-only breakdown of one candidate; each segment runs at its
     device's roofline-attainable rate for the segment's intensity."""
-    return _latency_of(model, cut, _segments(model, cut, theta1, theta2), d1, d2, link)
+    return _plan(model, cut, theta1, theta2, d1, d2, link, 0.0, 0.0, 0.0).cost
 
 
 def accuracy_loss(theta1: FusionStrategy, theta2: FusionStrategy, lam: float,
@@ -112,20 +149,8 @@ def evaluate_plan(model: ModelProfile, cut: int, theta1: FusionStrategy,
                   lambda1: float) -> PartitionPlan:
     """Full evaluation of one candidate plan.  A latency, the accuracy loss
     or the objective that is not finite raises ``InvariantViolation``."""
-    segments = _segments(model, cut, theta1, theta2)
-    base = _latency_of(model, cut, segments, d1, d2, link)
-    (c1, m1), (c2, m2) = segments
-    lam_c = c1 / (c1 + c2)
-    lam_m = m1 / (m1 + m2)
-    loss = accuracy_loss(theta1, theta2, lam_c, table)
-    cost = CostBreakdown(
-        t1=base.t1, t2=base.t2, t3=base.t3, t_total=base.t_total,
-        accuracy_loss=loss, lagrangian=lagrangian(base, loss, lambda1),
-    )
-    feasible = roofline.feasibility(c1 / m1, c2 / m2, d1, d2)
-    plan = PartitionPlan(cut_index=cut, lambda_c=lam_c, lambda_m=lam_m,
-                         theta1=theta1, theta2=theta2, cost=cost,
-                         feasible=feasible)
+    plan = _plan(model, cut, theta1, theta2, d1, d2, link, table.penalty(1, theta1),
+                 table.penalty(2, theta2), lambda1)
     _require_finite(plan)
     return plan
 

@@ -3,28 +3,28 @@
 The authoritative optimizer is an exhaustive, deterministic grid over every
 interior cut position and every (theta1, theta2) strategy pair.  The cost
 model is additive per layer, so the grid is one sweep: per-strategy running
-sums of FLOPs and bytes give every segment load, each segment's time is
-computed once per (cut, strategy), and the 16 strategy pairs of a cut are
-combined into row tuples.  That is O(n) work plus one sort of the 16(n-1)
-rows.  The running sums add layers in the order ``cost_model`` states, so
-every row, the winner included, carries exactly the values ``cost`` prints
-and ties are broken on exact keys.
+sums give every segment load, each segment is priced once per (cut,
+strategy), and ``cost_model`` pairs the segments of a cut into its 16 rows,
+the same way it costs a single plan.  That is O(n) work plus one sort of the
+16(n-1) rows; every row, the winner included, carries exactly the values
+``cost`` prints, and ties are broken on exact keys.
 
 A gradient-descent refinement of the cut fraction on a continuous relaxation
-is available as a demonstrative extra; since the true objective is
-piecewise over discrete cuts, the refined fraction is snapped back to a
-boundary and compared against its neighbors.  Each relaxed point costs
-O(log n): binary searches over prefix sums built once per refinement.
+is a demonstrative extra: it descends from the grid winner, snaps the result
+back to a boundary and evaluates it and its neighbors.  The grid is
+exhaustive, so the snapped plan never beats the grid winner.  Each relaxed
+point costs O(log n): binary searches over prefix sums built once per
+refinement, with segments priced by ``cost_model``.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from itertools import accumulate
 
-from . import roofline
-from .cost_model import CostBreakdown, PartitionPlan, _require_finite, _seconds, evaluate_plan
+from .cost_model import ROW_FIELDS  # noqa: F401  (re-exported)
+from .cost_model import (PartitionPlan, _cut_rows, _price, _priced_segments, _require_finite,
+                         _transfer, evaluate_plan, row_plan)
 from .errors import DegenerateSplit, NoFeasiblePlan
 from .profiles import (
     FULL_STRUCTURE,
@@ -34,11 +34,10 @@ from .profiles import (
     FusionStrategy,
     LinkProfile,
     ModelProfile,
+    running_load,
 )
 
 _EPS = 1e-9
-
-_STRATEGIES = tuple(FusionStrategy)
 
 
 def plan_sort_key(plan: PartitionPlan):
@@ -49,63 +48,25 @@ def plan_sort_key(plan: PartitionPlan):
             STRATEGY_RANK[plan.theta1], STRATEGY_RANK[plan.theta2])
 
 
-# Fields of a grid row, in order.  The first five are the canonical sort key
-# (see ``plan_sort_key``), so sorting the row tuples ranks the grid.
-ROW_FIELDS = ("lagrangian", "t_total", "cut", "theta1", "theta2", "t1", "t2", "t3",
-              "accuracy_loss", "lambda_c", "lambda_m", "feasible1", "feasible2")
-
-
-def row_plan(row: tuple) -> PartitionPlan:
-    """The plan a grid row (laid out as ``ROW_FIELDS``) describes."""
-    objective, t_total, cut, th1, th2, t1, t2, t3, loss, lam_c, lam_m, f1, f2 = row
-    return PartitionPlan(cut_index=cut, lambda_c=lam_c, lambda_m=lam_m,
-                         theta1=_STRATEGIES[th1], theta2=_STRATEGIES[th2],
-                         cost=CostBreakdown(t1=t1, t2=t2, t3=t3, t_total=t_total,
-                                            accuracy_loss=loss, lagrangian=objective),
-                         feasible=(f1, f2))
-
-
-def _segments(flops: list[float], data: list[float], device: DeviceProfile, rank: int,
-              penalty: float):
-    """Yield (FLOPs, bytes, seconds, feasible, rank, penalty) of each segment
-    whose FLOP and byte sums are given, run on ``device`` under the strategy
-    of ``rank``."""
-    peak, bandwidth, utilization = device.peak_compute, device.mem_bandwidth, device.utilization
-    balance = roofline.machine_balance(device)
-    for c, m in zip(flops, data):
-        intensity = c / m
-        rate = utilization * min(peak, intensity * bandwidth)  # roofline.effective_rate
-        yield c, m, _seconds(c, rate), intensity >= balance, rank, penalty
-
-
 def _sweep(model: ModelProfile, d1: DeviceProfile, d2: DeviceProfile, link: LinkProfile,
            table: AccuracyPenaltyTable, lambda1: float) -> list[tuple]:
     layers = model.layers
     heads, tails = [], []
-    for rank, strategy in enumerate(_STRATEGIES):
-        flops = [layer.flops_by_strategy[strategy] for layer in layers]
-        data = [layer.bytes_by_strategy[strategy] for layer in layers]
-        # Entry k-1 is the segment of cut k, summed in the order the
-        # cost_model docstring states: heads from layer 0 up, tails from
-        # the last layer down (which also avoids the cancellation of
-        # total - head).  Segments are generated cut by cut, so only the
-        # rows outlive the sweep.
-        heads.append(_segments(list(accumulate(flops))[:-1], list(accumulate(data))[:-1],
-                               d1, rank, table.penalty(1, strategy)))
-        tails.append(_segments(list(accumulate(reversed(flops)))[-2::-1],
-                               list(accumulate(reversed(data)))[-2::-1],
-                               d2, rank, table.penalty(2, strategy)))
+    for strategy in FusionStrategy:
+        # Entry k-1 is the segment of cut k: heads from layer 0 up, tails
+        # from the last layer down, as in cost_model (which also avoids the
+        # cancellation of total - head).
+        flops, data = running_load(layers, strategy)
+        heads.append(_priced_segments(flops[:-1], data[:-1], d1, strategy,
+                                      table.penalty(1, strategy)))
+        flops, data = running_load(layers[::-1], strategy)
+        tails.append(_priced_segments(flops[-2::-1], data[-2::-1], d2, strategy,
+                                      table.penalty(2, strategy)))
 
     rows = []
     for cut, (layer, side1, side2) in enumerate(zip(layers, zip(*heads), zip(*tails)), 1):
-        t3 = layer.output_activation_bytes / link.bandwidth + link.fixed_latency
-        for c1, m1, t1, f1, th1, p1 in side1:
-            for c2, m2, t2, f2, th2, p2 in side2:
-                t_total = t1 + t2 + t3
-                lam_c = c1 / (c1 + c2)
-                loss = lam_c * p1 + (1 - lam_c) * p2
-                rows.append((t_total + lambda1 * loss, t_total, cut, th1, th2, t1, t2, t3,
-                             loss, lam_c, m1 / (m1 + m2), f1, f2))
+        rows += _cut_rows(cut, _transfer(layer.output_activation_bytes, link), side1, side2,
+                          lambda1)
     return rows
 
 
@@ -163,7 +124,7 @@ def cumulative_flop_fractions(model: ModelProfile) -> list[float]:
     """Cumulative FLOP fraction at each boundary 1..n, measured on the full
     (all branches retained) structure.  Entry k-1 is the fraction at
     boundary k; the last entry is 1.0."""
-    sums = list(accumulate(layer.flops_by_strategy[FULL_STRUCTURE] for layer in model.layers))
+    sums = running_load(model.layers, FULL_STRUCTURE)[0]
     return [acc / sums[-1] for acc in sums]
 
 
@@ -189,7 +150,7 @@ def _relaxed_latency_curve(model: ModelProfile, theta1: FusionStrategy,
     bytes2 = [layer.bytes_by_strategy[theta2] for layer in layers]
     # entry k of a head is the left-to-right sum of layers [0, k)
     head1_f, head1_b, head2_f, head2_b = (
-        list(accumulate(values, initial=0.0)) for values in (flops1, bytes1, flops2, bytes2))
+        [0.0] + sums for sums in (*running_load(layers, theta1), *running_load(layers, theta2)))
     tot2_f, tot2_b = head2_f[n], head2_b[n]
     positions = list(model.boundaries)
     acts = [layers[j - 1].output_activation_bytes for j in positions]
@@ -217,9 +178,10 @@ def _relaxed_latency_curve(model: ModelProfile, theta1: FusionStrategy,
             frac = (s - positions[j]) / (positions[j + 1] - positions[j])
             embedding = acts[j] + frac * (acts[j + 1] - acts[j])
 
-        t1 = c1 / roofline.effective_rate(d1, c1 / m1)
-        t2 = c2 / roofline.effective_rate(d2, c2 / m2)
-        return t1 + t2 + embedding / link.bandwidth + link.fixed_latency
+        # not ``_transfer``: regrouping the link's two terms would move a
+        # trace's last bits on a link with a fixed latency
+        return (_price(c1, m1, d1)[0] + _price(c2, m2, d2)[0] + embedding / link.bandwidth
+                + link.fixed_latency)
 
     return total
 

@@ -1,8 +1,8 @@
 """Device, link, model and penalty-table descriptions.
 
-Everything downstream consumes only the types defined here.  All quantities
-are raw SI numbers: FLOPs, bytes, bytes/s, seconds.  Profiles are immutable
-after loading.
+Everything downstream consumes only the types defined here and sums layer
+loads only through ``running_load``.  All quantities are raw SI numbers:
+FLOPs, bytes, bytes/s, seconds.  Profiles are immutable after loading.
 
 Config files are JSON with top-level keys ``devices``, ``link``, ``model``,
 ``penalties`` and ``lambda1`` (see README for the full schema).
@@ -15,6 +15,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from pathlib import Path
 
 from .errors import (
@@ -375,14 +376,15 @@ def load_device(path) -> DeviceProfile:
 # Aggregation
 # ---------------------------------------------------------------------------
 
-def segment_load(model: ModelProfile, start: int, stop: int,
-                 strategy: FusionStrategy) -> tuple[float, float]:
-    """(FLOPs, bytes) of layers[start:stop] under one strategy."""
-    flops = sum(layer.flops_by_strategy[strategy] for layer in model.layers[start:stop])
-    data = sum(layer.bytes_by_strategy[strategy] for layer in model.layers[start:stop])
-    return flops, data
+def running_load(layers, strategy: FusionStrategy) -> tuple[list[float], list[float]]:
+    """Running (FLOPs, bytes) sums of the sequence ``layers`` under one
+    strategy, adding one layer at a time in the order given: not ``sum``,
+    which compensates from Python 3.12.  Every segment load comes from here."""
+    return (list(accumulate(layer.flops_by_strategy[strategy] for layer in layers)),
+            list(accumulate(layer.bytes_by_strategy[strategy] for layer in layers)))
 
 
 def total_load(model: ModelProfile, strategy: FusionStrategy) -> tuple[float, float]:
-    """Whole-model (FLOPs, bytes) under one strategy."""
-    return segment_load(model, 0, len(model.layers), strategy)
+    """Whole-model (FLOPs, bytes) under one strategy, summed from layer 0 up."""
+    flops, data = running_load(model.layers, strategy)
+    return flops[-1], data[-1]

@@ -70,11 +70,15 @@ def sub_intensities(lambda_c: float, lambda_m: float,
     return i1, i2
 
 
+def reaches_balance(intensity: float, device: DeviceProfile) -> bool:
+    """Whether ``intensity`` reaches the balance point (the device runs at peak)."""
+    return intensity >= machine_balance(device)
+
+
 def feasibility(i1: float, i2: float, d1: DeviceProfile,
                 d2: DeviceProfile) -> tuple[bool, bool]:
-    """Whether each segment's intensity reaches its device's balance point,
-    i.e. whether the device can run at peak on that segment."""
-    return i1 >= machine_balance(d1), i2 >= machine_balance(d2)
+    """``reaches_balance`` of each segment on its device."""
+    return reaches_balance(i1, d1), reaches_balance(i2, d2)
 
 
 def effective_rate(device: DeviceProfile, intensity: float) -> float:

@@ -313,6 +313,8 @@ def test_undecodable_device_file_is_named(tmp_path):
     ("cut", lambda fields: fields[:1] + ["5.5"] + fields[2:]),
     ("L", lambda fields: fields[:9] + ["nan"] + fields[10:]),
     ("feasible2", lambda fields: fields[:11] + ["yes"]),
+    ("theta1", lambda fields: fields[:2] + ["bogus"] + fields[3:]),
+    ("theta2", lambda fields: fields[:3]),  # too few fields: theta2 reads as None
 ])
 def test_report_names_a_malformed_winner_field(tmp_path, column, edit):
     header, winner, *rest = (GOLDEN / "paper_plan.csv").read_text().splitlines()
@@ -323,6 +325,36 @@ def test_report_names_a_malformed_winner_field(tmp_path, column, edit):
     assert result.stdout == ""
     assert result.stderr.startswith(f"SchemaMismatch: {plan_csv}: the winning row's {column} is ")
     assert result.stderr.count("\n") == 1
+
+
+def test_report_names_an_oversized_plan_field(tmp_path):
+    header, winner, *rest = (GOLDEN / "paper_plan.csv").read_text().splitlines()
+    plan_csv = tmp_path / "plan.csv"
+    model = "m" * 200_000  # beyond the csv module's field size limit
+    plan_csv.write_text("\n".join([header, ",".join([model, *winner.split(",")[1:]]),
+                                   *rest]) + "\n")
+    result = codesign("report", "--plan", str(plan_csv))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"SchemaMismatch: {plan_csv}: field larger than")
+    assert result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [["--theta1", "conv3"], ["--theta2", "conv3+skip"]])
+def test_simulate_strategy_without_cut_is_usage_error(flags):
+    result = codesign("simulate", "--config", CONFIG, "--rate", "10", "--horizon", "1",
+                      *flags)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "--theta1 and --theta2 need --cut" in result.stderr
+
+
+def test_simulate_cut_defaults_to_full_structure():
+    result = codesign("simulate", "--config", CONFIG, "--rate", "10", "--horizon", "1",
+                      "--cut", "3", "--theta1", "conv3")
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["plan"] == {
+        "cut": 3, "theta1": "conv3", "theta2": "conv3+skip+conv1"}
 
 
 def test_trace_out_without_refine_is_usage_error(tmp_path):

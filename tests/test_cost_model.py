@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from codesign import cost_model
+from codesign import cost_model, optimizer
 from codesign.errors import DegenerateSplit
-from codesign.profiles import AccuracyPenaltyTable, ModelProfile
+from codesign.profiles import AccuracyPenaltyTable, DeviceProfile, ModelProfile, total_load
 
 from conftest import (
     FULL,
@@ -48,6 +48,25 @@ def test_zero_size_embedding_leaves_fixed_latency():
     link = simple_link(12.5e6, fixed=0.013)
     cost = cost_model.latency(model, 1, S3, S3, nano(), nx(), link)
     assert cost.t3 == 0.013
+
+
+def test_every_segment_sum_adds_layers_in_one_order():
+    # 1e16 + 1 rounds back to 1e16, so adding the layers one at a time from
+    # layer 0 gives 1e16, while a compensated sum (``sum`` from Python 3.12)
+    # keeps the ones: 1e16 + 2 over the first three layers.  total_load, the
+    # head of evaluate_plan at the last cut and the grid's head there must
+    # all add them one at a time.
+    model = ModelProfile("ulp", tuple(uniform_layer(i, flops, 1.0, 1.0)
+                                      for i, flops in enumerate((1e16, 1.0, 1.0, 1.0))))
+    # compute-bound at a rate of 1 FLOP/s, so t1 is the head's FLOP sum
+    unit = DeviceProfile("unit", peak_compute=1.0, mem_bandwidth=1.0)
+    assert total_load(ModelProfile("ulp3", model.layers[:3]), S3) == (1e16, 3.0)
+    assert total_load(model, S3) == (1e16, 4.0)
+    plan = cost_model.evaluate_plan(model, 3, S3, S3, unit, unit, simple_link(),
+                                    zero_table(), 0.0)
+    assert plan.cost.t1 == 1e16
+    plans = optimizer.enumerate_plans(model, unit, unit, simple_link(), zero_table(), 0.0)
+    assert {plan.cost.t1 for plan in plans if plan.cut_index == 3} == {1e16}
 
 
 def test_degenerate_cut_rejected():

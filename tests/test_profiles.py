@@ -16,7 +16,7 @@ from codesign.profiles import (
     config_to_dict,
     load_config,
     load_device,
-    segment_load,
+    running_load,
     total_load,
 )
 
@@ -117,6 +117,12 @@ def test_total_load_matches_prefix_sum_oracle():
             expected_flops += layer.flops_by_strategy[strategy]
             expected_bytes += layer.bytes_by_strategy[strategy]
         assert total_load(model, strategy) == (expected_flops, expected_bytes)
+
+
+def segment_load(model, start, stop, strategy):
+    """(FLOPs, bytes) of layers[start:stop]; (0, 0) for no layer."""
+    flops, data = running_load(model.layers[start:stop], strategy)
+    return (flops[-1], data[-1]) if flops else (0.0, 0.0)
 
 
 def test_total_load_additive_over_any_split():
