@@ -154,16 +154,16 @@ def _cmd_plan(args) -> int:
     clock.lap("evaluate", len(rows))
     rows.sort()
     clock.lap("rank", len(rows))
-    if args.refine:
+    if args.trace_out:
         # the grid is exhaustive, so the snapped plan never beats its winner;
-        # only the descent trace is reported
+        # only the descent trace is reported, so the descent runs only when
+        # the trace is written
         _, _, trace = optimizer.refine_and_snap(
             config.model, optimizer.row_plan(rows[0]), config.device1, config.device2,
             config.link, config.penalties, config.lambda1)
-        if args.trace_out:
-            Path(args.trace_out).write_text(_csv_text(
-                ["iteration", "lambda", "t_total"],
-                [[i, repr(lam), repr(t)] for i, (lam, t) in enumerate(trace)]))
+        Path(args.trace_out).write_text(_csv_text(
+            ["iteration", "lambda", "t_total"],
+            [[i, repr(lam), repr(t)] for i, (lam, t) in enumerate(trace)]))
         clock.lap("refine", len(trace))
     _emit(_plan_csv(config.model.name, rows), args.out)
     clock.lap("emit", len(rows))
@@ -298,7 +298,8 @@ def build_report(plan_path, sim_path=None) -> dict:
     }
     if sim_path is not None:
         sim = _read_json(sim_path)
-        if sim:
+        # {} means no simulation; any other document must be a report
+        if sim != {}:
             if not isinstance(sim, dict) or "model" not in sim or "throughput" not in sim:
                 raise SchemaMismatch(f"{sim_path} is not a simulation report")
             if sim["model"] != model:
@@ -347,7 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true",
                    help="drop candidates whose segments miss their device's balance point")
     p.add_argument("--refine", action="store_true",
-                   help="also run the cut refinement from the grid winner (see --trace-out)")
+                   help="run the cut refinement from the grid winner and write its "
+                        "descent trace to --trace-out (skipped without --trace-out: "
+                        "the table never changes)")
     p.add_argument("--trace-out", help="with --refine: write the descent trace CSV here")
     p.set_defaults(func=_cmd_plan)
 

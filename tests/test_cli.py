@@ -279,6 +279,18 @@ def test_report_rejects_sim_that_is_not_an_object(tmp_path):
     assert result.stderr.startswith("SchemaMismatch")
 
 
+@pytest.mark.parametrize("document", ["0", "null", "[]", '""', "false"])
+def test_report_rejects_falsy_sim_that_is_not_an_object(tmp_path, capsys, document):
+    # only {} means "no simulation"
+    sim_json = tmp_path / "sim.json"
+    sim_json.write_text(document)
+    assert cli.main(["report", "--plan", str(GOLDEN / "paper_plan.csv"),
+                     "--sim", str(sim_json)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"SchemaMismatch: {sim_json} is not a simulation report\n"
+
+
 NOT_UTF8 = b"\xff\xfe{"
 
 
@@ -425,10 +437,10 @@ def test_plan_and_trace_match_golden_files(tmp_path):
     assert trace.read_bytes() == (GOLDEN / "paper_trace.csv").read_bytes()
 
 
-def test_trace_env_var_prints_stages_and_leaves_stdout_alone():
-    plain = codesign("plan", "--config", CONFIG, "--refine")
-    traced = codesign("plan", "--config", CONFIG, "--refine",
-                      env=dict(os.environ, CODESIGN_TRACE="1"))
+def test_trace_env_var_prints_stages_and_leaves_stdout_alone(tmp_path):
+    argv = ["plan", "--config", CONFIG, "--refine", "--trace-out", str(tmp_path / "trace.csv")]
+    plain = codesign(*argv)
+    traced = codesign(*argv, env=dict(os.environ, CODESIGN_TRACE="1"))
     assert plain.returncode == traced.returncode == 0
     assert traced.stdout == plain.stdout
     assert plain.stderr == ""
@@ -436,6 +448,28 @@ def test_trace_env_var_prints_stages_and_leaves_stdout_alone():
     assert [line["stage"] for line in lines] == ["load", "evaluate", "rank", "refine", "emit"]
     assert [line["items"] for line in lines] == [14, 13 * 16, 13 * 16, 501, 13 * 16]
     assert all(line["seconds"] >= 0 for line in lines)
+
+
+def test_refine_without_trace_out_skips_the_descent():
+    # the descent only yields its trace, so with nowhere to write it, it
+    # does not run and the table is the plain plan's
+    traced = codesign("plan", "--config", CONFIG, "--refine",
+                      env=dict(os.environ, CODESIGN_TRACE="1"))
+    assert traced.returncode == 0
+    assert traced.stdout == (GOLDEN / "paper_plan.csv").read_text()
+    lines = [json.loads(line) for line in traced.stderr.splitlines()]
+    assert [line["stage"] for line in lines] == ["load", "evaluate", "rank", "emit"]
+
+
+def test_simulate_matches_golden_files(tmp_path):
+    # golden files written by the max/min Lindley loop that the call-free
+    # body replaced; at rho ~3 the backlog grows, and requests are clipped
+    # at both the warmup and the horizon
+    report, log = tmp_path / "sim.json", tmp_path / "requests.csv"
+    assert cli.main(["simulate", "--config", CONFIG, "--rate", "9000", "--horizon", "0.03",
+                     "--csv", str(log), "--out", str(report)]) == 0
+    assert report.read_bytes() == (GOLDEN / "paper_simulate.json").read_bytes()
+    assert log.read_bytes() == (GOLDEN / "paper_requests.csv").read_bytes()
 
 
 HELP_FLAGS = {

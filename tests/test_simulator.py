@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 import math
 import random
@@ -261,8 +262,13 @@ def reference_event_run(config: SimConfig) -> SimReport:
                 del stamps[finished]
     for stage in stages:
         stage.advance(config.horizon)
+    return _reference_report(config, responses, [stage.integral for stage in stages],
+                             next_id, completed_total, len(stamps), records)
 
-    window = config.horizon - warmup
+
+def _reference_report(config, responses, integrals, arrivals, completed_total,
+                      in_system_at_end, records) -> SimReport:
+    window = config.horizon - config.effective_warmup
     ordered = sorted(responses)
 
     def rank(q):
@@ -273,14 +279,48 @@ def reference_event_run(config: SimConfig) -> SimReport:
     return SimReport(
         throughput=len(responses) / window,
         response_time=response_time,
-        queue_occupancy={name: stage.integral / window
-                         for name, stage in zip(simulator.STAGES, stages)},
+        queue_occupancy={name: integral / window
+                         for name, integral in zip(simulator.STAGES, integrals)},
         completed=len(responses),
-        arrivals=next_id,
+        arrivals=arrivals,
         completed_total=completed_total,
-        in_system_at_end=len(stamps),
+        in_system_at_end=in_system_at_end,
         records=tuple(records),
     )
+
+
+def reference_minmax_run(config: SimConfig) -> SimReport:
+    """The Lindley pass as first written, with builtin max/min in every
+    step.  `simulator.run` replaced them with conditional expressions and
+    must match this loop exactly, occupancies included."""
+    expovariate = random.Random(config.seed).expovariate
+    rate, horizon = config.arrival_rate, config.horizon
+    warmup = config.effective_warmup
+    s1, s_link, s2 = config.service_times
+
+    d1 = d_link = d2 = 0.0
+    occ1 = occ_link = occ2 = 0.0
+    arrivals = completed_total = 0
+    responses, records = [], []
+
+    a = expovariate(rate)
+    while a <= horizon:
+        start1 = max(a, d1)
+        d1 = start1 + s1
+        d_link = max(d1, d_link) + s_link
+        d2 = max(d_link, d2) + s2
+        occ1 += max(0.0, min(d1, horizon) - max(a, warmup))
+        occ_link += max(0.0, min(d_link, horizon) - max(d1, warmup))
+        occ2 += max(0.0, min(d2, horizon) - max(d_link, warmup))
+        if d2 <= horizon:
+            completed_total += 1
+            if d2 > warmup:
+                responses.append(d2 - a)
+                records.append(RequestRecord(arrivals, a, start1, d1, d_link, d2))
+        arrivals += 1
+        a += expovariate(rate)
+    return _reference_report(config, responses, (occ1, occ_link, occ2), arrivals,
+                             completed_total, arrivals - completed_total, records)
 
 
 def _paper_winner_times():
@@ -312,6 +352,26 @@ def test_recursion_matches_event_simulation(times):
         for seed in range(6):
             _assert_matches_reference(SimConfig(arrival_rate=rate, service_times=times,
                                                 horizon=300.0 / rate, seed=seed))
+
+
+@pytest.mark.parametrize("times", [(0.05, 0.02, 0.03), "paper"])
+@pytest.mark.parametrize("rho", [0.3, 0.9, 1.5, 3.0])
+def test_run_equals_minmax_loop_exactly(times, rho):
+    # the event oracle compares occupancies to 1e-12 only; this pins every
+    # float of the report, so a change in how intervals are clipped shows
+    if times == "paper":
+        times = _paper_winner_times()
+    rate = rho / max(times)
+    horizon = 2000.0 / rate
+    for warmup in (0.0, None, 0.99 * horizon):
+        for seed in range(6):
+            config = SimConfig(arrival_rate=rate, service_times=times, horizon=horizon,
+                               seed=seed, warmup=warmup)
+            got = simulator.run(config, keep_log=True)
+            want = reference_minmax_run(config)
+            for field in dataclasses.fields(SimReport):
+                assert getattr(got, field.name) == getattr(want, field.name), (
+                    warmup, seed, field.name)
 
 
 def test_events_exactly_at_the_horizon_count():
