@@ -24,7 +24,8 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
-from .errors import CodesignError, InvalidConfig, SchemaMismatch, UnknownStrategyName
+from .errors import (CodesignError, InvalidConfig, SchemaMismatch, UnknownStrategyName,
+                     UnwritableOutput)
 from .profiles import FULL_STRUCTURE, FusionStrategy, _read_json, load_config, parse_strategy
 
 SCHEMA_VERSION = 1
@@ -38,9 +39,18 @@ _STRATEGY_PAIRS = [[f"{a},{b}" for b in _STRATEGY_NAMES] for a in _STRATEGY_NAME
 _FLAG_PAIRS = (("false,false", "false,true"), ("true,false", "true,true"))
 
 
+def _write(path: str, text: str):
+    """Write an output file (``--out``, ``--trace-out``, ``--csv``); an OS
+    error names the path, as ``UnwritableOutput``."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise UnwritableOutput(f"{path}: {exc.strerror or exc}") from None
+
+
 def _emit(text: str, out: str | None):
     if out:
-        Path(out).write_text(text)
+        _write(out, text)
     else:
         sys.stdout.write(text)
 
@@ -161,7 +171,7 @@ def _cmd_plan(args) -> int:
         _, _, trace = optimizer.refine_and_snap(
             config.model, optimizer.row_plan(rows[0]), config.device1, config.device2,
             config.link, config.penalties, config.lambda1)
-        Path(args.trace_out).write_text(_csv_text(
+        _write(args.trace_out, _csv_text(
             ["iteration", "lambda", "t_total"],
             [[i, repr(lam), repr(t)] for i, (lam, t) in enumerate(trace)]))
         clock.lap("refine", len(trace))
@@ -217,8 +227,7 @@ def _cmd_simulate(args) -> int:
     if args.csv:
         rows = [[r.id, repr(r.arrival), repr(r.start1), repr(r.end1),
                  repr(r.end_link), repr(r.end2)] for r in report.records]
-        Path(args.csv).write_text(
-            _csv_text(["id", "arrival", "start1", "end1", "end_link", "end2"], rows))
+        _write(args.csv, _csv_text(["id", "arrival", "start1", "end1", "end_link", "end2"], rows))
     _emit(_dump_json({
         "schema_version": SCHEMA_VERSION,
         "model": config.model.name,
@@ -319,6 +328,21 @@ def _cmd_report(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+def _int_at_least(minimum: int):
+    """argparse type: an integer >= ``minimum``; anything else is a usage
+    error.  So a count of 0 cannot pass a check that never ran, and numpy
+    never sees a negative seed."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="codesign",
@@ -354,17 +378,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-out", help="with --refine: write the descent trace CSV here")
     p.set_defaults(func=_cmd_plan)
 
+    seed, count = _int_at_least(0), _int_at_least(1)
+
     p = sub.add_parser("fuse-check", help="randomized fused-vs-branch-sum equivalence suite")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--seed", type=seed, default=0)
+    p.add_argument("--trials", type=count, default=100)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_fuse_check)
 
     p = sub.add_parser("convergence-lab",
                        help="split-update geometric convergence check on a random quadratic")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--steps", type=int, default=200)
+    p.add_argument("--seed", type=seed, default=0)
+    p.add_argument("--dim", type=_int_at_least(2), default=16)
+    p.add_argument("--steps", type=count, default=200)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_convergence_lab)
 

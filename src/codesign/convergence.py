@@ -9,7 +9,7 @@ whole-vector update exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -19,16 +19,15 @@ from .errors import DimensionMismatch, InvariantViolation, StepSizeOutOfRange
 _GAP_FLOOR_REL = 1e-12
 
 
-@dataclass(frozen=True)
-class QuadraticObjective:
-    """0.5 * w'Aw - b'w with A symmetric positive definite; parameters split
-    into w[:split_index] (device 1) and w[split_index:] (device 2)."""
+class QuadraticObjective(namedtuple("QuadraticObjective", "matrix linear split_index")):
+    """0.5 * w'Aw - b'w with A (``matrix``) symmetric positive definite and
+    b = ``linear``; parameters split into w[:split_index] (device 1) and
+    w[split_index:] (device 2)."""
 
-    matrix: np.ndarray
-    linear: np.ndarray
-    split_index: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         a = self.matrix
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"matrix must be square, got {a.shape}")
@@ -42,6 +41,7 @@ class QuadraticObjective:
             raise InvariantViolation("matrix must be symmetric")
         if np.linalg.eigvalsh(a)[0] <= 0:
             raise InvariantViolation("matrix must be positive definite")
+        return self
 
     @property
     def dim(self) -> int:
@@ -96,10 +96,31 @@ def split_step(obj: QuadraticObjective, w: np.ndarray, eta: float) -> np.ndarray
     return np.concatenate([w[:k] - eta * g1, w[k:] - eta * g2])
 
 
+def contraction_factor(obj: QuadraticObjective, eta: float) -> float:
+    """Exact per-step factor rho of the loss gap under gradient descent with
+    step ``eta``: gap_{k+1} <= rho * gap_k, with equality when the error
+    lies on the limiting eigenvector.
+
+    With e = w - w* the gap is loss(w) - loss(w*) = 0.5 * e'Ae, and one step
+    maps e to (I - eta*A) e.  In A's eigenbasis, with eigenvalues l in
+    [mu, L], the gap is 0.5 * sum(l * e_l^2) and each term shrinks by
+    (1 - eta*l)^2 per step.  That square is convex in l, so its largest
+    value on [mu, L] is at an end:
+
+        rho = max((1 - eta*mu)^2, (1 - eta*L)^2),
+
+    below 1 for every eta in (0, 2/L) and equal to 1 at eta = 2/L.  The
+    split step is the whole-vector step, so the same factor holds for it.
+    """
+    mu, lip = obj.curvature_bounds()
+    return max((1.0 - eta * mu) ** 2, (1.0 - eta * lip) ** 2)
+
+
 def rate_check(obj: QuadraticObjective, w0: np.ndarray, eta: float,
                steps: int) -> tuple[int | None, list[float], list[float]]:
     """Run split gradient descent and test the geometric contraction of the
-    loss gap: gap_k <= (1 - eta*mu/2)^k * gap_0.
+    loss gap: gap_k <= rho^k * gap_0, with rho the exact per-step factor
+    ``contraction_factor(obj, eta)``.
 
     Returns the first step at which the bound fails (None if it never does),
     the per-step gap ratios gap_{k+1}/gap_k and the measured gaps gap_k for
@@ -110,11 +131,10 @@ def rate_check(obj: QuadraticObjective, w0: np.ndarray, eta: float,
     if not 0 < eta <= limit:
         raise StepSizeOutOfRange(f"eta={eta} outside (0, {limit}]")
 
-    mu, _ = obj.curvature_bounds()
     optimum = obj.optimum()
     gap0 = obj.loss(w0) - optimum
     floor = _GAP_FLOOR_REL * max(abs(gap0), abs(optimum), 1.0)
-    factor = 1.0 - eta * mu / 2.0
+    factor = contraction_factor(obj, eta)
 
     w = w0
     previous_gap = gap0
@@ -147,7 +167,8 @@ def random_objective(rng: np.random.Generator, dim: int,
 
 def run_lab(seed: int, dim: int, steps: int) -> dict:
     """One seeded lab run: random quadratic, learning rate at 90% of the
-    admissible limit, geometric-bound check over the trajectory."""
+    admissible limit, geometric-bound check over the trajectory.  Each row's
+    ``bound`` is gap_0 * rho^k (see ``contraction_factor``)."""
     rng = np.random.default_rng(seed)
     obj = random_objective(rng, dim)
     mu, lip = obj.curvature_bounds()
@@ -156,7 +177,7 @@ def run_lab(seed: int, dim: int, steps: int) -> dict:
 
     violated_at, ratios, gaps = rate_check(obj, w0, eta, steps)
     gap0 = obj.loss(w0) - obj.optimum()
-    factor = 1.0 - eta * mu / 2.0
+    factor = contraction_factor(obj, eta)
 
     rows = [{
         "step": k,

@@ -14,7 +14,7 @@ grid row and ``evaluate_plan`` agree to the last bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import roofline
 from .errors import DegenerateSplit, InvariantViolation
@@ -29,29 +29,17 @@ from .profiles import (
 )
 
 
-@dataclass(frozen=True)
-class CostBreakdown:
-    t1: float               # device 1 compute seconds
-    t2: float               # device 2 compute seconds
-    t3: float               # link transfer seconds
-    t_total: float
-    accuracy_loss: float    # accuracy points
-    lagrangian: float       # t_total + lambda1 * accuracy_loss
-
+# t1, t2: device 1 and device 2 compute seconds; t3: link transfer seconds;
+# accuracy_loss in accuracy points; lagrangian = t_total + lambda1 * accuracy_loss.
+CostBreakdown = namedtuple("CostBreakdown", "t1 t2 t3 t_total accuracy_loss lagrangian")
 
 # The CostBreakdown fields a plan must hold as finite numbers.
-COST_FIELDS = ("t1", "t2", "t3", "t_total", "accuracy_loss", "lagrangian")
+COST_FIELDS = CostBreakdown._fields
 
-
-@dataclass(frozen=True)
-class PartitionPlan:
-    cut_index: int
-    lambda_c: float         # fraction of FLOPs on device 1 under (theta1, theta2)
-    lambda_m: float         # fraction of bytes on device 1 under (theta1, theta2)
-    theta1: FusionStrategy
-    theta2: FusionStrategy
-    cost: CostBreakdown
-    feasible: tuple[bool, bool]
+# lambda_c, lambda_m: fractions of FLOPs and of bytes on device 1 under
+# (theta1, theta2); cost: a CostBreakdown; feasible: a (bool, bool) pair.
+PartitionPlan = namedtuple("PartitionPlan",
+                           "cut_index lambda_c lambda_m theta1 theta2 cost feasible")
 
 
 # Fields of a row, in order: one candidate as the grid sweep and

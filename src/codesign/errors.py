@@ -50,3 +50,8 @@ class StepSizeOutOfRange(CodesignError):
 
 class SchemaMismatch(CodesignError):
     pass
+
+
+class UnwritableOutput(CodesignError):
+    """An output file cannot be written: a missing directory, a directory
+    in its place, no permission."""

@@ -4,6 +4,12 @@ Everything downstream consumes only the types defined here and sums layer
 loads only through ``running_load``.  All quantities are raw SI numbers:
 FLOPs, bytes, bytes/s, seconds.  Profiles are immutable after loading.
 
+The records are validated namedtuples: each is a ``collections.namedtuple``
+subclass whose ``__new__`` checks the fields, so a record exists only if it
+is valid, and none can be assigned to afterwards.  ``_replace`` and ``_make``
+skip the checks.  Namedtuple classes are cheap to create, which keeps the
+package's start-up short.
+
 Config files are JSON with top-level keys ``devices``, ``link``, ``model``,
 ``penalties`` and ``lambda1`` (see README for the full schema).
 """
@@ -13,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from itertools import accumulate
 from pathlib import Path
@@ -41,6 +47,12 @@ class FusionStrategy(Enum):
     CONV3_CONV1 = "conv3+conv1"
     CONV3_SKIP_CONV1 = "conv3+skip+conv1"
 
+    # Members are singletons and compare by identity, so they may hash by it
+    # too: the C-level hash skips the Python-level Enum.__hash__ call that
+    # every per-layer table lookup would make.  No set of strategies is
+    # iterated into an output, so no output depends on the hash values.
+    __hash__ = object.__hash__
+
 
 STRATEGY_RANK = {s: i for i, s in enumerate(FusionStrategy)}
 _BY_NAME = {s.value: s for s in FusionStrategy}
@@ -57,42 +69,41 @@ def parse_strategy(name: str, where: str = "strategy") -> FusionStrategy:
         raise UnknownStrategyName(f"{where}: {name!r}") from None
 
 
-@dataclass(frozen=True)
-class DeviceProfile:
+class DeviceProfile(namedtuple("DeviceProfile", "name peak_compute mem_bandwidth utilization",
+                                defaults=(1.0,))):
     """One hardware platform: peak compute (FLOP/s), memory bandwidth
     (bytes/s) and the fraction of peak actually achievable."""
 
-    name: str
-    peak_compute: float
-    mem_bandwidth: float
-    utilization: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.peak_compute <= 0:
             raise NonPositiveQuantity("peak_compute")
         if self.mem_bandwidth <= 0:
             raise NonPositiveQuantity("mem_bandwidth")
         if not 0 < self.utilization <= 1:
             raise InvariantViolation("utilization must be in (0, 1]")
+        return self
 
 
-@dataclass(frozen=True)
-class LinkProfile:
+class LinkProfile(namedtuple("LinkProfile", "bandwidth fixed_latency", defaults=(0.0,))):
     """Transport between the two devices: bandwidth in bytes/s plus an
     additive fixed latency in seconds (e.g. ping)."""
 
-    bandwidth: float
-    fixed_latency: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.bandwidth <= 0:
             raise NonPositiveQuantity("bandwidth")
         if self.fixed_latency < 0:
             raise NonPositiveQuantity("fixed_latency")
+        return self
 
 
-@dataclass(frozen=True)
-class LayerProfile:
+class LayerProfile(namedtuple("LayerProfile", "index flops_by_strategy bytes_by_strategy "
+                                              "output_activation_bytes fusible")):
     """Per-layer cost record.
 
     ``flops_by_strategy`` / ``bytes_by_strategy`` give the work and byte
@@ -101,13 +112,10 @@ class LayerProfile:
     is what crosses the link if the model is cut right after this layer.
     """
 
-    index: int
-    flops_by_strategy: dict[FusionStrategy, float]
-    bytes_by_strategy: dict[FusionStrategy, float]
-    output_activation_bytes: float
-    fusible: bool
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for label, table in (("flops_by_strategy", self.flops_by_strategy),
                              ("bytes_by_strategy", self.bytes_by_strategy)):
             for strategy in FusionStrategy:
@@ -134,14 +142,16 @@ class LayerProfile:
                 if len(set(table.values())) != 1:
                     raise InvariantViolation(
                         f"{label} must be identical across strategies for a non-fusible layer")
+        return self
 
 
-@dataclass(frozen=True)
-class ModelProfile:
-    name: str
-    layers: tuple[LayerProfile, ...]
+class ModelProfile(namedtuple("ModelProfile", "name layers")):
+    """A named model: a tuple of ``LayerProfile``s indexed 0, 1, ... in order."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.layers:
             raise MissingField("layers")
         for position, layer in enumerate(self.layers):
@@ -149,6 +159,7 @@ class ModelProfile:
                 raise InvariantViolation(
                     f"layers[{position}].index is {layer.index}; layers must be "
                     "listed in order and indexed consecutively from 0")
+        return self
 
     @property
     def boundaries(self) -> range:
@@ -157,18 +168,19 @@ class ModelProfile:
         return range(1, len(self.layers))
 
 
-@dataclass(frozen=True)
-class AccuracyPenaltyTable:
-    """Accuracy points lost per sub-model (1 or 2) and fusion strategy.
+class AccuracyPenaltyTable(namedtuple("AccuracyPenaltyTable", "penalties")):
+    """Accuracy points lost per sub-model (1 or 2) and fusion strategy:
+    ``penalties[sub][strategy]``.
 
     Retaining every branch costs nothing; dropping branches can only hurt,
     and dropping both optional branches hurts at least as much as dropping
     either one.
     """
 
-    penalties: dict[int, dict[FusionStrategy, float]]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for sub in (1, 2):
             if sub not in self.penalties:
                 raise MissingField(f"penalties[{sub}]")
@@ -186,30 +198,28 @@ class AccuracyPenaltyTable:
                     raise InvariantViolation(
                         f"penalties[{sub}][{FusionStrategy.CONV3.value}] must be >= "
                         f"penalties[{sub}][{two_branch.value}]")
+        return self
 
     def penalty(self, sub_model: int, strategy: FusionStrategy) -> float:
         return self.penalties[sub_model][strategy]
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(namedtuple("Config", "devices link model penalties lambda1")):
     """A fully validated planning problem: devices (first = terminal,
     second = edge server), the link between them, the model, the accuracy
     penalty table, and the latency/accuracy trade-off weight."""
 
-    devices: tuple[DeviceProfile, ...]
-    link: LinkProfile
-    model: ModelProfile
-    penalties: AccuracyPenaltyTable
-    lambda1: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.devices) < 2:
             raise MissingField("devices (need at least a terminal and an edge device)")
         if len(self.model.layers) < 2:
             raise InvariantViolation("model.layers must contain at least 2 layers")
         if self.lambda1 < 0:
             raise NonPositiveQuantity("lambda1")
+        return self
 
     @property
     def device1(self) -> DeviceProfile:

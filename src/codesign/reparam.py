@@ -14,7 +14,7 @@ dilation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 import numpy as np
@@ -43,30 +43,28 @@ ACTIVE_BRANCHES: dict[FusionStrategy, tuple[BranchKind, ...]] = {
 _KERNEL_SIZE = {BranchKind.CONV3X3: 3, BranchKind.CONV1X1: 1}
 
 
-@dataclass(frozen=True)
-class BatchNorm:
+class BatchNorm(namedtuple("BatchNorm", "gamma beta mean var eps", defaults=(1e-5,))):
     """Per-output-channel batch norm parameters (inference form)."""
 
-    gamma: np.ndarray
-    beta: np.ndarray
-    mean: np.ndarray
-    var: np.ndarray
-    eps: float = 1e-5
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.eps <= 0:
             raise ShapeMismatch("batch norm eps must be > 0")
         if np.any(self.var < 0):
             raise ShapeMismatch("batch norm variance must be >= 0")
+        return self
 
 
-@dataclass(frozen=True)
-class BranchSpec:
-    kind: BranchKind
-    weight: np.ndarray | None  # [out_ch, in_ch, k, k]; None for identity
-    bn: BatchNorm
+class BranchSpec(namedtuple("BranchSpec", "kind weight bn")):
+    """One branch: its ``BranchKind``, its weights ([out_ch, in_ch, k, k];
+    None for identity) and its ``BatchNorm``."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind is BranchKind.IDENTITY:
             if self.weight is not None:
                 raise ShapeMismatch("identity branch carries no weights")
@@ -75,6 +73,7 @@ class BranchSpec:
             if self.weight is None or self.weight.ndim != 4 or self.weight.shape[2:] != (k, k):
                 raise ShapeMismatch(
                     f"{self.kind.value} branch needs weights shaped [out, in, {k}, {k}]")
+        return self
 
     @property
     def out_channels(self) -> int:
@@ -87,20 +86,21 @@ class BranchSpec:
         return self.weight.shape[1]
 
 
-@dataclass(frozen=True)
-class Kernel3x3:
-    """A plain dense 3x3 convolution: the fused form of a block."""
+class Kernel3x3(namedtuple("Kernel3x3", "weights bias")):
+    """A plain dense 3x3 convolution: the fused form of a block.  Weights
+    are [out_ch, in_ch, 3, 3], the bias [out_ch]."""
 
-    weights: np.ndarray  # [out_ch, in_ch, 3, 3]
-    bias: np.ndarray     # [out_ch]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.weights.ndim != 4 or self.weights.shape[2:] != (3, 3):
             raise ShapeMismatch(f"fused kernel must be [out, in, 3, 3], got {self.weights.shape}")
         if min(self.weights.shape[:2]) < 1:
             raise ShapeMismatch("fused kernel needs at least one input and output channel")
         if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
             raise ShapeMismatch("fused kernel has non-finite entries")
+        return self
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ compute/memory classification of a workload running on a device."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .errors import DegenerateSplit, InvariantViolation
@@ -16,11 +16,9 @@ class Bottleneck(Enum):
     MEMORY = "MC"
 
 
-@dataclass(frozen=True)
-class IntensityReport:
-    intensity: float          # FLOP/byte
-    bottleneck: Bottleneck
-    attainable: float         # FLOP/s under the roofline, before utilization
+# intensity in FLOP/byte; bottleneck a Bottleneck; attainable in FLOP/s
+# under the roofline, before utilization.
+IntensityReport = namedtuple("IntensityReport", "intensity bottleneck attainable")
 
 
 def machine_balance(device: DeviceProfile) -> float:

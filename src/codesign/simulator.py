@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .cost_model import PartitionPlan
 from .errors import InvariantViolation
@@ -27,15 +27,16 @@ STAGES = ("device1", "link", "device2")
 MAX_EXPECTED_ARRIVALS = 1e7  # run() keeps a response time per completion
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    arrival_rate: float                       # requests/s
-    service_times: tuple[float, float, float]  # (device1, link, device2) seconds
-    horizon: float                             # simulated seconds
-    seed: int = 0
-    warmup: float | None = None                # default: 10% of horizon
+class SimConfig(namedtuple("SimConfig", "arrival_rate service_times horizon seed warmup",
+                            defaults=(0, None))):
+    """Arrival rate (requests/s), the (device1, link, device2) service
+    seconds, the simulated seconds, the seed, and the warmup seconds
+    excluded from statistics (None: 10% of the horizon)."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (is_finite_real(self.arrival_rate) and self.arrival_rate > 0):
             raise InvariantViolation("arrival_rate must be a finite number > 0")
         if len(self.service_times) != 3 or not all(
@@ -48,32 +49,22 @@ class SimConfig:
         if self.warmup is not None and not (
                 is_finite_real(self.warmup) and 0 <= self.warmup < self.horizon):
             raise InvariantViolation("warmup must be finite and satisfy 0 <= warmup < horizon")
+        return self
 
     @property
     def effective_warmup(self) -> float:
         return 0.1 * self.horizon if self.warmup is None else self.warmup
 
 
-@dataclass(frozen=True)
-class RequestRecord:
-    id: int
-    arrival: float
-    start1: float
-    end1: float
-    end_link: float
-    end2: float
+RequestRecord = namedtuple("RequestRecord", "id arrival start1 end1 end_link end2")
 
-
-@dataclass(frozen=True)
-class SimReport:
-    throughput: float                 # completions/s in the measurement window
-    response_time: dict | None        # mean/p50/p95/max; None when nothing completed
-    queue_occupancy: dict             # stage -> time-averaged jobs present (queued + in service)
-    completed: int                    # completions inside the measurement window
-    arrivals: int
-    completed_total: int
-    in_system_at_end: int
-    records: tuple[RequestRecord, ...] = field(default=(), repr=False)
+# throughput: completions/s in the measurement window; response_time:
+# mean/p50/p95/max, or None when nothing completed; queue_occupancy: stage
+# -> time-averaged jobs present (queued + in service); completed:
+# completions inside the window; records: the RequestRecords, with keep_log.
+SimReport = namedtuple("SimReport", "throughput response_time queue_occupancy completed "
+                                    "arrivals completed_total in_system_at_end records",
+                       defaults=((),))
 
 
 def _percentile(sorted_values: list[float], q: float) -> float:

@@ -489,3 +489,42 @@ def test_help_documents_flags(command, flags):
     assert result.returncode == 0
     for flag in flags:
         assert flag in result.stdout
+
+
+UNWRITABLE_OUTPUTS = {
+    "plan --out": ["plan", "--config", CONFIG, "--out", "/nonexistent/x.csv"],
+    "plan --trace-out": ["plan", "--refine", "--config", CONFIG,
+                         "--trace-out", "/nonexistent/t.csv"],
+    "simulate --csv": ["simulate", "--config", CONFIG, "--rate", "100", "--horizon", "1",
+                       "--csv", "{dir}"],
+    "roofline --out": ["roofline", "--config", CONFIG, "--out", "{dir}"],
+    "cost --out": ["cost", "--config", CONFIG, "--cut", "5", "--theta1", "conv3",
+                   "--theta2", "conv3", "--out", "{dir}"],
+    "report --out": ["report", "--plan", str(GOLDEN / "paper_plan.csv"), "--out", "{dir}"],
+}
+
+
+@pytest.mark.parametrize("argv", UNWRITABLE_OUTPUTS.values(), ids=UNWRITABLE_OUTPUTS)
+def test_unwritable_output_is_named(tmp_path, argv):
+    result = codesign(*[arg.format(dir=tmp_path) for arg in argv])
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert re.match(r"^[A-Za-z]+: ", result.stderr)
+    assert result.stderr.startswith("UnwritableOutput: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["fuse-check", "--trials", "0"],
+    ["fuse-check", "--trials", "-1"],
+    ["fuse-check", "--seed", "-1"],
+    ["convergence-lab", "--steps", "0"],
+    ["convergence-lab", "--steps", "-3"],
+    ["convergence-lab", "--seed", "-1"],
+    ["convergence-lab", "--dim", "-1"],
+    ["convergence-lab", "--dim", "1"],
+])
+def test_vacuous_counts_and_negative_seeds_are_usage_errors(argv):
+    result = codesign(*argv)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert f"argument {argv[1]}: expected an integer >= " in result.stderr

@@ -151,3 +151,60 @@ def test_run_lab_report_shape():
     assert len(result["rows"]) == 20
     assert result["rows"][0]["within_bound"]
     assert 0 < result["eta"] <= 2.0 / result["lip"]
+
+
+def test_contraction_factor_is_the_larger_end_of_the_spectrum():
+    obj = diag_objective([0.5, 2.0], split=1)
+    # eta = 0.3: (1 - 0.15)^2 = 0.7225 at mu beats (1 - 0.6)^2 = 0.16 at L
+    assert convergence.contraction_factor(obj, 0.3) == pytest.approx(0.7225, rel=1e-15)
+    # eta = 0.9: (1 - 1.8)^2 = 0.64 at L beats (1 - 0.45)^2 = 0.3025 at mu
+    assert convergence.contraction_factor(obj, 0.9) == pytest.approx(0.64, rel=1e-15)
+    assert convergence.contraction_factor(obj, 1.0) == 1.0  # eta = 2/L
+
+
+def test_lab_seed_whose_gap_beat_the_old_bound():
+    # the gap ratio here is ~0.637 per step, above the old factor
+    # 1 - eta*mu/2 ~ 0.619 but below the exact rho
+    result = convergence.run_lab(seed=1028020543, dim=16, steps=200)
+    assert result["violated_at"] is None
+    assert all(row["within_bound"] for row in result["rows"])
+
+
+@pytest.mark.parametrize("dim", [4, 8, 16])
+def test_lab_bound_holds_over_a_seed_range(dim):
+    violated = [seed for seed in range(150)
+                if convergence.run_lab(seed, dim, 200)["violated_at"] is not None]
+    assert violated == []
+
+
+def test_lab_bound_column_is_gap0_times_rho_to_the_k():
+    result = convergence.run_lab(seed=3, dim=8, steps=30)
+    rng = np.random.default_rng(3)
+    obj = convergence.random_objective(rng, 8)
+    gap0 = obj.loss(rng.standard_normal(8)) - obj.optimum()
+    rho = convergence.contraction_factor(obj, result["eta"])
+    assert [row["bound"] for row in result["rows"]] == [gap0 * rho ** k for k in range(1, 31)]
+
+
+@pytest.mark.parametrize("fraction", [0.3, 0.9, 1.0])
+def test_rate_is_tight_on_the_limiting_eigenvector(fraction):
+    # With b = 0 the optimum is w* = 0 with loss 0, so the gap is measured
+    # without cancellation and its ratio is exact at every step above the
+    # floor.  Starting on the eigenvector of the eigenvalue that sets rho
+    # (mu at small steps, L at large ones), the gap shrinks by exactly rho.
+    rng = np.random.default_rng(47)
+    for _ in range(20):
+        dim = int(rng.choice([4, 8, 16]))
+        matrix = convergence.random_objective(rng, dim).matrix
+        obj = QuadraticObjective(matrix=matrix, linear=np.zeros(dim), split_index=dim // 2)
+        mu, lip = obj.curvature_bounds()
+        eta = fraction * convergence.admissible_step_limit(obj)
+        rho = convergence.contraction_factor(obj, eta)
+        eigenvalues, vectors = np.linalg.eigh(matrix)
+        limiting = 0 if (1 - eta * mu) ** 2 >= (1 - eta * lip) ** 2 else -1
+        violated, ratios, gaps = convergence.rate_check(obj, vectors[:, limiting], eta, 200)
+        assert violated is None
+        checked = [ratio for ratio in ratios if ratio != 0.0]
+        assert len(checked) >= 10
+        for ratio in checked:
+            assert ratio == pytest.approx(rho, rel=1e-9)

@@ -87,3 +87,38 @@ print("ok")
     result = _run(script)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "ok\n"
+
+
+def test_commands_do_not_import_dataclasses_or_inspect(tmp_path):
+    # both cost ~10 ms of start-up; the records are namedtuples instead
+    config = str(FIXTURES / "paper.json")
+    light = [
+        ["--help"],
+        ["plan", "--config", config],
+        ["plan", "--refine", "--config", config, "--trace-out", str(tmp_path / "trace.csv")],
+        ["cost", "--config", config, "--cut", "5", "--theta1", "conv3",
+         "--theta2", "conv3+skip+conv1"],
+        ["roofline", "--config", config],
+        ["report", "--plan", str(GOLDEN / "paper_plan.csv")],
+        ["simulate", "--config", config, "--rate", "100", "--horizon", "1"],
+    ]
+    numeric = [["fuse-check", "--trials", "2"],
+               ["convergence-lab", "--dim", "4", "--steps", "5"]]
+    script = f"""
+import contextlib, io, sys
+from codesign import cli
+for argv, banned in [(argv, ("dataclasses", "inspect")) for argv in {light!r}] + \\
+        [(argv, ("dataclasses",)) for argv in {numeric!r}]:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code == 0, (argv, code)
+    loaded = [name for name in banned if name in sys.modules]
+    assert not loaded, (argv, loaded)
+print("ok")
+"""
+    result = _run(script)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "ok\n"

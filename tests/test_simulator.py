@@ -1,4 +1,3 @@
-import dataclasses
 import heapq
 import math
 import random
@@ -369,9 +368,8 @@ def test_run_equals_minmax_loop_exactly(times, rho):
                                seed=seed, warmup=warmup)
             got = simulator.run(config, keep_log=True)
             want = reference_minmax_run(config)
-            for field in dataclasses.fields(SimReport):
-                assert getattr(got, field.name) == getattr(want, field.name), (
-                    warmup, seed, field.name)
+            for field in SimReport._fields:
+                assert getattr(got, field) == getattr(want, field), (warmup, seed, field)
 
 
 def test_events_exactly_at_the_horizon_count():
