@@ -15,6 +15,7 @@ With CODESIGN_TRACE=1, ``plan`` prints one JSON line per stage to stderr:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -39,20 +40,26 @@ _STRATEGY_PAIRS = [[f"{a},{b}" for b in _STRATEGY_NAMES] for a in _STRATEGY_NAME
 _FLAG_PAIRS = (("false,false", "false,true"), ("true,false", "true,true"))
 
 
-def _write(path: str, text: str):
-    """Write an output file (``--out``, ``--trace-out``, ``--csv``); an OS
-    error names the path, as ``UnwritableOutput``."""
-    try:
-        Path(path).write_text(text)
-    except OSError as exc:
-        raise UnwritableOutput(f"{path}: {exc.strerror or exc}") from None
-
-
-def _emit(text: str, out: str | None):
-    if out:
-        _write(out, text)
-    else:
-        sys.stdout.write(text)
+def _emit(*outputs: tuple[str | None, str]):
+    """Write each (path, text) in order, to stdout where the path is None.
+    A file that cannot be written (``--out``, ``--trace-out``, ``--csv``)
+    raises ``UnwritableOutput`` naming its path, after the files this call
+    already wrote are removed: a failed command leaves no partial output."""
+    written = []
+    for path, text in outputs:
+        if not path:
+            sys.stdout.write(text)
+            continue
+        try:
+            Path(path).write_text(text)
+        except OSError as exc:
+            for done in written:
+                # a device such as /dev/null is not removed
+                if os.path.isfile(done):
+                    with contextlib.suppress(OSError):
+                        os.remove(done)
+            raise UnwritableOutput(f"{path}: {exc.strerror or exc}") from None
+        written.append(path)
 
 
 def _dump_json(payload: dict) -> str:
@@ -125,7 +132,7 @@ def _cmd_roofline(args) -> int:
         rep = roofline.report(flops, data, device)
         rows.append([config.model.name, device.name, repr(rep.intensity),
                      repr(roofline.machine_balance(device)), rep.bottleneck.value])
-    _emit(_csv_text(["model", "device", "intensity", "balance", "class"], rows), args.out)
+    _emit((args.out, _csv_text(["model", "device", "intensity", "balance", "class"], rows)))
     return 0
 
 
@@ -137,7 +144,7 @@ def _cmd_cost(args) -> int:
                          parse_strategy(args.theta2, "--theta2"), config.device1,
                          config.device2, config.link, config.penalties, config.lambda1)
     c = plan.cost
-    _emit(_dump_json({
+    _emit((args.out, _dump_json({
         "schema_version": SCHEMA_VERSION,
         "model": config.model.name,
         "cut": plan.cut_index,
@@ -148,7 +155,7 @@ def _cmd_cost(args) -> int:
         "t1": c.t1, "t2": c.t2, "t3": c.t3, "t_total": c.t_total,
         "dA": c.accuracy_loss, "L": c.lagrangian,
         "feasible1": plan.feasible[0], "feasible2": plan.feasible[1],
-    }), args.out)
+    })))
     return 0
 
 
@@ -164,6 +171,7 @@ def _cmd_plan(args) -> int:
     clock.lap("evaluate", len(rows))
     rows.sort()
     clock.lap("rank", len(rows))
+    outputs = []
     if args.trace_out:
         # the grid is exhaustive, so the snapped plan never beats its winner;
         # only the descent trace is reported, so the descent runs only when
@@ -171,11 +179,12 @@ def _cmd_plan(args) -> int:
         _, _, trace = optimizer.refine_and_snap(
             config.model, optimizer.row_plan(rows[0]), config.device1, config.device2,
             config.link, config.penalties, config.lambda1)
-        _write(args.trace_out, _csv_text(
+        outputs.append((args.trace_out, _csv_text(
             ["iteration", "lambda", "t_total"],
-            [[i, repr(lam), repr(t)] for i, (lam, t) in enumerate(trace)]))
+            [[i, repr(lam), repr(t)] for i, (lam, t) in enumerate(trace)])))
         clock.lap("refine", len(trace))
-    _emit(_plan_csv(config.model.name, rows), args.out)
+    # every text is built before any file is written
+    _emit(*outputs, (args.out, _plan_csv(config.model.name, rows)))
     clock.lap("emit", len(rows))
     return 0
 
@@ -185,7 +194,7 @@ def _cmd_fuse_check(args) -> int:
 
     worst = reparam.run_equivalence_suite(args.seed, trials=args.trials)
     rows = [[s.value, args.trials, repr(err)] for s, err in worst.items()]
-    _emit(_csv_text(["strategy", "trials", "max_rel_error"], rows), args.out)
+    _emit((args.out, _csv_text(["strategy", "trials", "max_rel_error"], rows)))
     return 0
 
 
@@ -195,7 +204,7 @@ def _cmd_convergence_lab(args) -> int:
     result = convergence.run_lab(args.seed, args.dim, args.steps)
     rows = [[r["step"], repr(r["gap"]), repr(r["bound"]), repr(r["ratio"]),
              str(r["within_bound"]).lower()] for r in result["rows"]]
-    _emit(_csv_text(["step", "gap", "bound", "ratio", "within_bound"], rows), args.out)
+    _emit((args.out, _csv_text(["step", "gap", "bound", "ratio", "within_bound"], rows)))
     print(f"eta={result['eta']!r} mu={result['mu']!r} lip={result['lip']!r} "
           f"violated_at={result['violated_at']}", file=sys.stderr)
     return 0
@@ -224,11 +233,13 @@ def _cmd_simulate(args) -> int:
         warmup=args.warmup,
     )
     report = simulator.run(sim_config, keep_log=args.csv is not None)
+    outputs = []
     if args.csv:
         rows = [[r.id, repr(r.arrival), repr(r.start1), repr(r.end1),
                  repr(r.end_link), repr(r.end2)] for r in report.records]
-        _write(args.csv, _csv_text(["id", "arrival", "start1", "end1", "end_link", "end2"], rows))
-    _emit(_dump_json({
+        outputs.append((args.csv, _csv_text(["id", "arrival", "start1", "end1", "end_link",
+                                             "end2"], rows)))
+    _emit(*outputs, (args.out, _dump_json({
         "schema_version": SCHEMA_VERSION,
         "model": config.model.name,
         "plan": {"cut": plan.cut_index, "theta1": plan.theta1.value,
@@ -244,7 +255,7 @@ def _cmd_simulate(args) -> int:
         "arrivals": report.arrivals,
         "completed_total": report.completed_total,
         "in_system_at_end": report.in_system_at_end,
-    }), args.out)
+    })))
     return 0
 
 
@@ -320,7 +331,7 @@ def build_report(plan_path, sim_path=None) -> dict:
 
 
 def _cmd_report(args) -> int:
-    _emit(_dump_json(build_report(args.plan, args.sim)), args.out)
+    _emit((args.out, _dump_json(build_report(args.plan, args.sim))))
     return 0
 
 
@@ -330,8 +341,9 @@ def _cmd_report(args) -> int:
 
 def _int_at_least(minimum: int):
     """argparse type: an integer >= ``minimum``; anything else is a usage
-    error.  So a count of 0 cannot pass a check that never ran, and numpy
-    never sees a negative seed."""
+    error.  So a count of 0 cannot pass a check that never ran, numpy never
+    sees a negative seed, and ``random.Random``, which seeds with the
+    absolute value, never makes ``--seed -5`` a silent ``--seed 5``."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -399,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_config(p)
     p.add_argument("--rate", type=float, required=True, help="arrival rate, requests/s")
     p.add_argument("--horizon", type=float, required=True, help="simulated seconds")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--warmup", type=float, help="seconds excluded from stats (default 10%% of horizon)")
     p.add_argument("--cut", type=int, help="simulate this cut instead of the grid winner")
     p.add_argument("--theta1", choices=_STRATEGY_NAMES, help="with --cut (default: full structure)")

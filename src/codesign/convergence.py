@@ -50,6 +50,13 @@ class QuadraticObjective(namedtuple("QuadraticObjective", "matrix linear split_i
     def loss(self, w: np.ndarray) -> float:
         return 0.5 * float(w @ self.matrix @ w) - float(self.linear @ w)
 
+    def gap(self, w: np.ndarray, minimizer: np.ndarray) -> float:
+        """loss(w) - loss(w*) for w* = ``minimizer``, computed as 0.5 * e'Ae
+        with e = w - w*: the difference of the two losses cancels to
+        rounding noise once the gap is small against the losses."""
+        e = w - minimizer
+        return 0.5 * float(e @ self.matrix @ e)
+
     def full_gradient(self, w: np.ndarray) -> np.ndarray:
         # row-wise multiply+sum rather than a BLAS matvec: each coordinate
         # is reduced over its own row only, so block-sliced evaluation (the
@@ -58,9 +65,6 @@ class QuadraticObjective(namedtuple("QuadraticObjective", "matrix linear split_i
 
     def minimizer(self) -> np.ndarray:
         return np.linalg.solve(self.matrix, self.linear)
-
-    def optimum(self) -> float:
-        return self.loss(self.minimizer())
 
     def curvature_bounds(self) -> tuple[float, float]:
         """(strong-convexity constant, gradient Lipschitz constant): the
@@ -117,39 +121,41 @@ def contraction_factor(obj: QuadraticObjective, eta: float) -> float:
 
 
 def rate_check(obj: QuadraticObjective, w0: np.ndarray, eta: float,
-               steps: int) -> tuple[int | None, list[float], list[float]]:
+               steps: int) -> tuple[int | None, list[float], list[float], list[float]]:
     """Run split gradient descent and test the geometric contraction of the
     loss gap: gap_k <= rho^k * gap_0, with rho the exact per-step factor
-    ``contraction_factor(obj, eta)``.
+    ``contraction_factor(obj, eta)`` and each gap from ``obj.gap``.
 
     Returns the first step at which the bound fails (None if it never does),
-    the per-step gap ratios gap_{k+1}/gap_k and the measured gaps gap_k for
-    k = 1..steps.  Once the gap falls below float noise the bound check
-    stops and ratios are reported as 0; the gaps are always as measured.
+    the per-step gap ratios gap_{k+1}/gap_k, the measured gaps gap_k and the
+    bounds gap_0 * rho^k for k = 1..steps.  Once the gap falls below float
+    noise the bound check stops and ratios are reported as 0; the gaps are
+    always as measured.
     """
     limit = admissible_step_limit(obj)
     if not 0 < eta <= limit:
         raise StepSizeOutOfRange(f"eta={eta} outside (0, {limit}]")
 
-    optimum = obj.optimum()
-    gap0 = obj.loss(w0) - optimum
-    floor = _GAP_FLOOR_REL * max(abs(gap0), abs(optimum), 1.0)
+    minimizer = obj.minimizer()
+    gap0 = obj.gap(w0, minimizer)
+    floor = _GAP_FLOOR_REL * max(abs(gap0), abs(obj.loss(minimizer)), 1.0)
     factor = contraction_factor(obj, eta)
 
     w = w0
     previous_gap = gap0
     violated_at = None
-    ratios, gaps = [], []
+    ratios, gaps, bounds = [], [], []
     for k in range(1, steps + 1):
         w = split_step(obj, w, eta)
-        gap = obj.loss(w) - optimum
+        gap = obj.gap(w, minimizer)
         gaps.append(gap)
         ratios.append(gap / previous_gap if previous_gap > floor else 0.0)
         bound = gap0 * factor ** k
+        bounds.append(bound)
         if violated_at is None and gap > floor and gap > bound * (1.0 + 1e-9):
             violated_at = k
         previous_gap = gap
-    return violated_at, ratios, gaps
+    return violated_at, ratios, gaps, bounds
 
 
 def random_objective(rng: np.random.Generator, dim: int,
@@ -168,24 +174,23 @@ def random_objective(rng: np.random.Generator, dim: int,
 def run_lab(seed: int, dim: int, steps: int) -> dict:
     """One seeded lab run: random quadratic, learning rate at 90% of the
     admissible limit, geometric-bound check over the trajectory.  Each row's
-    ``bound`` is gap_0 * rho^k (see ``contraction_factor``)."""
+    ``bound`` is the gap_0 * rho^k that ``rate_check`` tested (see
+    ``contraction_factor``)."""
     rng = np.random.default_rng(seed)
     obj = random_objective(rng, dim)
     mu, lip = obj.curvature_bounds()
     eta = 0.9 * admissible_step_limit(obj)
     w0 = rng.standard_normal(dim)
 
-    violated_at, ratios, gaps = rate_check(obj, w0, eta, steps)
-    gap0 = obj.loss(w0) - obj.optimum()
-    factor = contraction_factor(obj, eta)
+    violated_at, ratios, gaps, bounds = rate_check(obj, w0, eta, steps)
 
     rows = [{
         "step": k,
         "gap": gap,
-        "bound": gap0 * factor ** k,
+        "bound": bound,
         "ratio": ratio,
         "within_bound": violated_at is None or k < violated_at,
-    } for k, (gap, ratio) in enumerate(zip(gaps, ratios), start=1)]
+    } for k, (gap, bound, ratio) in enumerate(zip(gaps, bounds, ratios), start=1)]
     return {
         "mu": mu,
         "lip": lip,

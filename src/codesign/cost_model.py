@@ -85,50 +85,19 @@ def _priced_segments(flops: list[float], data: list[float], device: DeviceProfil
 
 def _cut_rows(cut: int, t3: float, heads, tails, lambda1: float) -> list[tuple]:
     """The ``ROW_FIELDS`` rows of one cut with link time ``t3``: each head
-    segment (device 1) paired with each tail segment (device 2)."""
+    segment (device 1) paired with each tail segment (device 2).  The
+    accuracy loss (the penalties weighted by the FLOP split) and the
+    objective ``t_total + lambda1 * loss`` are computed here and nowhere
+    else."""
     rows = []
     for c1, m1, t1, f1, th1, p1 in heads:
         for c2, m2, t2, f2, th2, p2 in tails:
             t_total = t1 + t2 + t3
             lam_c = c1 / (c1 + c2)
-            loss = lam_c * p1 + (1 - lam_c) * p2  # as accuracy_loss
+            loss = lam_c * p1 + (1 - lam_c) * p2
             rows.append((t_total + lambda1 * loss, t_total, cut, th1, th2, t1, t2, t3,
                          loss, lam_c, m1 / (m1 + m2), f1, f2))
     return rows
-
-
-def _plan(model: ModelProfile, cut: int, theta1: FusionStrategy, theta2: FusionStrategy,
-          d1: DeviceProfile, d2: DeviceProfile, link: LinkProfile, penalty1: float,
-          penalty2: float, lambda1: float) -> PartitionPlan:
-    """One candidate whose sub-models lose ``penalty1``/``penalty2`` points."""
-    layers = model.layers
-    if not 1 <= cut < len(layers):
-        raise DegenerateSplit(f"cut={cut} leaves an empty segment (valid: 1..{len(layers) - 1})")
-    c1, m1 = running_load(layers[:cut], theta1)
-    c2, m2 = running_load(layers[cut:][::-1], theta2)
-    [row] = _cut_rows(cut, _transfer(layers[cut - 1].output_activation_bytes, link),
-                      _priced_segments(c1[-1:], m1[-1:], d1, theta1, penalty1),
-                      _priced_segments(c2[-1:], m2[-1:], d2, theta2, penalty2), lambda1)
-    return row_plan(row)
-
-
-def latency(model: ModelProfile, cut: int, theta1: FusionStrategy,
-            theta2: FusionStrategy, d1: DeviceProfile, d2: DeviceProfile,
-            link: LinkProfile) -> CostBreakdown:
-    """Latency-only breakdown of one candidate; each segment runs at its
-    device's roofline-attainable rate for the segment's intensity."""
-    return _plan(model, cut, theta1, theta2, d1, d2, link, 0.0, 0.0, 0.0).cost
-
-
-def accuracy_loss(theta1: FusionStrategy, theta2: FusionStrategy, lam: float,
-                  table: AccuracyPenaltyTable) -> float:
-    """Cut-weighted sum of the two sub-models' strategy penalties."""
-    return lam * table.penalty(1, theta1) + (1 - lam) * table.penalty(2, theta2)
-
-
-def lagrangian(cost: CostBreakdown, loss: float, lambda1: float) -> float:
-    """Scalarized objective; lambda1 carries seconds per accuracy point."""
-    return cost.t_total + lambda1 * loss
 
 
 def evaluate_plan(model: ModelProfile, cut: int, theta1: FusionStrategy,
@@ -137,8 +106,16 @@ def evaluate_plan(model: ModelProfile, cut: int, theta1: FusionStrategy,
                   lambda1: float) -> PartitionPlan:
     """Full evaluation of one candidate plan.  A latency, the accuracy loss
     or the objective that is not finite raises ``InvariantViolation``."""
-    plan = _plan(model, cut, theta1, theta2, d1, d2, link, table.penalty(1, theta1),
-                 table.penalty(2, theta2), lambda1)
+    layers = model.layers
+    if not 1 <= cut < len(layers):
+        raise DegenerateSplit(f"cut={cut} leaves an empty segment (valid: 1..{len(layers) - 1})")
+    c1, m1 = running_load(layers[:cut], theta1)
+    c2, m2 = running_load(layers[cut:][::-1], theta2)
+    [row] = _cut_rows(cut, _transfer(layers[cut - 1].output_activation_bytes, link),
+                      _priced_segments(c1[-1:], m1[-1:], d1, theta1, table.penalty(1, theta1)),
+                      _priced_segments(c2[-1:], m2[-1:], d2, theta2, table.penalty(2, theta2)),
+                      lambda1)
+    plan = row_plan(row)
     _require_finite(plan)
     return plan
 

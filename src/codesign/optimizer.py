@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 
-from .cost_model import ROW_FIELDS  # noqa: F401  (re-exported)
 from .cost_model import (PartitionPlan, _cut_rows, _price, _priced_segments, _require_finite,
                          _transfer, evaluate_plan, row_plan)
 from .errors import DegenerateSplit, NoFeasiblePlan
@@ -74,8 +73,8 @@ def evaluate_grid(model: ModelProfile, d1: DeviceProfile, d2: DeviceProfile,
                   link: LinkProfile, table: AccuracyPenaltyTable, lambda1: float,
                   require_feasible: bool = False) -> list[tuple]:
     """Every candidate of the grid, unranked, in one sweep: one tuple per
-    candidate laid out as ``ROW_FIELDS``.  ``sorted`` ranks the rows (see
-    ``plan_sort_key``) and ``row_plan`` turns one into a plan.
+    candidate laid out as ``cost_model.ROW_FIELDS``.  ``sorted`` ranks the
+    rows (see ``plan_sort_key``) and ``row_plan`` turns one into a plan.
 
     With ``require_feasible`` only candidates whose segments both reach
     their device's balance point are kept; ``NoFeasiblePlan`` is raised if
@@ -135,12 +134,17 @@ def snap_to_boundary(lam: float, model: ModelProfile) -> int:
     return min(model.boundaries, key=lambda k: (abs(fractions[k - 1] - lam), k))
 
 
-def _relaxed_latency_curve(model: ModelProfile, theta1: FusionStrategy,
-                           theta2: FusionStrategy, d1: DeviceProfile,
-                           d2: DeviceProfile, link: LinkProfile):
-    """``relaxed_total_latency`` as a function of lam alone.  The fractions,
-    prefix sums and boundary activations are built once, so each point costs
-    two binary searches."""
+def relaxed_latency_curve(model: ModelProfile, theta1: FusionStrategy,
+                          theta2: FusionStrategy, d1: DeviceProfile,
+                          d2: DeviceProfile, link: LinkProfile):
+    """Latency of a fractional cut, as a function of the fraction lam.
+
+    lam lives in cumulative-FLOP-fraction space (full structure).  Segment
+    FLOP/byte sums are linearly interpolated inside the layer the fraction
+    falls in; the shipped activation interpolates between boundary values.
+    The fractions, prefix sums and boundary activations are built once, so
+    each point costs two binary searches.
+    """
     layers = model.layers
     n = len(layers)
     grid = [0.0] + cumulative_flop_fractions(model)
@@ -186,19 +190,6 @@ def _relaxed_latency_curve(model: ModelProfile, theta1: FusionStrategy,
     return total
 
 
-def relaxed_total_latency(model: ModelProfile, lam: float,
-                          theta1: FusionStrategy, theta2: FusionStrategy,
-                          d1: DeviceProfile, d2: DeviceProfile,
-                          link: LinkProfile) -> float:
-    """Latency of a fractional cut.
-
-    lam lives in cumulative-FLOP-fraction space (full structure).  Segment
-    FLOP/byte sums are linearly interpolated inside the layer the fraction
-    falls in; the shipped activation interpolates between boundary values.
-    """
-    return _relaxed_latency_curve(model, theta1, theta2, d1, d2, link)(lam)
-
-
 def refine_lambda(model: ModelProfile, start: PartitionPlan, d1: DeviceProfile,
                   d2: DeviceProfile, link: LinkProfile, step: float,
                   iters: int = 500) -> tuple[float, list[tuple[float, float]]]:
@@ -209,7 +200,7 @@ def refine_lambda(model: ModelProfile, start: PartitionPlan, d1: DeviceProfile,
     h = 1e-6
     fractions = cumulative_flop_fractions(model)
     lam = fractions[start.cut_index - 1]
-    total = _relaxed_latency_curve(model, start.theta1, start.theta2, d1, d2, link)
+    total = relaxed_latency_curve(model, start.theta1, start.theta2, d1, d2, link)
 
     trace = [(lam, total(lam))]
     for _ in range(iters):

@@ -7,7 +7,7 @@ import math
 from collections import namedtuple
 from enum import Enum
 
-from .errors import DegenerateSplit, InvariantViolation
+from .errors import InvariantViolation
 from .profiles import DeviceProfile
 
 
@@ -56,27 +56,9 @@ def report(flops: float, data_bytes: float, device: DeviceProfile) -> IntensityR
     )
 
 
-def sub_intensities(lambda_c: float, lambda_m: float,
-                    base_intensity: float) -> tuple[float, float]:
-    """Intensities of the two segments after splitting a workload so that
-    segment 1 holds a fraction lambda_c of the FLOPs and lambda_m of the
-    bytes."""
-    if not 0 < lambda_c < 1 or not 0 < lambda_m < 1:
-        raise DegenerateSplit(f"lambda_c={lambda_c}, lambda_m={lambda_m}")
-    i1 = (lambda_c / lambda_m) * base_intensity
-    i2 = ((1 - lambda_c) / (1 - lambda_m)) * base_intensity
-    return i1, i2
-
-
 def reaches_balance(intensity: float, device: DeviceProfile) -> bool:
     """Whether ``intensity`` reaches the balance point (the device runs at peak)."""
     return intensity >= machine_balance(device)
-
-
-def feasibility(i1: float, i2: float, d1: DeviceProfile,
-                d2: DeviceProfile) -> tuple[bool, bool]:
-    """``reaches_balance`` of each segment on its device."""
-    return reaches_balance(i1, d1), reaches_balance(i2, d2)
 
 
 def effective_rate(device: DeviceProfile, intensity: float) -> float:

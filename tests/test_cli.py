@@ -419,10 +419,10 @@ def test_convergence_lab_prints_measured_gaps():
     obj = convergence.random_objective(rng, 16)
     eta = 0.9 * convergence.admissible_step_limit(obj)
     w = rng.standard_normal(16)
-    optimum = obj.optimum()
+    minimizer = obj.minimizer()
     for gap in printed:
         w = convergence.split_step(obj, w, eta)
-        assert gap == repr(obj.loss(w) - optimum)
+        assert gap == repr(obj.gap(w, minimizer))
     # the measured gaps stay informative below the noise floor
     assert sum(float(gap) != 0.0 for gap in printed) > 100
 
@@ -472,6 +472,13 @@ def test_simulate_matches_golden_files(tmp_path):
     assert log.read_bytes() == (GOLDEN / "paper_requests.csv").read_bytes()
 
 
+def test_report_matches_golden_file(tmp_path):
+    merged = tmp_path / "report.json"
+    assert cli.main(["report", "--plan", str(GOLDEN / "paper_plan.csv"),
+                     "--sim", str(GOLDEN / "paper_simulate.json"), "--out", str(merged)]) == 0
+    assert merged.read_bytes() == (GOLDEN / "paper_report.json").read_bytes()
+
+
 HELP_FLAGS = {
     "roofline": ["--config"],
     "cost": ["--config", "--cut", "--theta1", "--theta2"],
@@ -513,6 +520,25 @@ def test_unwritable_output_is_named(tmp_path, argv):
     assert result.stderr.startswith("UnwritableOutput: ")
 
 
+# commands that write two files, the second path a directory
+PARTIAL_OUTPUTS = {
+    "plan --trace-out --out": ["plan", "--refine", "--config", CONFIG,
+                               "--trace-out", "{first}", "--out", "{dir}"],
+    "simulate --csv --out": ["simulate", "--config", CONFIG, "--rate", "100", "--horizon", "1",
+                             "--csv", "{first}", "--out", "{dir}"],
+}
+
+
+@pytest.mark.parametrize("argv", PARTIAL_OUTPUTS.values(), ids=PARTIAL_OUTPUTS)
+def test_failed_second_write_leaves_no_first_file(tmp_path, argv):
+    first = tmp_path / "first.csv"
+    result = codesign(*[arg.format(first=first, dir=tmp_path) for arg in argv])
+    assert result.returncode == 1
+    assert re.match(r"^[A-Za-z]+: ", result.stderr)
+    assert result.stderr.startswith(f"UnwritableOutput: {tmp_path}: ")
+    assert not first.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["fuse-check", "--trials", "0"],
     ["fuse-check", "--trials", "-1"],
@@ -522,9 +548,11 @@ def test_unwritable_output_is_named(tmp_path, argv):
     ["convergence-lab", "--seed", "-1"],
     ["convergence-lab", "--dim", "-1"],
     ["convergence-lab", "--dim", "1"],
+    # random.Random seeds with abs(), so -1 would silently run as seed 1
+    ["simulate", "--config", CONFIG, "--rate", "100", "--horizon", "1", "--seed", "-1"],
 ])
 def test_vacuous_counts_and_negative_seeds_are_usage_errors(argv):
     result = codesign(*argv)
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
-    assert f"argument {argv[1]}: expected an integer >= " in result.stderr
+    assert f"argument {argv[-2]}: expected an integer >= " in result.stderr

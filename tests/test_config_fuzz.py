@@ -10,7 +10,7 @@ import warnings
 import pytest
 
 from codesign import optimizer
-from codesign.cost_model import COST_FIELDS
+from codesign.cost_model import COST_FIELDS, ROW_FIELDS
 from codesign.errors import CodesignError
 from codesign.profiles import Config, config_from_dict, config_to_dict
 from conftest import FIXTURES
@@ -88,5 +88,5 @@ def test_fuzzed_config_loads_finite_or_raises_domain_error(path, value):
                                            config.link, config.penalties, config.lambda1)
         except CodesignError:
             return
-    columns = [optimizer.ROW_FIELDS.index(name) for name in COST_FIELDS]
+    columns = [ROW_FIELDS.index(name) for name in COST_FIELDS]
     assert all(math.isfinite(row[index]) for row in rows for index in columns)

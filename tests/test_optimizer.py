@@ -3,7 +3,7 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 
-from codesign import optimizer, reparam, roofline
+from codesign import cost_model, optimizer, reparam, roofline
 from codesign.cost_model import evaluate_plan
 from codesign.errors import NoFeasiblePlan
 from codesign.profiles import (
@@ -233,7 +233,8 @@ def numpy_sweep(model, d1, d2, link, table, lambda1):
     penalty1 = np.array([table.penalty(1, s) for s in strategies])[None, :, None]
     penalty2 = np.array([table.penalty(2, s) for s in strategies])[None, None, :]
     loss = lam_c * penalty1 + (1 - lam_c) * penalty2
-    feasible1, feasible2 = roofline.feasibility(c1 / m1, c2 / m2, d1, d2)
+    feasible1 = roofline.reaches_balance(c1 / m1, d1)
+    feasible2 = roofline.reaches_balance(c2 / m2, d2)
     columns = {
         "cut": np.arange(1, len(layers))[:, None, None],
         "theta1": ranks[None, :, None], "theta2": ranks[None, None, :],
@@ -274,7 +275,7 @@ def test_sweep_bit_identical_to_numpy_sweep():
         rows = optimizer._sweep(*case)
         reference = numpy_sweep(*case)
         assert len(rows) == 16 * (len(case[0].layers) - 1)
-        for index, name in enumerate(optimizer.ROW_FIELDS):
+        for index, name in enumerate(cost_model.ROW_FIELDS):
             assert [row[index] for row in rows] == reference[name], name
 
 
@@ -317,8 +318,8 @@ def test_refine_descends_to_interior_minimum():
     assert abs(lam_star - 0.3) < 1e-3
     # dense grid scan oracle over the same relaxed curve
     grid = np.arange(1e-4, 1.0, 1e-4)
-    values = [optimizer.relaxed_total_latency(model, float(x), FULL, FULL, d1, d2, link)
-              for x in grid]
+    curve = optimizer.relaxed_latency_curve(model, FULL, FULL, d1, d2, link)
+    values = [curve(float(x)) for x in grid]
     assert abs(float(grid[int(np.argmin(values))]) - 0.3) < 2e-4
 
 
@@ -393,7 +394,7 @@ def test_snapped_refinement_beats_neighbors():
 
 # --- prefix-sum relaxation vs the O(n) reference ------------------------------
 
-def reference_relaxed_total_latency(model, lam, theta1, theta2, d1, d2, link):
+def reference_relaxed_latency(model, lam, theta1, theta2, d1, d2, link):
     """The relaxed latency re-summing every segment per call, kept as the
     reference the prefix-sum version must match bit for bit."""
     eps = 1e-9
@@ -439,8 +440,7 @@ def reference_trace(model, start, d1, d2, link, step, iters):
     lam = optimizer.cumulative_flop_fractions(model)[start.cut_index - 1]
 
     def total(x):
-        return reference_relaxed_total_latency(model, x, start.theta1, start.theta2,
-                                               d1, d2, link)
+        return reference_relaxed_latency(model, x, start.theta1, start.theta2, d1, d2, link)
 
     trace = [(lam, total(lam))]
     for _ in range(iters):
@@ -473,6 +473,6 @@ def test_refine_trace_bit_identical_to_reference(case):
     for start, step in ((winner, 1e-3), (mixed, 1e-3), (mixed, 50.0)):
         _, trace = optimizer.refine_lambda(model, start, d1, d2, link, step, 500)
         assert trace == reference_trace(model, start, d1, d2, link, step, 500)
+    curve = optimizer.relaxed_latency_curve(model, S3_SKIP, FULL, d1, d2, link)
     for lam in np.linspace(0.0, 1.0, 97).tolist():
-        assert optimizer.relaxed_total_latency(model, lam, S3_SKIP, FULL, d1, d2, link) == \
-            reference_relaxed_total_latency(model, lam, S3_SKIP, FULL, d1, d2, link)
+        assert curve(lam) == reference_relaxed_latency(model, lam, S3_SKIP, FULL, d1, d2, link)
