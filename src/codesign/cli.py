@@ -8,6 +8,15 @@ report.  Tabular output is CSV, structured output is JSON (schema version
 Each subcommand imports the modules it runs when it runs, so only
 fuse-check and convergence-lab load numpy.
 
+``run`` is the process entry of the ``codesign`` script and of ``python -m
+codesign``.  It turns the cyclic garbage collector off for the whole
+command and freezes every object at exit, so neither the passes that
+allocation would trigger nor the interpreter's full collections at exit
+scan the ~12-22k objects that import leaves: a command makes no cyclic
+garbage that grows with its work (argparse's parser, a few hundred objects,
+is the only cycle), and every file it writes is closed in ``_emit``.
+``main`` leaves the collector alone, so in-process callers keep it.
+
 With CODESIGN_TRACE=1, ``plan`` prints one JSON line per stage to stderr:
 {"stage": ..., "seconds": ..., "items": ...}.  stdout is unchanged.
 """
@@ -17,6 +26,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
@@ -31,6 +41,8 @@ from .profiles import FULL_STRUCTURE, FusionStrategy, _read_json, load_config, p
 
 SCHEMA_VERSION = 1
 
+STDOUT = "<stdout>"   # how an error names standard output
+
 PLAN_COLUMNS = ["model", "cut", "theta1", "theta2", "t1", "t2", "t3",
                 "t_total", "dA", "L", "feasible1", "feasible2"]
 
@@ -42,24 +54,27 @@ _FLAG_PAIRS = (("false,false", "false,true"), ("true,false", "true,true"))
 
 def _emit(*outputs: tuple[str | None, str]):
     """Write each (path, text) in order, to stdout where the path is None.
-    A file that cannot be written (``--out``, ``--trace-out``, ``--csv``)
-    raises ``UnwritableOutput`` naming its path, after the files this call
-    already wrote are removed: a failed command leaves no partial output."""
+    An output that cannot be written (``--out``, ``--trace-out``, ``--csv``,
+    or stdout, which is flushed here) raises ``UnwritableOutput`` naming its
+    path or ``<stdout>``, after the files this call already wrote are
+    removed: a failed command leaves no partial output."""
     written = []
     for path, text in outputs:
-        if not path:
-            sys.stdout.write(text)
-            continue
         try:
-            Path(path).write_text(text)
+            if path:
+                Path(path).write_text(text)
+            else:
+                sys.stdout.write(text)
+                sys.stdout.flush()
         except OSError as exc:
             for done in written:
                 # a device such as /dev/null is not removed
                 if os.path.isfile(done):
                     with contextlib.suppress(OSError):
                         os.remove(done)
-            raise UnwritableOutput(f"{path}: {exc.strerror or exc}") from None
-        written.append(path)
+            raise UnwritableOutput(f"{path or STDOUT}: {exc.strerror or exc}") from None
+        if path:
+            written.append(path)
 
 
 def _dump_json(payload: dict) -> str:
@@ -442,5 +457,36 @@ def main(argv=None) -> int:
         return 1
 
 
+def run():
+    """Run ``main`` as the whole process and exit with its code.  The
+    collector is off while the command runs (numpy's lazy import included),
+    and ``gc.freeze`` on every way out, ``--help`` and argparse's exits
+    included, leaves the interpreter's collections at exit nothing to scan."""
+    gc.disable()
+    try:
+        code = main()
+    except SystemExit as exc:           # argparse: --help and usage errors
+        code = exc.code
+    finally:
+        gc.freeze()
+    sys.exit(_settle_stdout(code))
+
+
+def _settle_stdout(code):
+    """``code``, after a last flush of stdout.  If stdout cannot take what
+    is left in its buffer, fd 1 is pointed at os.devnull, so the
+    interpreter's own flush at exit is silent (the recipe for a broken pipe
+    in the ``signal`` docs), and a command that had not failed yet fails
+    with a named error."""
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not code:
+            print(f"UnwritableOutput: {STDOUT}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,0 +1,211 @@
+"""The process entry, ``cli.run``: ``codesign`` and ``python -m codesign``
+run each command with the cyclic garbage collector off and frozen at exit,
+keep every exit code and output, and name a stdout that cannot be written.
+``cli.main`` leaves the collector as it found it."""
+
+import contextlib
+import gc
+import io
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from codesign import cli
+from codesign.profiles import ModelProfile, config_to_dict, load_config
+from codesign.reparam import rep_block_layer
+from conftest import FIXTURES
+
+CONFIG = str(FIXTURES / "paper.json")
+GOLDEN = Path(__file__).parent / "golden"
+
+# `python -m codesign` with an atexit probe; atexit handlers run after
+# `cli.run` returned and before the interpreter's collections at exit
+PROBE = """
+import atexit, gc, os, runpy
+atexit.register(lambda: os.write(2, f"\\nprobe {gc.isenabled()} {gc.get_freeze_count()}".encode()))
+runpy.run_module("codesign", run_name="__main__", alter_sys=True)
+"""
+
+
+def _bad_config(tmp_path) -> str:
+    raw = json.loads(Path(CONFIG).read_text())
+    raw["link"]["bandwidth"] = -5.0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    return str(bad)
+
+
+def _env(**changes) -> dict:
+    env = dict(os.environ, COLUMNS="80")
+    for key, value in changes.items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
+    return env
+
+
+EXIT_PATHS = {
+    "plan": (["plan", "--config", CONFIG], 0),
+    "domain error": (["plan", "--config", "{bad}"], 1),
+    "usage error": (["plan"], 2),
+    "--help": (["--help"], 0),
+}
+
+
+@pytest.mark.parametrize("argv, code", EXIT_PATHS.values(), ids=EXIT_PATHS)
+def test_entry_runs_collector_off_and_frozen_on_every_exit_path(tmp_path, monkeypatch,
+                                                                argv, code):
+    argv = [arg.format(bad=_bad_config(tmp_path)) for arg in argv]
+    plain = subprocess.run([sys.executable, "-m", "codesign", *argv],
+                           capture_output=True, env=_env())
+    probed = subprocess.run([sys.executable, "-c", PROBE, *argv],
+                            capture_output=True, env=_env())
+    assert plain.returncode == probed.returncode == code
+    assert plain.stdout == probed.stdout
+    stderr, probe = probed.stderr.decode().rsplit("\nprobe ", 1)
+    enabled, frozen = probe.split()
+    assert enabled == "False" and int(frozen) > 0
+    assert stderr.strip() == plain.stderr.decode().strip()
+    if code == 1:
+        assert plain.stdout == b""
+        assert plain.stderr.decode().startswith("NonPositiveQuantity: link.bandwidth")
+    elif code == 2:
+        assert plain.stdout == b""
+        assert "the following arguments are required: --config" in plain.stderr.decode()
+    elif argv == ["--help"]:
+        monkeypatch.setenv("COLUMNS", "80")
+        assert plain.stdout.decode() == cli.build_parser().format_help()
+    else:
+        assert plain.stdout == (GOLDEN / "paper_plan.csv").read_bytes()
+
+
+def test_main_leaves_the_collector_as_it_was(tmp_path):
+    argvs = [["plan", "--config", CONFIG], ["plan", "--config", _bad_config(tmp_path)],
+             ["plan"], ["--help"]]
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                cli.main(argv)
+            except SystemExit:
+                pass
+        assert gc.isenabled() == enabled, argv
+        assert gc.get_freeze_count() == frozen, argv
+
+
+def _rep_config(tmp_path, depth: int) -> str:
+    config = load_config(CONFIG)
+    widths = (16, 32, 64)
+    model = ModelProfile(f"rep-d{depth}", tuple(
+        rep_block_layer(i, widths[i * 3 // depth], 8, 8) for i in range(depth)))
+    path = tmp_path / f"rep{depth}.json"
+    path.write_text(json.dumps(config_to_dict(config._replace(model=model))))
+    return str(path)
+
+
+# each command at a small and a large amount of work
+WORK_SIZES = {
+    "fuse-check": lambda tmp: [["fuse-check", "--trials", n] for n in ("2", "50")],
+    "convergence-lab": lambda tmp: [["convergence-lab", "--steps", n] for n in ("10", "2000")],
+    "simulate --csv": lambda tmp: [
+        ["simulate", "--config", CONFIG, "--rate", "2000", "--horizon", h,
+         "--csv", str(tmp / "requests.csv")] for h in ("0.05", "5")],
+    "plan": lambda tmp: [["plan", "--refine", "--config", _rep_config(tmp, depth),
+                          "--trace-out", str(tmp / "trace.csv")] for depth in (56, 224)],
+}
+
+
+@pytest.mark.parametrize("sizes", WORK_SIZES.values(), ids=WORK_SIZES)
+def test_cyclic_garbage_does_not_grow_with_work(tmp_path, sizes):
+    # with the collector off, what a command leaves for it must not depend
+    # on how much work the command did
+    small, large = sizes(tmp_path)
+
+    def garbage(argv) -> int:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(argv) == 0, argv
+        return gc.collect()
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        garbage(small)      # imports and first-use caches
+        counts = [garbage(small), garbage(large)]
+    finally:
+        if enabled:
+            gc.enable()
+    assert counts[0] == counts[1], counts
+
+
+# ---------------------------------------------------------------------------
+# A stdout that cannot be written
+# ---------------------------------------------------------------------------
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+BUFFERING = {"buffered": None, "unbuffered": "1"}
+
+
+def _assert_named_stdout_error(result, code=1):
+    assert result.returncode == code
+    stderr = result.stderr.decode()
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr
+    assert re.fullmatch(r"UnwritableOutput: <stdout>: [^\n]+\n", stderr), stderr
+
+
+@needs_dev_full
+@pytest.mark.parametrize("unbuffered", BUFFERING.values(), ids=BUFFERING)
+@pytest.mark.parametrize("argv", [
+    ["roofline", "--config", CONFIG],
+    ["plan", "--config", CONFIG],
+])
+def test_full_stdout_is_named(argv, unbuffered):
+    with open("/dev/full", "wb") as full:
+        result = subprocess.run([sys.executable, "-m", "codesign", *argv], stdout=full,
+                                stderr=subprocess.PIPE, env=_env(PYTHONUNBUFFERED=unbuffered))
+    _assert_named_stdout_error(result)
+
+
+@needs_dev_full
+def test_help_that_stays_in_the_buffer_is_named():
+    # argparse drops a failed write of the help itself (so unbuffered, the
+    # help is lost silently); buffered, it fails at the entry's last flush
+    with open("/dev/full", "wb") as full:
+        result = subprocess.run([sys.executable, "-m", "codesign", "--help"], stdout=full,
+                                stderr=subprocess.PIPE, env=_env(PYTHONUNBUFFERED=None))
+    _assert_named_stdout_error(result)
+
+
+@pytest.mark.parametrize("unbuffered", BUFFERING.values(), ids=BUFFERING)
+def test_broken_pipe_is_named(tmp_path, unbuffered):
+    # a pipe whose reader has gone, as after `codesign plan ... | head -c 100`
+    config = _rep_config(tmp_path, 224)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run([sys.executable, "-m", "codesign", "plan", "--config", config],
+                                stdout=write_end, stderr=subprocess.PIPE,
+                                env=_env(PYTHONUNBUFFERED=unbuffered))
+    finally:
+        os.close(write_end)
+    _assert_named_stdout_error(result)
+
+
+@needs_dev_full
+@pytest.mark.parametrize("unbuffered", BUFFERING.values(), ids=BUFFERING)
+def test_failed_stdout_removes_the_files_already_written(tmp_path, unbuffered):
+    log = tmp_path / "requests.csv"
+    with open("/dev/full", "wb") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "codesign", "simulate", "--config", CONFIG, "--rate", "100",
+             "--horizon", "1", "--csv", str(log)],
+            stdout=full, stderr=subprocess.PIPE, env=_env(PYTHONUNBUFFERED=unbuffered))
+    _assert_named_stdout_error(result)
+    assert not log.exists()
