@@ -188,12 +188,10 @@ def _cmd_plan(args) -> int:
     clock.lap("rank", len(rows))
     outputs = []
     if args.trace_out:
-        # the grid is exhaustive, so the snapped plan never beats its winner;
-        # only the descent trace is reported, so the descent runs only when
+        # the descent is reported only by its trace, so it runs only when
         # the trace is written
-        _, _, trace = optimizer.refine_and_snap(
-            config.model, optimizer.row_plan(rows[0]), config.device1, config.device2,
-            config.link, config.penalties, config.lambda1)
+        _, trace = optimizer.refine_lambda(config.model, optimizer.row_plan(rows[0]),
+                                           config.device1, config.device2, config.link)
         outputs.append((args.trace_out, _csv_text(
             ["iteration", "lambda", "t_total"],
             [[i, repr(lam), repr(t)] for i, (lam, t) in enumerate(trace)])))
@@ -332,7 +330,10 @@ def build_report(plan_path, sim_path=None) -> dict:
         "analytical_only": True,
     }
     if sim_path is not None:
-        sim = _read_json(sim_path)
+        try:
+            sim = _read_json(sim_path, number=_finite)
+        except ValueError as exc:       # from _finite: NaN, Infinity or 1e400
+            raise SchemaMismatch(f"{sim_path}: {exc} is not a finite number") from None
         # {} means no simulation; any other document must be a report
         if sim != {}:
             if not isinstance(sim, dict) or "model" not in sim or "throughput" not in sim:
@@ -354,24 +355,46 @@ def _cmd_report(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _int_at_least(minimum: int):
-    """argparse type: an integer >= ``minimum``; anything else is a usage
-    error.  So a count of 0 cannot pass a check that never ran, numpy never
-    sees a negative seed, and ``random.Random``, which seeds with the
+# convergence-lab holds dim x dim matrices and about 0.9 KB per step: at
+# these limits each takes about 0.1 GB
+MAX_LAB_DIM = 1024
+MAX_LAB_STEPS = 100_000
+
+
+def _int_at_least(minimum: int, maximum: int | None = None):
+    """argparse type: an integer >= ``minimum`` (and <= ``maximum``, if
+    given); anything else is a usage error.  So a count of 0 cannot pass a
+    check that never ran, numpy never sees a negative seed or a size it
+    cannot allocate, and ``random.Random``, which seeds with the
     absolute value, never makes ``--seed -5`` a silent ``--seed 5``."""
+    expected = f"an integer >= {minimum}" + (
+        "" if maximum is None else f" and <= {maximum}")
+
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             value = None
-        if value is None or value < minimum:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        if value is None or value < minimum or (maximum is not None and value > maximum):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
         return value
     return parse
 
 
+class _Parser(argparse.ArgumentParser):
+    """Help for stdout goes through ``_emit``, so a stdout that cannot take
+    it is named: argparse's own write drops the error (Python 3.11+) or
+    raises it as a traceback (3.10)."""
+
+    def print_help(self, file=None):
+        if file is None:
+            _emit((None, self.format_help()))
+        else:
+            super().print_help(file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="codesign",
         description="Joint cut-point / branch-fusion planner for a two-device "
                     "edge inference pipeline.")
@@ -416,8 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convergence-lab",
                        help="split-update geometric convergence check on a random quadratic")
     p.add_argument("--seed", type=seed, default=0)
-    p.add_argument("--dim", type=_int_at_least(2), default=16)
-    p.add_argument("--steps", type=count, default=200)
+    p.add_argument("--dim", type=_int_at_least(2, MAX_LAB_DIM), default=16)
+    p.add_argument("--steps", type=_int_at_least(1, MAX_LAB_STEPS), default=200)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_convergence_lab)
 
@@ -445,12 +468,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "plan" and args.trace_out is not None and not args.refine:
-        parser.error("plan: --trace-out needs --refine")
-    if args.command == "simulate" and args.cut is None and (args.theta1 or args.theta2):
-        parser.error("simulate: --theta1 and --theta2 need --cut")
     try:
+        # inside the try: --help on a stdout that cannot take it is named
+        args = parser.parse_args(argv)
+        if args.command == "plan" and args.trace_out is not None and not args.refine:
+            parser.error("plan: --trace-out needs --refine")
+        if args.command == "simulate" and args.cut is None and (args.theta1 or args.theta2):
+            parser.error("simulate: --theta1 and --theta2 need --cut")
         return args.func(args)
     except CodesignError as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)

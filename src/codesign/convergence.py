@@ -57,12 +57,6 @@ class QuadraticObjective(namedtuple("QuadraticObjective", "matrix linear split_i
         e = w - minimizer
         return 0.5 * float(e @ self.matrix @ e)
 
-    def full_gradient(self, w: np.ndarray) -> np.ndarray:
-        # row-wise multiply+sum rather than a BLAS matvec: each coordinate
-        # is reduced over its own row only, so block-sliced evaluation (the
-        # split path) reproduces the same bits for any dimension
-        return (self.matrix * w).sum(axis=1) - self.linear
-
     def minimizer(self) -> np.ndarray:
         return np.linalg.solve(self.matrix, self.linear)
 

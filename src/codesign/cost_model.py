@@ -43,8 +43,10 @@ PartitionPlan = namedtuple("PartitionPlan",
 
 
 # Fields of a row, in order: one candidate as the grid sweep and
-# ``evaluate_plan`` both build it.  The first five are the canonical sort key
-# (see ``optimizer.plan_sort_key``), so sorting row tuples ranks them.
+# ``evaluate_plan`` both build it.  The first five are the ranking: objective,
+# then latency, then cut, then each strategy's declaration order.  So sorting
+# row tuples ranks them, and exact ties break the same way whatever order
+# the candidates were evaluated in.
 ROW_FIELDS = ("lagrangian", "t_total", "cut", "theta1", "theta2", "t1", "t2", "t3",
               "accuracy_loss", "lambda_c", "lambda_m", "feasible1", "feasible2")
 
@@ -62,7 +64,7 @@ def row_plan(row: tuple) -> PartitionPlan:
 
 
 def _price(flops: float, data: float, device: DeviceProfile) -> tuple[float, bool]:
-    """Seconds of a segment at ``device``'s roofline-attainable rate, and
+    """Seconds of a segment at ``device``'s roofline rate, and
     whether the segment reaches the device's balance point."""
     intensity = flops / data
     rate = roofline.effective_rate(device, intensity)

@@ -9,12 +9,10 @@ the same way it costs a single plan.  That is O(n) work plus one sort of the
 16(n-1) rows; every row, the winner included, carries exactly the values
 ``cost`` prints, and ties are broken on exact keys.
 
-A gradient-descent refinement of the cut fraction on a continuous relaxation
-is a demonstrative extra: it descends from the grid winner, snaps the result
-back to a boundary and evaluates it and its neighbors.  The grid is
-exhaustive, so the snapped plan never beats the grid winner.  Each relaxed
-point costs O(log n): binary searches over prefix sums built once per
-refinement, with segments priced by ``cost_model``.
+``refine_lambda`` is gradient descent from the grid winner on a continuous
+relaxation of the cut fraction, reported as its (lambda, T_total) trace.
+Each relaxed point costs O(log n): binary searches over prefix sums built
+once per descent, with segments priced by ``cost_model``.
 """
 
 from __future__ import annotations
@@ -23,11 +21,10 @@ import math
 from bisect import bisect_right
 
 from .cost_model import (PartitionPlan, _cut_rows, _price, _priced_segments, _require_finite,
-                         _transfer, evaluate_plan, row_plan)
+                         _transfer, row_plan)
 from .errors import DegenerateSplit, NoFeasiblePlan
 from .profiles import (
     FULL_STRUCTURE,
-    STRATEGY_RANK,
     AccuracyPenaltyTable,
     DeviceProfile,
     FusionStrategy,
@@ -37,14 +34,6 @@ from .profiles import (
 )
 
 _EPS = 1e-9
-
-
-def plan_sort_key(plan: PartitionPlan):
-    """Canonical ranking: objective, then latency, then cut, then strategy
-    declaration order.  Ties are broken identically no matter what order
-    candidates were evaluated in."""
-    return (plan.cost.lagrangian, plan.cost.t_total, plan.cut_index,
-            STRATEGY_RANK[plan.theta1], STRATEGY_RANK[plan.theta2])
 
 
 def _sweep(model: ModelProfile, d1: DeviceProfile, d2: DeviceProfile, link: LinkProfile,
@@ -74,7 +63,8 @@ def evaluate_grid(model: ModelProfile, d1: DeviceProfile, d2: DeviceProfile,
                   require_feasible: bool = False) -> list[tuple]:
     """Every candidate of the grid, unranked, in one sweep: one tuple per
     candidate laid out as ``cost_model.ROW_FIELDS``.  ``sorted`` ranks the
-    rows (see ``plan_sort_key``) and ``row_plan`` turns one into a plan.
+    rows (the order ``ROW_FIELDS`` states) and ``row_plan`` turns one into a
+    plan.
 
     With ``require_feasible`` only candidates whose segments both reach
     their device's balance point are kept; ``NoFeasiblePlan`` is raised if
@@ -93,13 +83,6 @@ def evaluate_grid(model: ModelProfile, d1: DeviceProfile, d2: DeviceProfile,
         if not rows:
             raise NoFeasiblePlan("every candidate violates an intensity requirement")
     return rows
-
-
-def enumerate_plans(model: ModelProfile, d1: DeviceProfile, d2: DeviceProfile,
-                    link: LinkProfile, table: AccuracyPenaltyTable,
-                    lambda1: float) -> list[PartitionPlan]:
-    """Evaluate every candidate and return them ranked best-first."""
-    return [row_plan(row) for row in sorted(evaluate_grid(model, d1, d2, link, table, lambda1))]
 
 
 def grid_search(model: ModelProfile, d1: DeviceProfile, d2: DeviceProfile,
@@ -125,13 +108,6 @@ def cumulative_flop_fractions(model: ModelProfile) -> list[float]:
     boundary k; the last entry is 1.0."""
     sums = running_load(model.layers, FULL_STRUCTURE)[0]
     return [acc / sums[-1] for acc in sums]
-
-
-def snap_to_boundary(lam: float, model: ModelProfile) -> int:
-    """Interior boundary whose cumulative-FLOP fraction is nearest to lam;
-    ties go to the smaller index."""
-    fractions = cumulative_flop_fractions(model)
-    return min(model.boundaries, key=lambda k: (abs(fractions[k - 1] - lam), k))
 
 
 def relaxed_latency_curve(model: ModelProfile, theta1: FusionStrategy,
@@ -191,7 +167,7 @@ def relaxed_latency_curve(model: ModelProfile, theta1: FusionStrategy,
 
 
 def refine_lambda(model: ModelProfile, start: PartitionPlan, d1: DeviceProfile,
-                  d2: DeviceProfile, link: LinkProfile, step: float,
+                  d2: DeviceProfile, link: LinkProfile, step: float = 1e-3,
                   iters: int = 500) -> tuple[float, list[tuple[float, float]]]:
     """Gradient descent on the relaxed latency curve from a discrete plan's
     cut.  Returns the final fraction (clamped to (0, 1)) and the
@@ -209,20 +185,3 @@ def refine_lambda(model: ModelProfile, start: PartitionPlan, d1: DeviceProfile,
         trace.append((lam, total(lam)))
     return lam, trace
 
-
-def refine_and_snap(model: ModelProfile, start: PartitionPlan, d1: DeviceProfile,
-                    d2: DeviceProfile, link: LinkProfile,
-                    table: AccuracyPenaltyTable, lambda1: float,
-                    step: float = 1e-3, iters: int = 500,
-                    ) -> tuple[PartitionPlan, float, list[tuple[float, float]]]:
-    """Refine the cut fraction, snap it back to a boundary, and keep the
-    best discrete plan among the snapped boundary and its neighbors."""
-    lam_star, trace = refine_lambda(model, start, d1, d2, link, step, iters)
-    snapped = snap_to_boundary(lam_star, model)
-    candidates = {snapped}
-    for neighbor in (snapped - 1, snapped + 1):
-        if neighbor in model.boundaries:
-            candidates.add(neighbor)
-    plans = [evaluate_plan(model, cut, start.theta1, start.theta2, d1, d2,
-                           link, table, lambda1) for cut in sorted(candidates)]
-    return min(plans, key=plan_sort_key), lam_star, trace

@@ -358,7 +358,9 @@ def config_to_dict(config: Config) -> dict:
     }
 
 
-def _read_json(path) -> dict:
+def _read_json(path, number=None) -> dict:
+    """The JSON document at ``path``; ``number``, if given, parses each
+    non-integer number and each NaN or Infinity constant."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -367,7 +369,7 @@ def _read_json(path) -> dict:
     except UnicodeDecodeError as exc:
         raise InvalidConfig(f"{path}: {exc}") from None
     try:
-        return json.loads(text)
+        return json.loads(text, parse_float=number, parse_constant=number)
     except json.JSONDecodeError as exc:
         raise InvalidConfig(f"{path}: {exc}") from None
 
@@ -378,7 +380,7 @@ def load_config(path) -> Config:
 
 
 def load_device(path) -> DeviceProfile:
-    """Read a single-device spec file (the fixtures under fixtures/devices/)."""
+    """Read a single-device spec file, such as fixtures/jetson_*.json."""
     return device_from_dict(_read_json(path), Path(path).stem)
 
 

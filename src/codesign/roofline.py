@@ -16,9 +16,8 @@ class Bottleneck(Enum):
     MEMORY = "MC"
 
 
-# intensity in FLOP/byte; bottleneck a Bottleneck; attainable in FLOP/s
-# under the roofline, before utilization.
-IntensityReport = namedtuple("IntensityReport", "intensity bottleneck attainable")
+# intensity in FLOP/byte; bottleneck a Bottleneck.
+IntensityReport = namedtuple("IntensityReport", "intensity bottleneck")
 
 
 def machine_balance(device: DeviceProfile) -> float:
@@ -49,11 +48,7 @@ def report(flops: float, data_bytes: float, device: DeviceProfile) -> IntensityR
         if not math.isfinite(value):
             raise InvariantViolation(f"{name} is {value!r} on {device.name}; "
                                      f"the config's magnitudes overflow float arithmetic")
-    return IntensityReport(
-        intensity=intensity,
-        bottleneck=classify(intensity, device),
-        attainable=min(device.peak_compute, intensity * device.mem_bandwidth),
-    )
+    return IntensityReport(intensity=intensity, bottleneck=classify(intensity, device))
 
 
 def reaches_balance(intensity: float, device: DeviceProfile) -> bool:
@@ -62,7 +57,7 @@ def reaches_balance(intensity: float, device: DeviceProfile) -> bool:
 
 
 def effective_rate(device: DeviceProfile, intensity: float) -> float:
-    """Attainable FLOP/s: bandwidth-limited below the ridge point, capped at
+    """The roof's FLOP/s: bandwidth-limited below the ridge point, capped at
     the (utilization-scaled) compute roof above it.  The cap matters: an
     uncapped bandwidth*intensity rate would exceed peak for intense
     workloads, which is unphysical."""

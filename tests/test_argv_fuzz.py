@@ -20,6 +20,9 @@ st = hypothesis.strategies
 GOLDEN = Path(__file__).parent / "golden"
 
 INTS = st.integers(-3, 4).map(str)
+# a dim the lab cannot allocate; no oversized --steps is drawn, because it
+# would run, with memory growing per step
+DIMS = st.one_of(INTS, st.just("100000"))
 # 100 * 100 arrivals at most, unless rate * horizon is over the loader's cap
 FLOATS = st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "0", "-0.0",
                           "-1", "0.5", "1", "100"])
@@ -29,16 +32,17 @@ STRATEGIES = st.sampled_from([s.value for s in FusionStrategy] + ["conv5"])
 # a path is drawn by name and resolved against each test's directory; an
 # input is the real file half of the time
 PATHS = ["dir", "missing/parent", "/dev/null", "out"]
+NAN_SIM = "nan-sim.json"    # a simulation report whose throughput is NaN
 OUTS = st.sampled_from(PATHS)
 
 
-def _inputs(real: Path):
-    return st.sampled_from([str(real)] * len(PATHS) + PATHS)
+def _inputs(real: Path, *others: str):
+    return st.sampled_from([str(real)] * len(PATHS) + PATHS + list(others))
 
 
 CONFIGS = _inputs(FIXTURES / "paper.json")
 PLANS = _inputs(GOLDEN / "paper_plan.csv")
-SIMS = _inputs(GOLDEN / "paper_simulate.json")
+SIMS = _inputs(GOLDEN / "paper_simulate.json", NAN_SIM)
 
 FLAGS = {
     "roofline": {"--config": CONFIGS, "--out": OUTS, "--theta": STRATEGIES},
@@ -47,7 +51,7 @@ FLAGS = {
     "plan": {"--config": CONFIGS, "--out": OUTS, "--strict": st.just(None),
              "--refine": st.just(None), "--trace-out": OUTS},
     "fuse-check": {"--seed": INTS, "--trials": INTS, "--out": OUTS},
-    "convergence-lab": {"--seed": INTS, "--dim": INTS, "--steps": INTS, "--out": OUTS},
+    "convergence-lab": {"--seed": INTS, "--dim": DIMS, "--steps": INTS, "--out": OUTS},
     "simulate": {"--config": CONFIGS, "--rate": FLOATS, "--horizon": FLOATS,
                  "--seed": INTS, "--warmup": FLOATS, "--cut": CUTS, "--theta1": STRATEGIES,
                  "--theta2": STRATEGIES, "--csv": OUTS, "--out": OUTS},
@@ -80,7 +84,8 @@ def _resolve(argv, workdir: Path):
     resolved = []
     for arg in argv:
         flag, _, value = arg.partition("=")
-        resolved.append(f"{flag}={workdir / value}" if value in PATHS[:2] + PATHS[3:] else arg)
+        resolved.append(f"{flag}={workdir / value}"
+                        if value in PATHS[:2] + PATHS[3:] + [NAN_SIM] else arg)
     return resolved
 
 
@@ -94,6 +99,7 @@ def _assert_finite(text: str, argv):
 def workdir(tmp_path_factory) -> Path:
     root = tmp_path_factory.mktemp("argv")
     (root / "dir").mkdir()
+    (root / NAN_SIM).write_text('{"model": "repvgg-mini", "throughput": NaN}')
     return root
 
 

@@ -291,6 +291,19 @@ def test_report_rejects_falsy_sim_that_is_not_an_object(tmp_path, capsys, docume
     assert captured.err == f"SchemaMismatch: {sim_json} is not a simulation report\n"
 
 
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_report_rejects_a_sim_number_that_is_not_finite(tmp_path, capsys, number):
+    # json reads each of these (1e400 as inf), but printed back none is a
+    # finite number
+    sim_json = tmp_path / "sim.json"
+    sim_json.write_text(f'{{"model": "repvgg-mini", "throughput": {number}}}')
+    assert cli.main(["report", "--plan", str(GOLDEN / "paper_plan.csv"),
+                     "--sim", str(sim_json)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"SchemaMismatch: {sim_json}: {number} is not a finite number\n"
+
+
 NOT_UTF8 = b"\xff\xfe{"
 
 
@@ -550,6 +563,9 @@ def test_failed_second_write_leaves_no_first_file(tmp_path, argv):
     ["convergence-lab", "--dim", "1"],
     # random.Random seeds with abs(), so -1 would silently run as seed 1
     ["simulate", "--config", CONFIG, "--rate", "100", "--horizon", "1", "--seed", "-1"],
+    # past these the lab's memory, not its checks, would end the run
+    ["convergence-lab", "--dim", "1025"],
+    ["convergence-lab", "--steps", "100001"],
 ])
 def test_vacuous_counts_and_negative_seeds_are_usage_errors(argv):
     result = codesign(*argv)

@@ -75,7 +75,8 @@ def test_every_segment_sum_adds_layers_in_one_order():
     plan = cost_model.evaluate_plan(model, 3, S3, S3, unit, unit, simple_link(),
                                     zero_table(), 0.0)
     assert plan.cost.t1 == 1e16
-    plans = optimizer.enumerate_plans(model, unit, unit, simple_link(), zero_table(), 0.0)
+    plans = map(optimizer.row_plan,
+                optimizer.evaluate_grid(model, unit, unit, simple_link(), zero_table(), 0.0))
     assert {plan.cost.t1 for plan in plans if plan.cut_index == 3} == {1e16}
 
 

@@ -165,6 +165,8 @@ def _assert_named_stdout_error(result, code=1):
 @pytest.mark.parametrize("argv", [
     ["roofline", "--config", CONFIG],
     ["plan", "--config", CONFIG],
+    ["--help"],
+    ["plan", "--help"],
 ])
 def test_full_stdout_is_named(argv, unbuffered):
     with open("/dev/full", "wb") as full:
@@ -175,8 +177,8 @@ def test_full_stdout_is_named(argv, unbuffered):
 
 @needs_dev_full
 def test_help_that_stays_in_the_buffer_is_named():
-    # argparse drops a failed write of the help itself (so unbuffered, the
-    # help is lost silently); buffered, it fails at the entry's last flush
+    # the help goes through ``cli._emit``, whose flush fails here; argparse's
+    # own write would drop the error
     with open("/dev/full", "wb") as full:
         result = subprocess.run([sys.executable, "-m", "codesign", "--help"], stdout=full,
                                 stderr=subprocess.PIPE, env=_env(PYTHONUNBUFFERED=None))

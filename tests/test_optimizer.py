@@ -60,6 +60,19 @@ def brute_force_argmin(model, d1, d2, link, table, lambda1):
     return best
 
 
+def ranked_plans(model, d1, d2, link, table, lambda1):
+    """Every candidate of the grid as a plan, ranked best-first."""
+    return [optimizer.row_plan(row)
+            for row in sorted(optimizer.evaluate_grid(model, d1, d2, link, table, lambda1))]
+
+
+def ranking_key(plan):
+    """The canonical ranking of a plan, coded apart from ``ROW_FIELDS``:
+    objective, then latency, then cut, then strategy declaration order."""
+    return (plan.cost.lagrangian, plan.cost.t_total, plan.cut_index,
+            STRATEGY_RANK[plan.theta1], STRATEGY_RANK[plan.theta2])
+
+
 def test_grid_search_matches_brute_force_small():
     rng = np.random.default_rng(55)
     model = random_model(rng, 3)  # two interior cuts
@@ -88,7 +101,7 @@ def test_exhaustiveness_on_random_instances():
         link = simple_link(float(rng.uniform(1e6, 1e9)))
         table = random_table(rng)
         lambda1 = float(rng.choice([0.0, 0.01, 1.0]))
-        plans = optimizer.enumerate_plans(model, d1, d2, link, table, lambda1)
+        plans = ranked_plans(model, d1, d2, link, table, lambda1)
         assert len(plans) == (len(model.layers) - 1) * 16
         best = plans[0]
         assert all(best.cost.lagrangian <= p.cost.lagrangian for p in plans)
@@ -113,7 +126,7 @@ def test_zero_weight_reduces_to_pure_latency_ranking():
         model = random_model(rng, int(rng.integers(3, 9)))
         d1, d2 = random_device(rng, "a"), random_device(rng, "b")
         table = random_table(rng)
-        plans = optimizer.enumerate_plans(model, d1, d2, simple_link(), table, 0.0)
+        plans = ranked_plans(model, d1, d2, simple_link(), table, 0.0)
         by_latency = min(plans, key=lambda p: (p.cost.t_total, p.cut_index,
                                                STRATEGY_RANK[p.theta1],
                                                STRATEGY_RANK[p.theta2]))
@@ -134,7 +147,7 @@ def test_strict_mode_picks_best_feasible():
     for _ in range(10):
         model = random_model(rng, 6)
         d1, d2 = random_device(rng, "a"), random_device(rng, "b")
-        plans = optimizer.enumerate_plans(model, d1, d2, simple_link(), zero_table(), 0.0)
+        plans = ranked_plans(model, d1, d2, simple_link(), zero_table(), 0.0)
         feasible = [p for p in plans if all(p.feasible)]
         if not feasible:
             continue
@@ -158,9 +171,9 @@ def scaled_model(model, factor):
 
 
 def assert_grid_agrees_with_scalar(model, d1, d2, link, table, lambda1):
-    plans = optimizer.enumerate_plans(model, d1, d2, link, table, lambda1)
+    plans = ranked_plans(model, d1, d2, link, table, lambda1)
     assert len(plans) == 16 * (len(model.layers) - 1)
-    keys = [optimizer.plan_sort_key(p) for p in plans]
+    keys = [ranking_key(p) for p in plans]
     assert keys == sorted(keys)
     assert len({(p.cut_index, p.theta1, p.theta2) for p in plans}) == len(plans)
     for plan in plans:
@@ -219,13 +232,13 @@ def numpy_sweep(model, d1, d2, link, table, lambda1):
     def tails(per_layer):
         return np.cumsum(per_layer[::-1], axis=0)[::-1][1:][:, None, :]
 
-    def attainable_rate(device, intensity):
+    def roof_rate(device, intensity):
         return device.utilization * np.minimum(device.peak_compute,
                                                intensity * device.mem_bandwidth)
 
     c1, m1, c2, m2 = heads(flops), heads(data), tails(flops), tails(data)
-    t1 = c1 / attainable_rate(d1, c1 / m1)
-    t2 = c2 / attainable_rate(d2, c2 / m2)
+    t1 = c1 / roof_rate(d1, c1 / m1)
+    t2 = c2 / roof_rate(d2, c2 / m2)
     embedding = np.array([layer.output_activation_bytes for layer in layers[:-1]])
     t3 = (embedding / link.bandwidth + link.fixed_latency)[:, None, None]
     t_total = t1 + t2 + t3
@@ -285,7 +298,7 @@ def test_grid_columns_and_rows_agree():
                                           config.link, config.penalties, config.lambda1))
     assert len(rows) == 13 * 16
     for row in rows:
-        assert optimizer.plan_sort_key(optimizer.row_plan(row)) == row[:5]
+        assert ranking_key(optimizer.row_plan(row)) == row[:5]
 
 
 # --- continuous refinement ---------------------------------------------------
@@ -352,44 +365,6 @@ def test_refine_descent_is_monotone_below_stability_threshold():
     values = [t for _, t in trace]
     slack = 1e-3  # one oscillation step across the kink
     assert all(b <= a + slack for a, b in zip(values, values[1:]))
-
-
-def test_snap_uniform_exact_match():
-    assert optimizer.snap_to_boundary(0.5, uniform_model(4)) == 2
-
-
-def test_snap_uniform_nearest():
-    assert optimizer.snap_to_boundary(0.49, uniform_model(10)) == 5
-
-
-def test_snap_tie_goes_to_smaller_boundary():
-    # boundary fractions 0.625 and 0.875 (exactly representable); 0.75 is
-    # equidistant so the smaller boundary index wins
-    model = ModelProfile("skew", (
-        uniform_layer(0, 6.25e9, 1e6, 1e3),
-        uniform_layer(1, 2.5e9, 1e6, 1e3),
-        uniform_layer(2, 1.25e9, 1e6, 1e3),
-    ))
-    assert optimizer.snap_to_boundary(0.75, model) == 1
-    assert optimizer.snap_to_boundary(0.8, model) == 2  # strictly nearer to 0.875
-
-
-def test_snapped_refinement_beats_neighbors():
-    rng = np.random.default_rng(61)
-    link = simple_link()
-    for _ in range(10):
-        model = random_model(rng, int(rng.integers(4, 10)))
-        d1, d2 = random_device(rng, "a"), random_device(rng, "b")
-        table = random_table(rng)
-        start = optimizer.grid_search(model, d1, d2, link, table, 0.01)
-        best, lam_star, _ = optimizer.refine_and_snap(
-            model, start, d1, d2, link, table, 0.01, step=1e-3, iters=200)
-        snapped = optimizer.snap_to_boundary(lam_star, model)
-        for neighbor in (snapped - 1, snapped, snapped + 1):
-            if neighbor in model.boundaries:
-                other = evaluate_plan(model, neighbor, start.theta1, start.theta2,
-                                      d1, d2, link, table, 0.01)
-                assert optimizer.plan_sort_key(best) <= optimizer.plan_sort_key(other)
 
 
 # --- prefix-sum relaxation vs the O(n) reference ------------------------------

