@@ -334,13 +334,19 @@ def build_report(plan_path, sim_path=None) -> dict:
             sim = _read_json(sim_path, number=_finite)
         except ValueError as exc:       # from _finite: NaN, Infinity or 1e400
             raise SchemaMismatch(f"{sim_path}: {exc} is not a finite number") from None
-        # {} means no simulation; any other document must be a report
+        # {} means no simulation; any other document must be a report of
+        # the winning plan
         if sim != {}:
-            if not isinstance(sim, dict) or "model" not in sim or "throughput" not in sim:
+            if not isinstance(sim, dict) or not {"model", "plan", "throughput"} <= sim.keys():
                 raise SchemaMismatch(f"{sim_path} is not a simulation report")
             if sim["model"] != model:
                 raise SchemaMismatch(
                     f"plan is for model {model!r} but simulation is for {sim['model']!r}")
+            winner_plan = {key: document["plan"][key] for key in ("cut", "theta1", "theta2")}
+            if sim["plan"] != winner_plan:
+                raise SchemaMismatch(
+                    f"{sim_path}: simulation is of plan {json.dumps(sim['plan'])} but the "
+                    f"winning plan is {json.dumps(winner_plan)}")
             document["simulation"] = sim
             document["analytical_only"] = False
     return document

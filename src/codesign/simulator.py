@@ -7,9 +7,11 @@ time taken from the analytical cost breakdown.  Arrivals are the only
 source of randomness, so queueing effects can be isolated and compared
 against the analytical model.  Departures follow from the tandem-queue
 recursion (Lindley 1952) in one pass over the arrivals; no event list is
-needed.  That pass is the whole cost of a run, so its body calls nothing
-per arrival but the random draw: on CPython 3.10-3.12 a builtin max or min
-call costs several times what a comparison does.
+needed.  That pass is the whole cost of a run, so it calls no Python
+function per arrival: the exponential draw is `Random.expovariate`'s own
+expression written inline, and conditional expressions stand in for
+builtin max and min, which cost several times a comparison on CPython
+3.10-3.12.
 """
 
 from __future__ import annotations
@@ -83,8 +85,19 @@ def run(config: SimConfig, keep_log: bool = False) -> SimReport:
     departure) + service time (Lindley's recursion), and one stage's
     departures are the next stage's arrivals.  A stage's occupancy is the
     sum of each request's [enter, leave) interval clipped to the window.
+
+    Arrival times increase and each stage's departures never decrease, so
+    the pass runs as three consecutive loops, each with only the clipping
+    its requests can need: arrivals up to the warmup (clip at both ends);
+    window arrivals that leave by the horizon (no clipping: each interval
+    lies inside the window, and each request completes); and the rest,
+    which all leave after the horizon (clip at the horizon only, and none
+    completes).  Each float, and the order of the additions into each sum,
+    is what one loop clipping every interval at both ends gives;
+    `tests/test_simulator.py` keeps that loop as the reference.
     """
-    expovariate = random.Random(config.seed).expovariate
+    random_ = random.Random(config.seed).random
+    log = math.log
     rate, horizon = config.arrival_rate, config.horizon
     warmup = config.effective_warmup
     s1, s_link, s2 = config.service_times
@@ -94,18 +107,20 @@ def run(config: SimConfig, keep_log: bool = False) -> SimReport:
     arrivals = completed_total = 0
     responses: list[float] = []
     records: list[RequestRecord] = []
+    append = responses.append
 
-    # No calls but the draw (and the appends of a completion): conditional
-    # expressions stand in for max and min.  Times are positive and never
-    # NaN, so each picks the float max or min would, and skipping an interval
-    # clipped to nothing leaves each sum as adding max(0.0, x) would.
-    a = expovariate(rate)
-    while a <= horizon:
+    # The draw is Random.expovariate's body, the same on CPython 3.10-3.13
+    # (the simulate goldens pin the stream it gives).  Times are
+    # positive and never NaN, so each conditional expression picks the float
+    # max or min would, and skipping an interval clipped to nothing, or adding
+    # one of length 0.0, leaves each sum as adding max(0.0, x) would.
+    a = -log(1.0 - random_()) / rate
+    while a <= warmup:                  # before the window: a < horizon
         start1 = a if a > d1 else d1
         d1 = start1 + s1
         d_link = (d1 if d1 > d_link else d_link) + s_link
         d2 = (d_link if d_link > d2 else d2) + s2
-        x = (d1 if d1 < horizon else horizon) - (a if a > warmup else warmup)
+        x = (d1 if d1 < horizon else horizon) - warmup
         if x > 0.0:
             occ1 += x
         x = (d_link if d_link < horizon else horizon) - (d1 if d1 > warmup else warmup)
@@ -117,11 +132,51 @@ def run(config: SimConfig, keep_log: bool = False) -> SimReport:
         if d2 <= horizon:
             completed_total += 1
             if d2 > warmup:
-                responses.append(d2 - a)
+                append(d2 - a)
                 if keep_log:
                     records.append(RequestRecord(arrivals, a, start1, d1, d_link, d2))
         arrivals += 1
-        a += expovariate(rate)
+        a += -log(1.0 - random_()) / rate
+
+    # warmup < a <= start1 <= d1 <= d_link <= d2 <= horizon: every interval
+    # lies in the window and every request completes, so the response list
+    # counts this loop's arrivals (and numbers their records)
+    before = len(responses)
+    while a <= horizon:
+        start1 = a if a > d1 else d1
+        d1 = start1 + s1
+        d_link = (d1 if d1 > d_link else d_link) + s_link
+        d2 = (d_link if d_link > d2 else d2) + s2
+        if d2 > horizon:
+            break
+        occ1 += d1 - a
+        occ_link += d_link - d1
+        occ2 += d2 - d_link
+        append(d2 - a)
+        if keep_log:
+            records.append(RequestRecord(arrivals + len(responses) - before - 1,
+                                         a, start1, d1, d_link, d2))
+        a += -log(1.0 - random_()) / rate
+    arrivals += len(responses) - before
+    completed_total += len(responses) - before
+
+    # From here on every request leaves after the horizon (d2 never
+    # decreases), so none completes, each interval starts inside the window,
+    # and device 2's occupancy ends at the horizon: d2 is not needed.  The
+    # loop is entered with the departures of the request that broke the one
+    # above, and it computes the next arrival's at the bottom.
+    while a <= horizon:
+        occ1 += (d1 if d1 < horizon else horizon) - a
+        x = (d_link if d_link < horizon else horizon) - d1
+        if x > 0.0:
+            occ_link += x
+        x = horizon - d_link
+        if x > 0.0:
+            occ2 += x
+        arrivals += 1
+        a += -log(1.0 - random_()) / rate
+        d1 = (a if a > d1 else d1) + s1
+        d_link = (d1 if d1 > d_link else d_link) + s_link
 
     window = horizon - warmup
     if responses:

@@ -263,10 +263,38 @@ def test_report_model_mismatch(tmp_path):
     plan_csv = tmp_path / "plan.csv"
     codesign("plan", "--config", CONFIG, "--out", str(plan_csv))
     sim_json = tmp_path / "sim.json"
-    sim_json.write_text(json.dumps({"model": "someone-else", "throughput": 1.0}))
+    sim = json.loads((GOLDEN / "paper_simulate.json").read_text())
+    sim_json.write_text(json.dumps(dict(sim, model="someone-else")))
     result = codesign("report", "--plan", str(plan_csv), "--sim", str(sim_json))
     assert result.returncode == 1
-    assert result.stderr.startswith("SchemaMismatch")
+    assert result.stderr.startswith("SchemaMismatch: plan is for model 'repvgg-mini'")
+
+
+def test_report_rejects_a_simulation_of_another_plan(tmp_path, capsys):
+    # paper.json's winner is cut 10 with the full structure on both sides
+    sim_json = tmp_path / "sim.json"
+    assert cli.main(["simulate", "--config", CONFIG, "--rate", "100", "--horizon", "1",
+                     "--cut", "3", "--theta1", "conv3", "--out", str(sim_json)]) == 0
+    assert cli.main(["report", "--plan", str(GOLDEN / "paper_plan.csv"),
+                     "--sim", str(sim_json)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"SchemaMismatch: {sim_json}: simulation is of plan "
+        '{"cut": 3, "theta1": "conv3", "theta2": "conv3+skip+conv1"} but the winning plan is '
+        '{"cut": 10, "theta1": "conv3+skip+conv1", "theta2": "conv3+skip+conv1"}\n')
+
+
+def test_report_rejects_a_simulation_without_its_plan(tmp_path, capsys):
+    sim = json.loads((GOLDEN / "paper_simulate.json").read_text())
+    del sim["plan"]
+    sim_json = tmp_path / "sim.json"
+    sim_json.write_text(json.dumps(sim))
+    assert cli.main(["report", "--plan", str(GOLDEN / "paper_plan.csv"),
+                     "--sim", str(sim_json)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"SchemaMismatch: {sim_json} is not a simulation report\n"
 
 
 def test_report_rejects_sim_that_is_not_an_object(tmp_path):

@@ -1,7 +1,6 @@
 """The package's import surface: the modules are the only API, and
 commands that never need numpy never load it."""
 
-import json
 import subprocess
 import sys
 from pathlib import Path
@@ -59,8 +58,7 @@ def test_import_codesign_loads_no_submodule():
 
 def test_light_commands_do_not_import_numpy(tmp_path):
     config = str(FIXTURES / "paper.json")
-    sim = tmp_path / "sim.json"
-    sim.write_text(json.dumps({"model": "repvgg-mini", "throughput": 1.0}))
+    sim = GOLDEN / "paper_simulate.json"
     commands = [
         ["--help"],
         ["report", "--plan", str(GOLDEN / "paper_plan.csv"), "--sim", str(sim)],

@@ -329,8 +329,16 @@ def _paper_winner_times():
     return (cost.t1, cost.t3, cost.t2)
 
 
-def _assert_matches_reference(config: SimConfig):
+def _assert_equals_minmax_loop(config: SimConfig):
     got = simulator.run(config, keep_log=True)
+    want = reference_minmax_run(config)
+    for field in SimReport._fields:
+        assert getattr(got, field) == getattr(want, field), field
+    return got
+
+
+def _assert_matches_reference(config: SimConfig):
+    got = _assert_equals_minmax_loop(config)
     want = reference_event_run(config)
     assert got.records == want.records
     for name in ("arrivals", "completed", "completed_total", "in_system_at_end",
@@ -373,9 +381,12 @@ def test_run_equals_minmax_loop_exactly(times, rho):
 
 
 def test_events_exactly_at_the_horizon_count():
+    # run() splits its pass where arrivals pass the warmup and where
+    # departures pass the horizon; each case puts an event on such a boundary
     times = (0.03, 0.01, 0.02)
     base = SimConfig(arrival_rate=20.0, service_times=times, horizon=100.0, seed=3)
-    last = simulator.run(base, keep_log=True).records[-1]
+    records = simulator.run(base, keep_log=True).records
+    last = records[-1]
     # a request leaving exactly at the horizon is complete
     report = _assert_matches_reference(
         SimConfig(arrival_rate=20.0, service_times=times, horizon=last.end2, seed=3))
@@ -385,3 +396,41 @@ def test_events_exactly_at_the_horizon_count():
         SimConfig(arrival_rate=20.0, service_times=times, horizon=last.arrival, seed=3))
     assert report.arrivals == last.id + 1
     assert report.in_system_at_end >= 1
+    # a request arriving exactly at the warmup is before the window, but it
+    # leaves inside it, so its response counts
+    middle = records[len(records) // 2]
+    report = _assert_matches_reference(
+        SimConfig(arrival_rate=20.0, service_times=times, horizon=100.0, seed=3,
+                  warmup=middle.arrival))
+    assert middle in report.records
+    # a window that no arrival enters: it opens and closes between two arrivals
+    before, after = next((r, s) for r, s in zip(records, records[1:]) if s.id == r.id + 1)
+    third = (after.arrival - before.arrival) / 3
+    warmup = before.arrival + third
+    report = _assert_matches_reference(
+        SimConfig(arrival_rate=20.0, service_times=times, horizon=warmup + third,
+                  seed=3, warmup=warmup))
+    assert report.arrivals == before.id + 1
+    assert all(r.arrival < warmup for r in report.records)
+
+
+def test_run_equals_minmax_loop_on_any_config():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @hypothesis.given(rho=st.floats(0.1, 5.0),
+                      times=st.tuples(*[st.floats(1e-9, 1.0)] * 3),
+                      expected_arrivals=st.floats(0.5, 400.0),
+                      seed=st.integers(0, 2**32),
+                      warmup=st.one_of(st.none(), st.just(0.0), st.floats(0.0, 1.0)))
+    def check(rho, times, expected_arrivals, seed, warmup):
+        rate = rho / max(times)
+        horizon = expected_arrivals / rate
+        if warmup:                      # a fraction of the horizon
+            warmup *= horizon
+            hypothesis.assume(warmup < horizon)
+        _assert_equals_minmax_loop(SimConfig(arrival_rate=rate, service_times=times,
+                                             horizon=horizon, seed=seed, warmup=warmup))
+
+    check()
