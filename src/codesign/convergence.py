@@ -152,13 +152,14 @@ def rate_check(obj: QuadraticObjective, w0: np.ndarray, eta: float,
     return violated_at, ratios, gaps, bounds
 
 
-def random_objective(rng: np.random.Generator, dim: int,
-                     eigenvalue_range: tuple[float, float] = (0.5, 5.0),
-                     ) -> QuadraticObjective:
-    """Random SPD quadratic with eigenvalues drawn uniformly from the given
-    range and an even block split."""
+EIGENVALUE_RANGE = (0.5, 5.0)
+
+
+def random_objective(rng: np.random.Generator, dim: int) -> QuadraticObjective:
+    """Random SPD quadratic with eigenvalues drawn uniformly from
+    ``EIGENVALUE_RANGE`` and an even block split."""
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    eigenvalues = rng.uniform(*eigenvalue_range, dim)
+    eigenvalues = rng.uniform(*EIGENVALUE_RANGE, dim)
     a = (q * eigenvalues) @ q.T
     a = (a + a.T) / 2.0
     return QuadraticObjective(matrix=a, linear=rng.standard_normal(dim),

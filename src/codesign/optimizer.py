@@ -11,7 +11,7 @@ the same way it costs a single plan.  That is O(n) work plus one sort of the
 
 ``refine_lambda`` is gradient descent from the grid winner on a continuous
 relaxation of the cut fraction, reported as its (lambda, T_total) trace.
-Each relaxed point costs O(log n): binary searches over prefix sums built
+Each relaxed point costs O(log n): a binary search over prefix sums built
 once per descent, with segments priced by ``cost_model``.
 """
 
@@ -86,16 +86,11 @@ def evaluate_grid(model: ModelProfile, d1: DeviceProfile, d2: DeviceProfile,
 
 
 def grid_search(model: ModelProfile, d1: DeviceProfile, d2: DeviceProfile,
-                link: LinkProfile, table: AccuracyPenaltyTable, lambda1: float,
-                require_feasible: bool = False) -> PartitionPlan:
-    """Best plan over the full grid.
-
-    By default infeasible candidates stay in (the roofline rate cap already
-    prices memory-bound segments); with ``require_feasible`` both segments
-    must reach their device's balance point or the candidate is dropped.
-    """
+                link: LinkProfile, table: AccuracyPenaltyTable, lambda1: float) -> PartitionPlan:
+    """Best plan over the full grid, infeasible candidates included (the
+    roofline rate cap already prices memory-bound segments)."""
     # the smallest row tuple is the first in canonical order
-    return row_plan(min(evaluate_grid(model, d1, d2, link, table, lambda1, require_feasible)))
+    return row_plan(min(evaluate_grid(model, d1, d2, link, table, lambda1)))
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +114,7 @@ def relaxed_latency_curve(model: ModelProfile, theta1: FusionStrategy,
     FLOP/byte sums are linearly interpolated inside the layer the fraction
     falls in; the shipped activation interpolates between boundary values.
     The fractions, prefix sums and boundary activations are built once, so
-    each point costs two binary searches.
+    each point costs one binary search.
     """
     layers = model.layers
     n = len(layers)
@@ -132,8 +127,8 @@ def relaxed_latency_curve(model: ModelProfile, theta1: FusionStrategy,
     head1_f, head1_b, head2_f, head2_b = (
         [0.0] + sums for sums in (*running_load(layers, theta1), *running_load(layers, theta2)))
     tot2_f, tot2_b = head2_f[n], head2_b[n]
-    positions = list(model.boundaries)
-    acts = [layers[j - 1].output_activation_bytes for j in positions]
+    # entry i-1 is the activation shipped at boundary i
+    acts = [layer.output_activation_bytes for layer in layers[:-1]]
 
     def total(lam: float) -> float:
         lam = min(max(lam, _EPS), 1.0 - _EPS)
@@ -149,14 +144,13 @@ def relaxed_latency_curve(model: ModelProfile, theta1: FusionStrategy,
         # activation bytes at the fractional position k + t, clamped to the
         # interior boundary values at the ends
         s = k + t
-        if s <= positions[0]:
+        if s <= 1:
             embedding = acts[0]
-        elif s >= positions[-1]:
+        elif s >= n - 1:
             embedding = acts[-1]
         else:
-            j = bisect_right(positions, s) - 1
-            frac = (s - positions[j]) / (positions[j + 1] - positions[j])
-            embedding = acts[j] + frac * (acts[j + 1] - acts[j])
+            i = int(s)
+            embedding = acts[i - 1] + (s - i) * (acts[i] - acts[i - 1])
 
         # not ``_transfer``: regrouping the link's two terms would move a
         # trace's last bits on a link with a fixed latency
@@ -180,7 +174,8 @@ def refine_lambda(model: ModelProfile, start: PartitionPlan, d1: DeviceProfile,
 
     trace = [(lam, total(lam))]
     for _ in range(iters):
-        grad = (total(min(lam + h, 1.0 - _EPS)) - total(max(lam - h, _EPS))) / (2 * h)
+        # total clamps its argument to (0, 1), so the probes need no clamp
+        grad = (total(lam + h) - total(lam - h)) / (2 * h)
         lam = min(max(lam - step * grad, _EPS), 1.0 - _EPS)
         trace.append((lam, total(lam)))
     return lam, trace

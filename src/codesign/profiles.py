@@ -205,7 +205,7 @@ class AccuracyPenaltyTable(namedtuple("AccuracyPenaltyTable", "penalties")):
 
 
 class Config(namedtuple("Config", "devices link model penalties lambda1")):
-    """A fully validated planning problem: devices (first = terminal,
+    """A fully validated planning problem: two devices (first = terminal,
     second = edge server), the link between them, the model, the accuracy
     penalty table, and the latency/accuracy trade-off weight."""
 
@@ -215,6 +215,9 @@ class Config(namedtuple("Config", "devices link model penalties lambda1")):
         self = super().__new__(cls, *args, **kwargs)
         if len(self.devices) < 2:
             raise MissingField("devices (need at least a terminal and an edge device)")
+        if len(self.devices) > 2:
+            raise InvariantViolation(f"devices lists {len(self.devices)} devices; "
+                                     "a plan splits the model across exactly 2")
         if len(self.model.layers) < 2:
             raise InvariantViolation("model.layers must contain at least 2 layers")
         if self.lambda1 < 0:

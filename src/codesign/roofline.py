@@ -25,10 +25,6 @@ def machine_balance(device: DeviceProfile) -> float:
     return device.peak_compute / device.mem_bandwidth
 
 
-def model_intensity(flops: float, data_bytes: float) -> float:
-    return flops / data_bytes
-
-
 def classify(intensity: float, device: DeviceProfile) -> Bottleneck:
     # At exactly the ridge point the bandwidth roof still binds; calling the
     # tie memory-bound keeps classification deterministic.
@@ -42,7 +38,7 @@ def report(flops: float, data_bytes: float, device: DeviceProfile) -> IntensityR
     machine balance or byte count that is not finite raises
     ``InvariantViolation``, as a cost does in ``cost_model.evaluate_plan``
     (an infinite byte count would give a finite intensity of 0)."""
-    intensity = model_intensity(flops, data_bytes)
+    intensity = flops / data_bytes
     for name, value in (("intensity", intensity), ("balance", machine_balance(device)),
                         ("bytes", data_bytes)):
         if not math.isfinite(value):

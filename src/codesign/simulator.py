@@ -20,7 +20,6 @@ import math
 import random
 from collections import namedtuple
 
-from .cost_model import PartitionPlan
 from .errors import InvariantViolation
 from .profiles import is_finite_real
 
@@ -201,25 +200,3 @@ def run(config: SimConfig, keep_log: bool = False) -> SimReport:
         in_system_at_end=arrivals - completed_total,
         records=tuple(records),
     )
-
-
-def validate_against_model(plan: PartitionPlan, rate_factor: float = 3.0,
-                           target_completions: int = 10000, seed: int = 0,
-                           ) -> tuple[float, float, float]:
-    """Drive the pipeline at saturation and compare simulated throughput to
-    the bottleneck rate 1/max(t1, t2, t3) implied by the analytical costs.
-
-    Returns (analytic bottleneck rate, simulated rate, relative error).
-    """
-    cost = plan.cost
-    bottleneck = 1.0 / max(cost.t1, cost.t2, cost.t3)
-    horizon = 1.25 * target_completions / bottleneck
-    config = SimConfig(
-        arrival_rate=rate_factor * bottleneck,
-        service_times=(cost.t1, cost.t3, cost.t2),
-        horizon=horizon,
-        seed=seed,
-    )
-    report = run(config)
-    rel_err = abs(report.throughput - bottleneck) / bottleneck
-    return bottleneck, report.throughput, rel_err

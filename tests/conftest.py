@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from codesign import simulator
 from codesign.profiles import (
     AccuracyPenaltyTable,
     DeviceProfile,
@@ -123,3 +124,15 @@ def zero_table() -> AccuracyPenaltyTable:
 
 def simple_link(bandwidth: float = 12.5e6, fixed: float = 0.0) -> LinkProfile:
     return LinkProfile(bandwidth=bandwidth, fixed_latency=fixed)
+
+
+def saturated_throughput(service_times, target_completions, seed):
+    """Drive the pipeline, whose (device 1, link, device 2) stages take
+    ``service_times`` seconds, at 3x its bottleneck rate 1/max(service_times)
+    for about ``target_completions`` completions.  Returns (bottleneck rate,
+    simulated throughput, relative error)."""
+    bottleneck = 1.0 / max(service_times)
+    report = simulator.run(simulator.SimConfig(
+        arrival_rate=3.0 * bottleneck, service_times=service_times,
+        horizon=1.25 * target_completions / bottleneck, seed=seed))
+    return bottleneck, report.throughput, abs(report.throughput - bottleneck) / bottleneck

@@ -14,7 +14,6 @@ import pytest
 from scipy.signal import correlate2d
 
 from codesign import convergence, optimizer, reparam, simulator
-from codesign.cost_model import CostBreakdown, PartitionPlan
 from codesign.profiles import (
     STRATEGY_RANK,
     AccuracyPenaltyTable,
@@ -33,6 +32,7 @@ from conftest import (
     S3_SKIP,
     random_device,
     random_model,
+    saturated_throughput,
     simple_link,
     zero_table,
 )
@@ -220,15 +220,10 @@ def test_c6_simulated_throughput_matches_bottleneck():
     with criterion(6, "saturated throughput within 5% + stationary balance", 20.0):
         rng = np.random.default_rng(31)
         for trial in range(10):
+            # (t1, t3, t2): device 1, link, device 2
             times = tuple(float(t) for t in rng.uniform(0.005, 0.05, 3))
-            t1, t3, t2 = times
-            t_total = t1 + t2 + t3
-            cost = CostBreakdown(t1=t1, t2=t2, t3=t3, t_total=t_total,
-                                 accuracy_loss=0.0, lagrangian=t_total)
-            plan = PartitionPlan(1, 0.5, 0.5, FULL, FULL, cost, (True, True))
-
-            analytic, simulated, rel_err = simulator.validate_against_model(
-                plan, rate_factor=3.0, target_completions=10000, seed=trial)
+            analytic, simulated, rel_err = saturated_throughput(
+                times, target_completions=10000, seed=trial)
             assert analytic == pytest.approx(1.0 / max(times))
             assert rel_err < 0.05, f"trial {trial}: {rel_err:.3%}"
 

@@ -153,6 +153,20 @@ def test_bad_config_value_is_named(tmp_path, path, value, named):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("command", ["plan", "roofline"])
+def test_third_device_is_named(tmp_path, command):
+    # a plan splits the model across two devices: plan would ignore a third
+    # device and roofline would print a row for it, so the config is refused
+    devices = [json.loads((FIXTURES / f"jetson_{name}.json").read_text())
+               for name in ("nano", "nx", "tx2")]
+    config = _config_with(tmp_path, (["devices"], devices))
+    result = codesign(command, "--config", config)
+    assert result.returncode == 1
+    assert result.stderr == ("InvariantViolation: devices lists 3 devices; "
+                             "a plan splits the model across exactly 2\n")
+    assert result.stdout == ""
+
+
 @pytest.mark.parametrize("changes, quantity", [
     ([(["link", "bandwidth"], 1e-320)], "t3"),
     ([(["devices", 0, "peak_compute"], 1e-320)], "t1"),

@@ -138,22 +138,34 @@ def test_strict_mode_raises_when_nothing_feasible():
     model = uniform_model(3, flops=1e6, data=1e8)
     d = DeviceProfile("d", 1e13, 1e9)  # balance 10000
     with pytest.raises(NoFeasiblePlan):
-        optimizer.grid_search(model, d, d, simple_link(), zero_table(), 0.0,
-                              require_feasible=True)
+        optimizer.evaluate_grid(model, d, d, simple_link(), zero_table(), 0.0,
+                                require_feasible=True)
 
 
 def test_strict_mode_picks_best_feasible():
+    # balance points of 0.1-5 FLOP/byte fall among the segment intensities of
+    # random models, so strict mode often drops some candidates but not all
     rng = np.random.default_rng(59)
-    for _ in range(10):
+    link, table = simple_link(), zero_table()
+    partial = moved = 0
+    for _ in range(20):
         model = random_model(rng, 6)
-        d1, d2 = random_device(rng, "a"), random_device(rng, "b")
-        plans = ranked_plans(model, d1, d2, simple_link(), zero_table(), 0.0)
-        feasible = [p for p in plans if all(p.feasible)]
+        d1, d2 = (DeviceProfile(name, float(rng.uniform(0.1, 5)) * 1e9, 1e9) for name in "ab")
+        plans = ranked_plans(model, d1, d2, link, table, 0.0)
+        feasible = [plan for plan in plans if all(plan.feasible)]
         if not feasible:
+            with pytest.raises(NoFeasiblePlan):
+                optimizer.evaluate_grid(model, d1, d2, link, table, 0.0, require_feasible=True)
             continue
-        plan = optimizer.grid_search(model, d1, d2, simple_link(), zero_table(), 0.0,
-                                     require_feasible=True)
-        assert plan == feasible[0]
+        strict = sorted(optimizer.evaluate_grid(model, d1, d2, link, table, 0.0,
+                                                require_feasible=True))
+        assert [optimizer.row_plan(row) for row in strict] == feasible
+        if len(feasible) < len(plans):
+            partial += 1
+            moved += feasible[0] != plans[0]
+    # the draws that check the filter: some rows dropped, and the winner moved
+    assert partial >= 3
+    assert moved >= 1
 
 
 # --- the grid sweep vs the scalar cost model -----------------------------------

@@ -22,9 +22,8 @@ EXPORTS = {
                  "LayerProfile", "LinkProfile", "ModelProfile", "load_config", "load_device",
                  "total_load"],
     "reparam": ["Kernel3x3", "fold_bn", "fuse", "pad_1x1_to_3x3", "strategy_costs"],
-    "roofline": ["Bottleneck", "classify", "effective_rate", "machine_balance",
-                 "model_intensity"],
-    "simulator": ["SimConfig", "SimReport", "run", "validate_against_model"],
+    "roofline": ["Bottleneck", "classify", "effective_rate", "machine_balance"],
+    "simulator": ["SimConfig", "SimReport", "run"],
 }
 
 

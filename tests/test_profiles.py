@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,3 +162,24 @@ def test_config_device_accessors():
     assert config.device1.name == "jetson-nano"
     assert config.device2.name == "jetson-nx"
     assert config.lambda1 >= 0
+
+
+def test_readme_config_example_loads():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = re.search(r"## Config schema\n.*?```jsonc\n(.*?)```", readme, re.S).group(1)
+    config = config_from_dict(json.loads(block))
+    assert [d.name for d in config.devices] == ["jetson-nano", "jetson-nx"]
+    assert len(config.model.layers) == 2
+
+
+def test_fixtures_regenerate_exactly(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("make_fixtures",
+                                                  FIXTURES / "make_fixtures.py")
+    make_fixtures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_fixtures)
+    monkeypatch.setattr(make_fixtures, "HERE", tmp_path)
+    make_fixtures.main()
+    written = sorted(path.name for path in tmp_path.iterdir())
+    assert written == sorted(path.name for path in FIXTURES.glob("*.json"))
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes(), name

@@ -131,9 +131,9 @@ def test_attributes_cannot_be_assigned(record):
 def test_properties():
     model = uniform_model(4)
     assert model.boundaries == range(1, 4)
-    devices = (device(name="a"), device(name="b"), device(name="c"))
+    devices = (device(name="a"), device(name="b"))
     setup = config(devices=devices)
-    assert (setup.device1, setup.device2) == devices[:2]
+    assert (setup.device1, setup.device2) == devices
     assert zero_table().penalty(2, S3) == 0.0
     assert sim_config().effective_warmup == 0.1 * 5.0
     assert sim_config(warmup=0.0).effective_warmup == 0.0
@@ -174,6 +174,8 @@ INVALID = [
      "penalties[1][conv3] must be >= penalties[1][conv3+skip]"),
     (lambda: config(devices=(device(),)), MissingField,
      "devices (need at least a terminal and an edge device)"),
+    (lambda: config(devices=(device(), device(), device())), InvariantViolation,
+     "devices lists 3 devices; a plan splits the model across exactly 2"),
     (lambda: config(model=uniform_model(1)), InvariantViolation,
      "model.layers must contain at least 2 layers"),
     (lambda: config(lambda1=-1.0), NonPositiveQuantity, "lambda1"),

@@ -38,7 +38,7 @@ def test_machine_balance_symmetric_device():
 
 
 def test_model_intensity():
-    assert roofline.model_intensity(200.0, 20.0) == 10.0
+    assert roofline.report(200.0, 20.0, nano()).intensity == 10.0
 
 
 def test_published_intensities_feed_through():
@@ -55,8 +55,10 @@ def test_intensity_recovers_fixture_values():
     table = json.loads((FIXTURES / "model_intensities.json").read_text())
     by_name = {row["name"]: row for row in table["models"]}
     # flops/byte pairs scaled so the ratio lands exactly on the fixture value
-    assert roofline.model_intensity(19.81e9, 1e9) == by_name["RepVGG"]["original_intensity"]
-    assert roofline.model_intensity(24.89e9, 1e9) == by_name["Rep-GoogLeNet"]["fused_intensity"]
+    assert roofline.report(19.81e9, 1e9, nano()).intensity == \
+        by_name["RepVGG"]["original_intensity"]
+    assert roofline.report(24.89e9, 1e9, nano()).intensity == \
+        by_name["Rep-GoogLeNet"]["fused_intensity"]
 
 
 def test_classify_tie_is_memory_bound():
@@ -81,7 +83,7 @@ def two_layer_plan(flops, data):
                                       for i, (c, m) in enumerate(zip(flops, data))))
     plan = evaluate_plan(model, 1, S3, S3, nano(), nx(), simple_link(), zero_table(), 0.0)
     c0, m0 = total_load(model, S3)
-    return plan, model, roofline.model_intensity(c0, m0)
+    return plan, model, c0 / m0
 
 
 def test_even_split_keeps_the_model_intensity():
@@ -160,7 +162,8 @@ def test_split_reconstruction_identities():
         d1, d2 = random_device(rng, "a"), random_device(rng, "b")
         plan = evaluate_plan(model, cut, strategy, strategy, d1, d2, simple_link(),
                              zero_table(), 0.0)
-        i0 = roofline.model_intensity(*total_load(model, strategy))
+        c0, m0 = total_load(model, strategy)
+        i0 = c0 / m0
         i1, i2 = split_intensities(plan, model)
         lc, lm = plan.lambda_c, plan.lambda_m
         assert math.isclose((lc / lm) * i0, i1, rel_tol=1e-12)

@@ -7,22 +7,12 @@ import numpy as np
 import pytest
 
 from codesign import simulator
-from codesign.cost_model import CostBreakdown, PartitionPlan
 from codesign.errors import InvariantViolation
 from codesign.optimizer import grid_search
 from codesign.profiles import load_config
 from codesign.simulator import RequestRecord, SimConfig, SimReport
 
-from conftest import FIXTURES, FULL
-
-
-def make_plan(t1, t3, t2):
-    t_total = t1 + t2 + t3
-    cost = CostBreakdown(t1=t1, t2=t2, t3=t3, t_total=t_total,
-                         accuracy_loss=0.0, lagrangian=t_total)
-    return PartitionPlan(cut_index=1, lambda_c=0.5, lambda_m=0.5,
-                         theta1=FULL, theta2=FULL, cost=cost,
-                         feasible=(True, True))
+from conftest import FIXTURES, saturated_throughput
 
 
 def test_light_traffic_matches_arrival_rate():
@@ -132,18 +122,16 @@ def test_littles_law_at_stable_load():
 
 
 def test_validate_against_model_bottleneck():
-    plan = make_plan(0.02, 0.01, 0.04)
-    analytic, simulated, rel_err = simulator.validate_against_model(
-        plan, target_completions=4000, seed=0)
+    analytic, simulated, rel_err = saturated_throughput(
+        (0.02, 0.01, 0.04), target_completions=4000, seed=0)
     assert analytic == pytest.approx(25.0)
     assert rel_err < 0.05
     assert simulated == pytest.approx(analytic, rel=0.05)
 
 
 def test_validate_symmetric_pipeline():
-    plan = make_plan(0.03, 0.03, 0.03)
-    analytic, simulated, rel_err = simulator.validate_against_model(
-        plan, target_completions=4000, seed=1)
+    analytic, simulated, rel_err = saturated_throughput(
+        (0.03, 0.03, 0.03), target_completions=4000, seed=1)
     assert analytic == pytest.approx(1.0 / 0.03)
     assert rel_err < 0.05
 
@@ -151,9 +139,8 @@ def test_validate_symmetric_pipeline():
 def test_validate_link_dominated():
     # a 2 MB embedding over a 12.5e6 B/s link: 0.16 s transfer dominates
     t3 = 2e6 / 12.5e6
-    plan = make_plan(0.02, t3, 0.04)
-    analytic, simulated, rel_err = simulator.validate_against_model(
-        plan, target_completions=3000, seed=2)
+    analytic, simulated, rel_err = saturated_throughput(
+        (0.02, t3, 0.04), target_completions=3000, seed=2)
     assert analytic == pytest.approx(1.0 / t3)
     assert rel_err < 0.05
 
