@@ -10,12 +10,15 @@ fuse-check and convergence-lab load numpy.
 
 ``run`` is the process entry of the ``codesign`` script and of ``python -m
 codesign``.  It turns the cyclic garbage collector off for the whole
-command and freezes every object at exit, so neither the passes that
-allocation would trigger nor the interpreter's full collections at exit
-scan the ~12-22k objects that import leaves: a command makes no cyclic
-garbage that grows with its work (argparse's parser, a few hundred objects,
-is the only cycle), and every file it writes is closed in ``_emit``.
-``main`` leaves the collector alone, so in-process callers keep it.
+command, so no pass that allocation would trigger scans the ~12-22k
+objects that import leaves: a command makes no cyclic garbage that grows
+with its work (argparse's parser, a few hundred objects, is the only
+cycle).  After the last flush of stdout and stderr it ends the process
+with ``os._exit``, so no interpreter teardown runs: no module cleanup, no
+collection at exit, no atexit handler.  Profile a command through ``main``
+(``python -m cProfile -m codesign`` prints nothing, as its report would be
+written at exit).  ``main`` leaves the collector alone and returns, so
+in-process callers keep both.
 
 With CODESIGN_TRACE=1, ``plan`` prints one JSON line per stage to stderr:
 {"stage": ..., "seconds": ..., "items": ...}.  stdout is unchanged.
@@ -488,30 +491,31 @@ def main(argv=None) -> int:
 
 
 def run():
-    """Run ``main`` as the whole process and exit with its code.  The
-    collector is off while the command runs (numpy's lazy import included),
-    and ``gc.freeze`` on every way out, ``--help`` and argparse's exits
-    included, leaves the interpreter's collections at exit nothing to scan."""
+    """Run ``main`` as the whole process and end it with ``main``'s code.
+    The collector is off while the command runs (numpy's lazy import
+    included).  Once stdout and stderr are flushed the process ends with
+    ``os._exit`` on every way out, ``--help`` and argparse's exits included:
+    the command has nothing left to finish, since every file it writes is
+    closed in ``_emit``, so the interpreter's teardown (module cleanup, its
+    collections, atexit handlers, the BLAS threads' shutdown) is skipped."""
     gc.disable()
     try:
         code = main()
     except SystemExit as exc:           # argparse: --help and usage errors
         code = exc.code
-    finally:
-        gc.freeze()
-    sys.exit(_settle_stdout(code))
+    code = _settle_stdout(code)
+    with contextlib.suppress(OSError):
+        sys.stderr.flush()
+    os._exit(code)
 
 
 def _settle_stdout(code):
     """``code``, after a last flush of stdout.  If stdout cannot take what
-    is left in its buffer, fd 1 is pointed at os.devnull, so the
-    interpreter's own flush at exit is silent (the recipe for a broken pipe
-    in the ``signal`` docs), and a command that had not failed yet fails
-    with a named error."""
+    is left in its buffer, a command that had not failed yet fails with a
+    named error; ``os._exit`` drops what is left unwritten."""
     try:
         sys.stdout.flush()
     except OSError as exc:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if not code:
             print(f"UnwritableOutput: {STDOUT}: {exc.strerror or exc}", file=sys.stderr)
             return 1

@@ -18,6 +18,7 @@ from collections import namedtuple
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ShapeMismatch
 from .profiles import FusionStrategy, LayerProfile
@@ -29,6 +30,11 @@ class BranchKind(Enum):
     CONV3X3 = "conv3x3"
     CONV1X1 = "conv1x1"
     IDENTITY = "identity"
+
+    # Singletons that compare by identity, so they hash by it too, as
+    # ``FusionStrategy`` does: the C-level hash skips the Python-level
+    # Enum.__hash__ call of every branch table lookup.
+    __hash__ = object.__hash__
 
 
 # Branches that stay active under each fusion strategy.
@@ -52,7 +58,7 @@ class BatchNorm(namedtuple("BatchNorm", "gamma beta mean var eps", defaults=(1e-
         self = super().__new__(cls, *args, **kwargs)
         if self.eps <= 0:
             raise ShapeMismatch("batch norm eps must be > 0")
-        if np.any(self.var < 0):
+        if (self.var < 0).any():
             raise ShapeMismatch("batch norm variance must be >= 0")
         return self
 
@@ -98,7 +104,7 @@ class Kernel3x3(namedtuple("Kernel3x3", "weights bias")):
             raise ShapeMismatch(f"fused kernel must be [out, in, 3, 3], got {self.weights.shape}")
         if min(self.weights.shape[:2]) < 1:
             raise ShapeMismatch("fused kernel needs at least one input and output channel")
-        if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
+        if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
             raise ShapeMismatch("fused kernel has non-finite entries")
         return self
 
@@ -170,15 +176,22 @@ def fuse(branches: list[BranchSpec], strategy: FusionStrategy) -> Kernel3x3:
 # ---------------------------------------------------------------------------
 
 def conv2d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
-    """Dense convolution of x [in_ch, H, W], stride 1, zero padding (k-1)/2:
-    one contraction of the weights with every k x k window of x."""
-    k = weight.shape[-1]
+    """Dense convolution of x [in_ch, H, W], stride 1, zero padding (k-1)/2.
+
+    Every k x k window of the padded x is one column of an
+    [in_ch*k*k, H*W] matrix, built from a single strided view; the output
+    is the weights as an [out_ch, in_ch*k*k] matrix times it.  That is the
+    operand layout and the ``np.dot`` call of ``np.tensordot`` over the
+    windows, so the result is the same to the bit, without the wrappers."""
+    out_ch, k = weight.shape[0], weight.shape[-1]
     pad = (k - 1) // 2
     channels, height, width = x.shape
     xp = np.zeros((channels, height + 2 * pad, width + 2 * pad))
     xp[:, pad:pad + height, pad:pad + width] = x
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
-    out = np.tensordot(weight, windows, axes=([1, 2, 3], [0, 3, 4]))
+    row, col = xp.strides[1:]
+    windows = as_strided(xp, (channels, k, k, height, width), (xp.strides[0], row, col, row, col))
+    out = np.dot(weight.reshape(out_ch, -1), windows.reshape(-1, height * width))
+    out = out.reshape(out_ch, height, width)
     if bias is not None:
         out += bias[:, None, None]
     return out
@@ -207,8 +220,8 @@ def block_forward(x: np.ndarray, branches: list[BranchSpec],
 
 
 def max_rel_error(got: np.ndarray, want: np.ndarray) -> float:
-    scale = max(float(np.max(np.abs(want))), 1e-30)
-    return float(np.max(np.abs(got - want))) / scale
+    scale = max(float(np.abs(want).max()), 1e-30)
+    return float(np.abs(got - want).max()) / scale
 
 
 def random_branches(rng: np.random.Generator, channels: int) -> list[BranchSpec]:
@@ -240,8 +253,9 @@ def run_equivalence_suite(seed: int, trials: int) -> dict[FusionStrategy, float]
     for strategy in FusionStrategy:
         err = 0.0
         for _ in range(trials):
-            ch = int(rng.choice(EQUIVALENCE_CHANNELS))
-            size = int(rng.choice(EQUIVALENCE_SIZES))
+            # the draws of rng.choice over these tuples, without its wrapper
+            ch = EQUIVALENCE_CHANNELS[rng.integers(len(EQUIVALENCE_CHANNELS))]
+            size = EQUIVALENCE_SIZES[rng.integers(len(EQUIVALENCE_SIZES))]
             branches = random_branches(rng, ch)
             x = rng.standard_normal((ch, size, size))
             fused = fuse(branches, strategy)

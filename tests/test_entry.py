@@ -1,7 +1,8 @@
 """The process entry, ``cli.run``: ``codesign`` and ``python -m codesign``
-run each command with the cyclic garbage collector off and frozen at exit,
-keep every exit code and output, and name a stdout that cannot be written.
-``cli.main`` leaves the collector as it found it."""
+run each command with the cyclic garbage collector off and end the process
+without interpreter teardown, keep every exit code and output, and name a
+stdout that cannot be written.  ``cli.main`` leaves the collector as it
+found it."""
 
 import contextlib
 import gc
@@ -23,11 +24,28 @@ from conftest import FIXTURES
 CONFIG = str(FIXTURES / "paper.json")
 GOLDEN = Path(__file__).parent / "golden"
 
-# `python -m codesign` with an atexit probe; atexit handlers run after
-# `cli.run` returned and before the interpreter's collections at exit
+# `python -m codesign` with a probe that records, in the file PROBE_OUT
+# names, whether the collector is on before the entry runs and while
+# `cli.main` runs, and whether an atexit handler registered before the
+# entry fires
 PROBE = """
 import atexit, gc, os, runpy
-atexit.register(lambda: os.write(2, f"\\nprobe {gc.isenabled()} {gc.get_freeze_count()}".encode()))
+from codesign import cli
+
+def record(event):
+    with open(os.environ["PROBE_OUT"], "a") as out:
+        out.write(f"{event} {gc.isenabled()}\\n")
+
+def probed_main(main=cli.main):
+    record("main")
+    try:
+        return main()
+    finally:
+        record("main-done")
+
+cli.main = probed_main
+atexit.register(record, "atexit")
+record("start")
 runpy.run_module("codesign", run_name="__main__", alter_sys=True)
 """
 
@@ -59,19 +77,19 @@ EXIT_PATHS = {
 
 
 @pytest.mark.parametrize("argv, code", EXIT_PATHS.values(), ids=EXIT_PATHS)
-def test_entry_runs_collector_off_and_frozen_on_every_exit_path(tmp_path, monkeypatch,
-                                                                argv, code):
+def test_entry_runs_collector_off_and_skips_teardown_on_every_exit_path(tmp_path, monkeypatch,
+                                                                         argv, code):
     argv = [arg.format(bad=_bad_config(tmp_path)) for arg in argv]
+    probe = tmp_path / "probe.txt"
     plain = subprocess.run([sys.executable, "-m", "codesign", *argv],
                            capture_output=True, env=_env())
     probed = subprocess.run([sys.executable, "-c", PROBE, *argv],
-                            capture_output=True, env=_env())
+                            capture_output=True, env=_env(PROBE_OUT=str(probe)))
     assert plain.returncode == probed.returncode == code
     assert plain.stdout == probed.stdout
-    stderr, probe = probed.stderr.decode().rsplit("\nprobe ", 1)
-    enabled, frozen = probe.split()
-    assert enabled == "False" and int(frozen) > 0
-    assert stderr.strip() == plain.stderr.decode().strip()
+    assert plain.stderr == probed.stderr
+    # on before the entry, off while the command runs, no atexit handler
+    assert probe.read_text().splitlines() == ["start True", "main False", "main-done False"]
     if code == 1:
         assert plain.stdout == b""
         assert plain.stderr.decode().startswith("NonPositiveQuantity: link.bandwidth")

@@ -205,6 +205,71 @@ def test_package_conv_matches_oracle_conv():
                                          oracle_conv(x, w, b)) < 1e-12
 
 
+# --- the contraction, bit for bit --------------------------------------------
+# fuse-check prints the worst errors themselves, so conv2d and the suite must
+# give the floats of the plain numpy path, not just close ones.  These copy
+# that path: tensordot over sliding_window_view, rng.choice and np.max.
+
+def tensordot_conv(x, weight, bias=None):
+    k = weight.shape[-1]
+    pad = (k - 1) // 2
+    channels, height, width = x.shape
+    xp = np.zeros((channels, height + 2 * pad, width + 2 * pad))
+    xp[:, pad:pad + height, pad:pad + width] = x
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
+    out = np.tensordot(weight, windows, axes=([1, 2, 3], [0, 3, 4]))
+    if bias is not None:
+        out += bias[:, None, None]
+    return out
+
+
+def tensordot_equivalence_suite(seed, trials):
+    rng = np.random.default_rng(seed)
+    worst = {}
+    for strategy in FusionStrategy:
+        err = 0.0
+        for _ in range(trials):
+            ch = int(rng.choice(reparam.EQUIVALENCE_CHANNELS))
+            size = int(rng.choice(reparam.EQUIVALENCE_SIZES))
+            branches = reparam.random_branches(rng, ch)
+            x = rng.standard_normal((ch, size, size))
+            fused = reparam.fuse(branches, strategy)
+            got = tensordot_conv(x, fused.weights, fused.bias)
+            by_kind = {b.kind: b for b in branches}
+            want = None
+            for kind in reparam.ACTIVE_BRANCHES[strategy]:
+                branch = by_kind[kind]
+                y = x if kind is BranchKind.IDENTITY else tensordot_conv(x, branch.weight)
+                y = reparam.batch_norm(y, branch.bn)
+                want = y if want is None else want + y
+            scale = max(float(np.max(np.abs(want))), 1e-30)
+            err = max(err, float(np.max(np.abs(got - want))) / scale)
+        worst[strategy] = err
+    return worst
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 614])
+def test_equivalence_suite_equals_the_tensordot_path(seed):
+    got = reparam.run_equivalence_suite(seed, 100)
+    want = tensordot_equivalence_suite(seed, 100)
+    assert {s: repr(e) for s, e in got.items()} == {s: repr(e) for s, e in want.items()}
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("with_bias", [False, True], ids=["no-bias", "bias"])
+@pytest.mark.parametrize("height, width", [(1, 1), (1, 7), (9, 4), (3, 12), (16, 16)])
+def test_conv2d_equals_the_tensordot_path_bit_for_bit(k, with_bias, height, width):
+    rng = np.random.default_rng(k * 1000 + height * 100 + width)
+    for ch_in in range(1, 17):
+        for ch_out in (ch_in, 17 - ch_in):
+            w = rng.standard_normal((ch_out, ch_in, k, k))
+            b = rng.standard_normal(ch_out) if with_bias else None
+            x = rng.standard_normal((ch_in, height, width))
+            got, want = reparam.conv2d(x, w, b), tensordot_conv(x, w, b)
+            assert got.shape == want.shape == (ch_out, height, width)
+            assert got.tobytes() == want.tobytes(), (ch_in, ch_out)
+
+
 # --- strategy costs -----------------------------------------------------------
 
 def test_minimal_3x3_flops():

@@ -96,6 +96,27 @@ def test_slower_stage_never_raises_saturated_throughput():
         assert report.throughput <= base_tp * (1 + 1e-9)
 
 
+# (device 1, link, device 2) seconds: each stage as the bottleneck, a tie,
+# and the link-dominated pipeline of test_validate_link_dominated
+SATURATED_TIMES = [(0.05, 0.01, 0.02), (0.0137, 0.0291, 0.0083), (0.02, 0.01, 0.04),
+                   (0.03, 0.03, 0.03), (0.041, 0.041, 0.007), (0.02, 2e6 / 12.5e6, 0.04)]
+
+
+@pytest.mark.parametrize("times", SATURATED_TIMES)
+def test_saturated_pipeline_completes_one_request_per_bottleneck_period(times):
+    # At 3x the bottleneck rate the slowest stage is busy through the whole
+    # window and its deterministic departures are max(times) apart, so the
+    # count is exact up to one completion.  A bottleneck 0.1% slow is 4.5
+    # completions short here, which a 5% throughput bound cannot see.
+    bottleneck = max(times)
+    for seed in range(3):
+        config = SimConfig(arrival_rate=3.0 / bottleneck, service_times=times,
+                           horizon=1.25 * 4000 * bottleneck, seed=seed)
+        report = simulator.run(config)
+        periods = (config.horizon - config.effective_warmup) / bottleneck
+        assert abs(report.completed - periods) <= 1.0, (seed, report.completed, periods)
+
+
 def test_identical_seeds_identical_logs():
     config = SimConfig(arrival_rate=20.0, service_times=(0.03, 0.01, 0.02),
                        horizon=100.0, seed=77)
