@@ -178,14 +178,13 @@ def _cmd_cost(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    from . import optimizer
+    from .cost_model import evaluate_grid, row_plan
 
     clock = _StageClock()
     config = load_config(args.config)
     clock.lap("load", len(config.model.layers))
-    rows = optimizer.evaluate_grid(config.model, config.device1, config.device2,
-                                   config.link, config.penalties, config.lambda1,
-                                   require_feasible=args.strict)
+    rows = evaluate_grid(config.model, config.device1, config.device2, config.link,
+                         config.penalties, config.lambda1, require_feasible=args.strict)
     clock.lap("evaluate", len(rows))
     rows.sort()
     clock.lap("rank", len(rows))
@@ -193,8 +192,10 @@ def _cmd_plan(args) -> int:
     if args.trace_out:
         # the descent is reported only by its trace, so it runs only when
         # the trace is written
-        _, trace = optimizer.refine_lambda(config.model, optimizer.row_plan(rows[0]),
-                                           config.device1, config.device2, config.link)
+        from .optimizer import refine_lambda
+
+        _, trace = refine_lambda(config.model, row_plan(rows[0]), config.device1,
+                                 config.device2, config.link)
         outputs.append((args.trace_out, _csv_text(
             ["iteration", "lambda", "t_total"],
             [[i, repr(lam), repr(t)] for i, (lam, t) in enumerate(trace)])))
@@ -227,8 +228,8 @@ def _cmd_convergence_lab(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from . import optimizer, simulator
-    from .cost_model import evaluate_plan
+    from . import simulator
+    from .cost_model import evaluate_plan, grid_search
 
     config = load_config(args.config)
     if args.cut is not None:
@@ -238,8 +239,8 @@ def _cmd_simulate(args) -> int:
                              config.device1, config.device2, config.link,
                              config.penalties, config.lambda1)
     else:
-        plan = optimizer.grid_search(config.model, config.device1, config.device2,
-                                     config.link, config.penalties, config.lambda1)
+        plan = grid_search(config.model, config.device1, config.device2, config.link,
+                           config.penalties, config.lambda1)
     cost = plan.cost
     sim_config = simulator.SimConfig(
         arrival_rate=args.rate,

@@ -4,11 +4,14 @@ A candidate is a cut position plus one fusion strategy per sub-model.  The
 cut at ``k`` runs layers [0, k) on device 1, ships the activation of layer
 k-1 over the link, and runs layers [k, n) on device 2.
 
-Every candidate, in the planner's grid sweep as here, is costed by one path:
+``evaluate_plan`` costs one candidate; ``evaluate_grid`` costs every
+interior cut with every (theta1, theta2) pair in one O(n) sweep that prices
+each segment once per (cut, strategy).  Both take one path:
 ``profiles.running_load`` sums the head [0, k) from layer 0 up and the tail
 [k, n) from the last layer down, ``_price`` runs each segment on its
-device's roofline, and ``_cut_rows`` builds the ``ROW_FIELDS`` rows.  So a
-grid row and ``evaluate_plan`` agree to the last bit.
+device's roofline, and ``_cut_rows`` builds the ``ROW_FIELDS`` rows.  So
+every grid row, the winner included, equals ``evaluate_plan``'s to the last
+bit, and ties are broken on exact keys.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 from collections import namedtuple
 
 from . import roofline
-from .errors import DegenerateSplit, InvariantViolation
+from .errors import DegenerateSplit, InvariantViolation, NoFeasiblePlan
 from .profiles import (
     STRATEGY_RANK,
     AccuracyPenaltyTable,
@@ -120,6 +123,62 @@ def evaluate_plan(model: ModelProfile, cut: int, theta1: FusionStrategy,
     plan = row_plan(row)
     _require_finite(plan)
     return plan
+
+
+def _sweep(model: ModelProfile, d1: DeviceProfile, d2: DeviceProfile, link: LinkProfile,
+           table: AccuracyPenaltyTable, lambda1: float) -> list[tuple]:
+    layers = model.layers
+    heads, tails = [], []
+    for strategy in FusionStrategy:
+        # Entry k-1 is the segment of cut k: heads from layer 0 up, tails
+        # from the last layer down, as in evaluate_plan (which also avoids
+        # the cancellation of total - head).
+        flops, data = running_load(layers, strategy)
+        heads.append(_priced_segments(flops[:-1], data[:-1], d1, strategy,
+                                      table.penalty(1, strategy)))
+        flops, data = running_load(layers[::-1], strategy)
+        tails.append(_priced_segments(flops[-2::-1], data[-2::-1], d2, strategy,
+                                      table.penalty(2, strategy)))
+
+    rows = []
+    for cut, (layer, side1, side2) in enumerate(zip(layers, zip(*heads), zip(*tails)), 1):
+        rows += _cut_rows(cut, _transfer(layer.output_activation_bytes, link), side1, side2,
+                          lambda1)
+    return rows
+
+
+def evaluate_grid(model: ModelProfile, d1: DeviceProfile, d2: DeviceProfile,
+                  link: LinkProfile, table: AccuracyPenaltyTable, lambda1: float,
+                  require_feasible: bool = False) -> list[tuple]:
+    """Every candidate of the grid, unranked, in one sweep: one tuple per
+    candidate laid out as ``ROW_FIELDS``.  ``sorted`` ranks the rows (the
+    order ``ROW_FIELDS`` states) and ``row_plan`` turns one into a plan.
+
+    With ``require_feasible`` only candidates whose segments both reach
+    their device's balance point are kept; ``NoFeasiblePlan`` is raised if
+    none does.  A latency or objective that is not finite in any candidate
+    raises ``InvariantViolation``, as in ``evaluate_plan``.
+    """
+    if len(model.layers) < 2:
+        raise DegenerateSplit("model has no interior layer boundary to cut at")
+    rows = _sweep(model, d1, d2, link, table, lambda1)
+    # the objective is summed from every other cost, so it is finite only
+    # if they all are
+    if not all(map(math.isfinite, [row[0] for row in rows])):
+        _require_finite(next(row_plan(row) for row in rows if not math.isfinite(row[0])))
+    if require_feasible:
+        rows = [row for row in rows if row[-2] and row[-1]]
+        if not rows:
+            raise NoFeasiblePlan("every candidate violates an intensity requirement")
+    return rows
+
+
+def grid_search(model: ModelProfile, d1: DeviceProfile, d2: DeviceProfile,
+                link: LinkProfile, table: AccuracyPenaltyTable, lambda1: float) -> PartitionPlan:
+    """Best plan over the full grid, infeasible candidates included (the
+    roofline rate cap already prices memory-bound segments)."""
+    # the smallest row tuple is the first in canonical order
+    return row_plan(min(evaluate_grid(model, d1, d2, link, table, lambda1)))
 
 
 def _require_finite(plan: PartitionPlan):

@@ -1,31 +1,19 @@
-"""Plan search.
+"""Continuous refinement of the grid winner's cut.
 
-The authoritative optimizer is an exhaustive, deterministic grid over every
-interior cut position and every (theta1, theta2) strategy pair.  The cost
-model is additive per layer, so the grid is one sweep: per-strategy running
-sums give every segment load, each segment is priced once per (cut,
-strategy), and ``cost_model`` pairs the segments of a cut into its 16 rows,
-the same way it costs a single plan.  That is O(n) work plus one sort of the
-16(n-1) rows; every row, the winner included, carries exactly the values
-``cost`` prints, and ties are broken on exact keys.
-
-``refine_lambda`` is gradient descent from the grid winner on a continuous
-relaxation of the cut fraction, reported as its (lambda, T_total) trace.
-Each relaxed point costs O(log n): a binary search over prefix sums built
-once per descent, with segments priced by ``cost_model``.
+``refine_lambda`` is gradient descent from the winner of
+``cost_model.evaluate_grid`` on a continuous relaxation of the cut fraction,
+reported as its (lambda, T_total) trace.  Each relaxed point costs O(log n):
+a binary search over prefix sums built once per descent, with segments
+priced by ``cost_model._price``.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 
-from .cost_model import (PartitionPlan, _cut_rows, _price, _priced_segments, _require_finite,
-                         _transfer, row_plan)
-from .errors import DegenerateSplit, NoFeasiblePlan
+from .cost_model import PartitionPlan, _price
 from .profiles import (
     FULL_STRUCTURE,
-    AccuracyPenaltyTable,
     DeviceProfile,
     FusionStrategy,
     LinkProfile,
@@ -35,67 +23,6 @@ from .profiles import (
 
 _EPS = 1e-9
 
-
-def _sweep(model: ModelProfile, d1: DeviceProfile, d2: DeviceProfile, link: LinkProfile,
-           table: AccuracyPenaltyTable, lambda1: float) -> list[tuple]:
-    layers = model.layers
-    heads, tails = [], []
-    for strategy in FusionStrategy:
-        # Entry k-1 is the segment of cut k: heads from layer 0 up, tails
-        # from the last layer down, as in cost_model (which also avoids the
-        # cancellation of total - head).
-        flops, data = running_load(layers, strategy)
-        heads.append(_priced_segments(flops[:-1], data[:-1], d1, strategy,
-                                      table.penalty(1, strategy)))
-        flops, data = running_load(layers[::-1], strategy)
-        tails.append(_priced_segments(flops[-2::-1], data[-2::-1], d2, strategy,
-                                      table.penalty(2, strategy)))
-
-    rows = []
-    for cut, (layer, side1, side2) in enumerate(zip(layers, zip(*heads), zip(*tails)), 1):
-        rows += _cut_rows(cut, _transfer(layer.output_activation_bytes, link), side1, side2,
-                          lambda1)
-    return rows
-
-
-def evaluate_grid(model: ModelProfile, d1: DeviceProfile, d2: DeviceProfile,
-                  link: LinkProfile, table: AccuracyPenaltyTable, lambda1: float,
-                  require_feasible: bool = False) -> list[tuple]:
-    """Every candidate of the grid, unranked, in one sweep: one tuple per
-    candidate laid out as ``cost_model.ROW_FIELDS``.  ``sorted`` ranks the
-    rows (the order ``ROW_FIELDS`` states) and ``row_plan`` turns one into a
-    plan.
-
-    With ``require_feasible`` only candidates whose segments both reach
-    their device's balance point are kept; ``NoFeasiblePlan`` is raised if
-    none does.  A latency or objective that is not finite in any candidate
-    raises ``InvariantViolation``, as in ``cost_model.evaluate_plan``.
-    """
-    if len(model.layers) < 2:
-        raise DegenerateSplit("model has no interior layer boundary to cut at")
-    rows = _sweep(model, d1, d2, link, table, lambda1)
-    # the objective is summed from every other cost, so it is finite only
-    # if they all are
-    if not all(map(math.isfinite, [row[0] for row in rows])):
-        _require_finite(next(row_plan(row) for row in rows if not math.isfinite(row[0])))
-    if require_feasible:
-        rows = [row for row in rows if row[-2] and row[-1]]
-        if not rows:
-            raise NoFeasiblePlan("every candidate violates an intensity requirement")
-    return rows
-
-
-def grid_search(model: ModelProfile, d1: DeviceProfile, d2: DeviceProfile,
-                link: LinkProfile, table: AccuracyPenaltyTable, lambda1: float) -> PartitionPlan:
-    """Best plan over the full grid, infeasible candidates included (the
-    roofline rate cap already prices memory-bound segments)."""
-    # the smallest row tuple is the first in canonical order
-    return row_plan(min(evaluate_grid(model, d1, d2, link, table, lambda1)))
-
-
-# ---------------------------------------------------------------------------
-# Continuous relaxation of the cut position
-# ---------------------------------------------------------------------------
 
 def cumulative_flop_fractions(model: ModelProfile) -> list[float]:
     """Cumulative FLOP fraction at each boundary 1..n, measured on the full

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.signal import correlate2d
 
-from codesign import convergence, optimizer, reparam, simulator
+from codesign import convergence, cost_model, reparam, simulator
 from codesign.profiles import (
     STRATEGY_RANK,
     AccuracyPenaltyTable,
@@ -156,7 +156,7 @@ def test_c3_optimizer_matches_brute_force():
             link = simple_link(float(rng.uniform(1e6, 1e9)))
             table = random_table(rng) if rng.random() < 0.7 else zero_table()
             lambda1 = float(rng.choice([0.0, 0.0, 0.01, 1.0]))
-            plan = optimizer.grid_search(model, d1, d2, link, table, lambda1)
+            plan = cost_model.grid_search(model, d1, d2, link, table, lambda1)
             assert (plan.cut_index, plan.theta1, plan.theta2) == \
                 _brute_force(model, d1, d2, link, table, lambda1), f"case {case}"
 
@@ -179,18 +179,18 @@ def test_c4_tradeoff_switch_is_monotone():
         weights = [0.0] + list(np.logspace(-6, 2, 25))
         losses = []
         for lam1 in weights:
-            plan = optimizer.grid_search(model, d1, d2, link, table, float(lam1))
+            plan = cost_model.grid_search(model, d1, d2, link, table, float(lam1))
             losses.append(plan.cost.accuracy_loss)
 
-        zero_weight = optimizer.grid_search(model, d1, d2, link, table, 0.0)
-        pure_latency = optimizer.grid_search(model, d1, d2, link, zero_table(), 0.0)
+        zero_weight = cost_model.grid_search(model, d1, d2, link, table, 0.0)
+        pure_latency = cost_model.grid_search(model, d1, d2, link, zero_table(), 0.0)
         assert (zero_weight.cut_index, zero_weight.theta1, zero_weight.theta2) == \
             (pure_latency.cut_index, pure_latency.theta1, pure_latency.theta2)
         assert zero_weight.theta1 is S3 and zero_weight.theta2 is S3  # fastest, most penalized
 
         # the accuracy loss of the winner never increases as the weight grows
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
-        final = optimizer.grid_search(model, d1, d2, link, table, float(weights[-1]))
+        final = cost_model.grid_search(model, d1, d2, link, table, float(weights[-1]))
         assert final.theta1 is FULL and final.theta2 is FULL
 
 

@@ -9,8 +9,7 @@ import warnings
 
 import pytest
 
-from codesign import optimizer
-from codesign.cost_model import COST_FIELDS, ROW_FIELDS
+from codesign.cost_model import COST_FIELDS, ROW_FIELDS, evaluate_grid
 from codesign.errors import CodesignError
 from codesign.profiles import Config, config_from_dict, config_to_dict
 from conftest import FIXTURES
@@ -84,8 +83,8 @@ def test_fuzzed_config_loads_finite_or_raises_domain_error(path, value):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy overflow warning gets through
         try:
-            rows = optimizer.evaluate_grid(config.model, config.device1, config.device2,
-                                           config.link, config.penalties, config.lambda1)
+            rows = evaluate_grid(config.model, config.device1, config.device2, config.link,
+                                 config.penalties, config.lambda1)
         except CodesignError:
             return
     columns = [ROW_FIELDS.index(name) for name in COST_FIELDS]

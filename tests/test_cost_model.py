@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from codesign import cost_model, optimizer
+from codesign import cost_model
 from codesign.errors import DegenerateSplit
 from codesign.profiles import (
     AccuracyPenaltyTable,
@@ -75,8 +75,8 @@ def test_every_segment_sum_adds_layers_in_one_order():
     plan = cost_model.evaluate_plan(model, 3, S3, S3, unit, unit, simple_link(),
                                     zero_table(), 0.0)
     assert plan.cost.t1 == 1e16
-    plans = map(optimizer.row_plan,
-                optimizer.evaluate_grid(model, unit, unit, simple_link(), zero_table(), 0.0))
+    plans = map(cost_model.row_plan,
+                cost_model.evaluate_grid(model, unit, unit, simple_link(), zero_table(), 0.0))
     assert {plan.cost.t1 for plan in plans if plan.cut_index == 3} == {1e16}
 
 
@@ -197,7 +197,7 @@ def test_lagrangian_crossover_flips_ranking():
     assert threshold == pytest.approx(1e-3 / 1.0, rel=1e-12)  # 1 ms per 1.0 point
     winners = []
     for lam1 in np.linspace(0.0, 2 * threshold, 201).tolist():
-        winner = optimizer.grid_search(model, device, device, link, table, lam1)
+        winner = cost_model.grid_search(model, device, device, link, table, lam1)
         if lam1 < threshold * (1 - 1e-9):
             assert winner.theta1 is S3
         elif lam1 > threshold * (1 + 1e-9):

@@ -62,8 +62,8 @@ def brute_force_argmin(model, d1, d2, link, table, lambda1):
 
 def ranked_plans(model, d1, d2, link, table, lambda1):
     """Every candidate of the grid as a plan, ranked best-first."""
-    return [optimizer.row_plan(row)
-            for row in sorted(optimizer.evaluate_grid(model, d1, d2, link, table, lambda1))]
+    return [cost_model.row_plan(row)
+            for row in sorted(cost_model.evaluate_grid(model, d1, d2, link, table, lambda1))]
 
 
 def ranking_key(plan):
@@ -78,7 +78,7 @@ def test_grid_search_matches_brute_force_small():
     model = random_model(rng, 3)  # two interior cuts
     d1, d2 = random_device(rng, "a"), random_device(rng, "b")
     link = simple_link()
-    plan = optimizer.grid_search(model, d1, d2, link, zero_table(), 0.0)
+    plan = cost_model.grid_search(model, d1, d2, link, zero_table(), 0.0)
     assert (plan.cut_index, plan.theta1, plan.theta2) == \
         brute_force_argmin(model, d1, d2, link, zero_table(), 0.0)
 
@@ -88,7 +88,7 @@ def test_huge_weight_forces_full_structure():
     model = random_model(rng, 6)
     d1, d2 = random_device(rng, "a"), random_device(rng, "b")
     table = random_table(rng)  # zero only at the full structure
-    plan = optimizer.grid_search(model, d1, d2, simple_link(), table, 1e9)
+    plan = cost_model.grid_search(model, d1, d2, simple_link(), table, 1e9)
     assert plan.theta1 is FULL and plan.theta2 is FULL
     assert plan.cost.accuracy_loss == 0.0
 
@@ -114,7 +114,7 @@ def test_deterministic_under_exact_ties():
     # candidate ties, so the winner must be the canonical first key
     model = uniform_model(5, flops=1e9, data=1e8, activation=1e5)
     d = DeviceProfile("d", 1e12, 1e10)
-    plan = optimizer.grid_search(model, d, d, simple_link(), zero_table(), 0.0)
+    plan = cost_model.grid_search(model, d, d, simple_link(), zero_table(), 0.0)
     assert (plan.cut_index, plan.theta1, plan.theta2) == (1, S3, S3)
     assert (plan.cut_index, plan.theta1, plan.theta2) == \
         brute_force_argmin(model, d, d, simple_link(), zero_table(), 0.0)
@@ -138,8 +138,8 @@ def test_strict_mode_raises_when_nothing_feasible():
     model = uniform_model(3, flops=1e6, data=1e8)
     d = DeviceProfile("d", 1e13, 1e9)  # balance 10000
     with pytest.raises(NoFeasiblePlan):
-        optimizer.evaluate_grid(model, d, d, simple_link(), zero_table(), 0.0,
-                                require_feasible=True)
+        cost_model.evaluate_grid(model, d, d, simple_link(), zero_table(), 0.0,
+                                 require_feasible=True)
 
 
 def test_strict_mode_picks_best_feasible():
@@ -155,11 +155,11 @@ def test_strict_mode_picks_best_feasible():
         feasible = [plan for plan in plans if all(plan.feasible)]
         if not feasible:
             with pytest.raises(NoFeasiblePlan):
-                optimizer.evaluate_grid(model, d1, d2, link, table, 0.0, require_feasible=True)
+                cost_model.evaluate_grid(model, d1, d2, link, table, 0.0, require_feasible=True)
             continue
-        strict = sorted(optimizer.evaluate_grid(model, d1, d2, link, table, 0.0,
-                                                require_feasible=True))
-        assert [optimizer.row_plan(row) for row in strict] == feasible
+        strict = sorted(cost_model.evaluate_grid(model, d1, d2, link, table, 0.0,
+                                                 require_feasible=True))
+        assert [cost_model.row_plan(row) for row in strict] == feasible
         if len(feasible) < len(plans):
             partial += 1
             moved += feasible[0] != plans[0]
@@ -194,7 +194,7 @@ def assert_grid_agrees_with_scalar(model, d1, d2, link, table, lambda1):
     best = plans[0]
     assert (best.cut_index, best.theta1, best.theta2) == \
         brute_force_argmin(model, d1, d2, link, table, lambda1)
-    assert optimizer.grid_search(model, d1, d2, link, table, lambda1) == best
+    assert cost_model.grid_search(model, d1, d2, link, table, lambda1) == best
 
 
 def test_vectorized_grid_matches_scalar_on_random_models():
@@ -297,7 +297,7 @@ def test_sweep_bit_identical_to_numpy_sweep():
     cases = list(sweep_cases())
     assert len(cases) == 26
     for case in cases:
-        rows = optimizer._sweep(*case)
+        rows = cost_model._sweep(*case)
         reference = numpy_sweep(*case)
         assert len(rows) == 16 * (len(case[0].layers) - 1)
         for index, name in enumerate(cost_model.ROW_FIELDS):
@@ -306,11 +306,11 @@ def test_sweep_bit_identical_to_numpy_sweep():
 
 def test_grid_columns_and_rows_agree():
     config = load_config(FIXTURES / "paper.json")
-    rows = sorted(optimizer.evaluate_grid(config.model, config.device1, config.device2,
-                                          config.link, config.penalties, config.lambda1))
+    rows = sorted(cost_model.evaluate_grid(config.model, config.device1, config.device2,
+                                           config.link, config.penalties, config.lambda1))
     assert len(rows) == 13 * 16
     for row in rows:
-        assert ranking_key(optimizer.row_plan(row)) == row[:5]
+        assert ranking_key(cost_model.row_plan(row)) == row[:5]
 
 
 # --- continuous refinement ---------------------------------------------------
@@ -454,7 +454,7 @@ def test_refine_trace_bit_identical_to_reference(case):
     else:
         model, d1, d2, link = rep_stack(224, 66), nano(), nx(), simple_link()
         table, lambda1 = random_table(np.random.default_rng(66)), 1e-4
-    winner = optimizer.grid_search(model, d1, d2, link, table, lambda1)
+    winner = cost_model.grid_search(model, d1, d2, link, table, lambda1)
     mixed = evaluate_plan(model, len(model.layers) // 3, S3, S3_1X1, d1, d2, link,
                           table, lambda1)
     for start, step in ((winner, 1e-3), (mixed, 1e-3), (mixed, 50.0)):

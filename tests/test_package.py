@@ -15,9 +15,9 @@ GOLDEN = Path(__file__).parent / "golden"
 # Names `codesign/__init__.py` once re-exported, with the submodule that
 # defines each; they are imported from that submodule now.
 EXPORTS = {
-    "cost_model": ["CostBreakdown", "PartitionPlan", "evaluate_plan"],
+    "cost_model": ["CostBreakdown", "PartitionPlan", "evaluate_plan", "grid_search"],
     "errors": ["CodesignError"],
-    "optimizer": ["grid_search", "refine_lambda"],
+    "optimizer": ["refine_lambda"],
     "profiles": ["AccuracyPenaltyTable", "Config", "DeviceProfile", "FusionStrategy",
                  "LayerProfile", "LinkProfile", "ModelProfile", "load_config", "load_device",
                  "total_load"],
@@ -81,6 +81,41 @@ for argv in {commands!r}:
             code = exc.code
     assert code == 0, (argv, code)
     assert "numpy" not in sys.modules, argv
+print("ok")
+"""
+    result = _run(script)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "ok\n"
+
+
+def test_only_the_refine_trace_imports_the_optimizer(tmp_path):
+    # the grid is costed in cost_model; optimizer holds only the descent
+    # that `plan --trace-out` reports
+    config = str(FIXTURES / "paper.json")
+    commands = [
+        ["--help"],
+        ["plan", "--config", config],
+        ["simulate", "--config", config, "--rate", "100", "--horizon", "1"],
+        ["simulate", "--config", config, "--rate", "100", "--horizon", "1", "--cut", "5"],
+        ["cost", "--config", config, "--cut", "5", "--theta1", "conv3",
+         "--theta2", "conv3+skip+conv1"],
+        ["roofline", "--config", config],
+        ["report", "--plan", str(GOLDEN / "paper_plan.csv"),
+         "--sim", str(GOLDEN / "paper_simulate.json")],
+        ["plan", "--refine", "--config", config, "--trace-out", str(tmp_path / "trace.csv")],
+    ]
+    script = f"""
+import contextlib, io, sys
+from codesign import cli
+for argv in {commands!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code == 0, (argv, code)
+    loaded = "codesign.optimizer" in sys.modules
+    assert loaded == ("--trace-out" in argv), (argv, loaded)
 print("ok")
 """
     result = _run(script)

@@ -8,7 +8,7 @@ import pytest
 
 from codesign import simulator
 from codesign.errors import InvariantViolation
-from codesign.optimizer import grid_search
+from codesign.cost_model import grid_search
 from codesign.profiles import load_config
 from codesign.simulator import RequestRecord, SimConfig, SimReport
 
