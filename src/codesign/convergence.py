@@ -67,13 +67,6 @@ class QuadraticObjective(namedtuple("QuadraticObjective", "matrix linear split_i
         return float(eigenvalues[0]), float(eigenvalues[-1])
 
 
-def admissible_step_limit(obj: QuadraticObjective) -> float:
-    """Largest admissible learning rate: the smoothness bound 2/L.  The
-    loss-decrease bound 2/mu is never smaller, since mu <= L."""
-    _, lip = obj.curvature_bounds()
-    return 2.0 / lip
-
-
 def split_gradient(obj: QuadraticObjective, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-block gradients, each computed on its own device's rows;
     concatenated they equal the full gradient bit-for-bit (same per-row
@@ -94,7 +87,7 @@ def split_step(obj: QuadraticObjective, w: np.ndarray, eta: float) -> np.ndarray
     return np.concatenate([w[:k] - eta * g1, w[k:] - eta * g2])
 
 
-def contraction_factor(obj: QuadraticObjective, eta: float) -> float:
+def contraction_factor(mu: float, lip: float, eta: float) -> float:
     """Exact per-step factor rho of the loss gap under gradient descent with
     step ``eta``: gap_{k+1} <= rho * gap_k, with equality when the error
     lies on the limiting eigenvector.
@@ -110,15 +103,15 @@ def contraction_factor(obj: QuadraticObjective, eta: float) -> float:
     below 1 for every eta in (0, 2/L) and equal to 1 at eta = 2/L.  The
     split step is the whole-vector step, so the same factor holds for it.
     """
-    mu, lip = obj.curvature_bounds()
     return max((1.0 - eta * mu) ** 2, (1.0 - eta * lip) ** 2)
 
 
-def rate_check(obj: QuadraticObjective, w0: np.ndarray, eta: float,
-               steps: int) -> tuple[int | None, list[float], list[float], list[float]]:
+def rate_check(obj: QuadraticObjective, curvature: tuple[float, float], w0: np.ndarray,
+               eta: float, steps: int) -> tuple[int | None, list[float], list[float], list[float]]:
     """Run split gradient descent and test the geometric contraction of the
     loss gap: gap_k <= rho^k * gap_0, with rho the exact per-step factor
-    ``contraction_factor(obj, eta)`` and each gap from ``obj.gap``.
+    ``contraction_factor(mu, lip, eta)`` for ``curvature`` = (mu, lip) from
+    ``obj.curvature_bounds()``, and each gap from ``obj.gap``.
 
     Returns the first step at which the bound fails (None if it never does),
     the per-step gap ratios gap_{k+1}/gap_k, the measured gaps gap_k and the
@@ -126,14 +119,17 @@ def rate_check(obj: QuadraticObjective, w0: np.ndarray, eta: float,
     noise the bound check stops and ratios are reported as 0; the gaps are
     always as measured.
     """
-    limit = admissible_step_limit(obj)
+    mu, lip = curvature
+    # The smoothness bound 2/L; the loss-decrease bound 2/mu is never
+    # smaller, since mu <= L.
+    limit = 2.0 / lip
     if not 0 < eta <= limit:
         raise StepSizeOutOfRange(f"eta={eta} outside (0, {limit}]")
 
     minimizer = obj.minimizer()
     gap0 = obj.gap(w0, minimizer)
     floor = _GAP_FLOOR_REL * max(abs(gap0), abs(obj.loss(minimizer)), 1.0)
-    factor = contraction_factor(obj, eta)
+    factor = contraction_factor(mu, lip, eta)
 
     w = w0
     previous_gap = gap0
@@ -168,16 +164,16 @@ def random_objective(rng: np.random.Generator, dim: int) -> QuadraticObjective:
 
 def run_lab(seed: int, dim: int, steps: int) -> dict:
     """One seeded lab run: random quadratic, learning rate at 90% of the
-    admissible limit, geometric-bound check over the trajectory.  Each row's
+    admissible limit 2/L, geometric-bound check over the trajectory.  Each row's
     ``bound`` is the gap_0 * rho^k that ``rate_check`` tested (see
     ``contraction_factor``)."""
     rng = np.random.default_rng(seed)
     obj = random_objective(rng, dim)
     mu, lip = obj.curvature_bounds()
-    eta = 0.9 * admissible_step_limit(obj)
+    eta = 0.9 * (2.0 / lip)
     w0 = rng.standard_normal(dim)
 
-    violated_at, ratios, gaps, bounds = rate_check(obj, w0, eta, steps)
+    violated_at, ratios, gaps, bounds = rate_check(obj, (mu, lip), w0, eta, steps)
 
     rows = [{
         "step": k,

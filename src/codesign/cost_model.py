@@ -93,7 +93,17 @@ def _cut_rows(cut: int, t3: float, heads, tails, lambda1: float) -> list[tuple]:
     segment (device 1) paired with each tail segment (device 2).  The
     accuracy loss (the penalties weighted by the FLOP split) and the
     objective ``t_total + lambda1 * loss`` are computed here and nowhere
-    else."""
+    else.  A FLOP or byte total of a head and a tail that overflows raises
+    ``InvariantViolation``: the split would divide by inf."""
+    # Rounded addition is monotone, so the largest head sum plus the largest
+    # tail sum bounds every pair's total.  A sum that is inf by itself gives
+    # its segment an inf time, which the cost check names.
+    for field, name, unit in ((0, "lambda_c", "FLOP"), (1, "lambda_m", "byte")):
+        head, tail = max(h[field] for h in heads), max(t[field] for t in tails)
+        if math.isfinite(head) and math.isfinite(tail) and not math.isfinite(head + tail):
+            raise InvariantViolation(
+                f"{name} divides by an inf {unit} total at cut {cut}; "
+                "the config's magnitudes overflow float arithmetic")
     rows = []
     for c1, m1, t1, f1, th1, p1 in heads:
         for c2, m2, t2, f2, th2, p2 in tails:

@@ -26,6 +26,10 @@ from .profiles import is_finite_real
 STAGES = ("device1", "link", "device2")
 
 MAX_EXPECTED_ARRIVALS = 1e7  # run() keeps a response time per completion
+# With keep_log each arrival also keeps a RequestRecord, and `simulate --csv`
+# a row of reprs and a CSV line: about 0.9 KB per arrival at peak RSS, so
+# this bound keeps a logged run near 0.9 GB.
+MAX_LOGGED_ARRIVALS = 1e6
 
 
 class SimConfig(namedtuple("SimConfig", "arrival_rate service_times horizon seed warmup",
@@ -95,9 +99,12 @@ def run(config: SimConfig, keep_log: bool = False) -> SimReport:
     is what one loop clipping every interval at both ends gives;
     `tests/test_simulator.py` keeps that loop as the reference.
     """
+    rate, horizon = config.arrival_rate, config.horizon
+    if keep_log and rate * horizon > MAX_LOGGED_ARRIVALS:
+        raise InvariantViolation(
+            f"arrival_rate * horizon exceeds {MAX_LOGGED_ARRIVALS:g} with a request log")
     random_ = random.Random(config.seed).random
     log = math.log
-    rate, horizon = config.arrival_rate, config.horizon
     warmup = config.effective_warmup
     s1, s_link, s2 = config.service_times
 

@@ -201,10 +201,11 @@ def test_c5_geometric_bound_and_split_consistency():
         rng = np.random.default_rng(99)
         for _ in range(20):
             obj = convergence.random_objective(rng, 16)
-            eta = 0.9 * convergence.admissible_step_limit(obj)  # < 2/L by construction
+            curvature = obj.curvature_bounds()
+            eta = 0.9 * (2.0 / curvature[1])  # < 2/L by construction
             w0 = rng.standard_normal(16)
 
-            violated, _, _, _ = convergence.rate_check(obj, w0, eta, 500)
+            violated, _, _, _ = convergence.rate_check(obj, curvature, w0, eta, 500)
             assert violated is None
 
             w_split, w_full = w0.copy(), w0.copy()

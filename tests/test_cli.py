@@ -118,6 +118,19 @@ def test_simulate_rejects_unbounded_arrival_count():
     assert result.stderr.startswith("InvariantViolation: arrival_rate * horizon")
 
 
+def test_simulate_csv_rejects_a_log_past_its_bound(tmp_path):
+    # 2000 * 500.001 expected arrivals is just above the logged-run bound
+    # of 1e6, well under the 1e7 of an unlogged run
+    log = tmp_path / "requests.csv"
+    result = codesign("simulate", "--config", CONFIG, "--rate", "2000",
+                      "--horizon", "500.001", "--csv", str(log), timeout=60)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == ("InvariantViolation: arrival_rate * horizon exceeds 1e+06 "
+                             "with a request log\n")
+    assert not log.exists()
+
+
 def _config_with(tmp_path, *changes):
     """paper.json with each (key path, value) of ``changes`` set."""
     raw = json.loads((FIXTURES / "paper.json").read_text())
@@ -208,6 +221,37 @@ def test_overflowed_intensity_is_named_alike_by_every_command(tmp_path):
         assert result.stdout == ""
         assert result.stderr.startswith(
             "InvariantViolation: t2 is inf at cut 1, theta1 conv3, theta2 conv3; ")
+
+
+def _two_layers(flops, data):
+    """paper.json's first two layers, not fusible, at ``flops`` FLOPs and
+    ``data`` bytes each under every strategy."""
+    layers = json.loads((FIXTURES / "paper.json").read_text())["model"]["layers"][:2]
+    return [(["model", "layers"], [
+        dict(layer, fusible=False,
+             flops_by_strategy=dict.fromkeys(layer["flops_by_strategy"], flops),
+             bytes_by_strategy=dict.fromkeys(layer["bytes_by_strategy"], data))
+        for layer in layers])]
+
+
+@pytest.mark.parametrize("flops, data, split, unit", [
+    (1e308, 1e300, "lambda_c", "FLOP"),
+    (1e6, 1e308, "lambda_m", "byte"),
+])
+@pytest.mark.parametrize("command", [
+    ["plan"],
+    ["cost", "--cut", "1", "--theta1", "conv3", "--theta2", "conv3"],
+    ["cost", "--cut", "1", "--theta1", "conv3", "--theta2", "conv3+skip+conv1"],
+])
+def test_overflowing_split_is_named(tmp_path, flops, data, split, unit, command):
+    # each sum is finite but head + tail is inf, so c1 / (c1 + c2) would
+    # print 0.0 for a split of 0.5, and an accuracy loss from one side only
+    config = _config_with(tmp_path, *_two_layers(flops, data))
+    result = codesign(*command, "--config", config)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == (f"InvariantViolation: {split} divides by an inf {unit} total at "
+                             "cut 1; the config's magnitudes overflow float arithmetic\n")
 
 
 @pytest.mark.parametrize("changes, quantity", [
@@ -472,7 +516,7 @@ def test_convergence_lab_prints_measured_gaps():
 
     rng = np.random.default_rng(7)
     obj = convergence.random_objective(rng, 16)
-    eta = 0.9 * convergence.admissible_step_limit(obj)
+    eta = 0.9 * (2.0 / obj.curvature_bounds()[1])
     w = rng.standard_normal(16)
     minimizer = obj.minimizer()
     for gap in printed:

@@ -71,7 +71,8 @@ def test_split_trajectory_bit_for_bit_equals_unsplit():
     for _ in range(10):
         dim = int(rng.choice([10, 12, 16, 20]))
         obj = convergence.random_objective(rng, dim)
-        eta = 0.5 * convergence.admissible_step_limit(obj)
+        _, lip = obj.curvature_bounds()
+        eta = 0.5 * (2.0 / lip)
         w_split = rng.standard_normal(dim)
         w_full = w_split.copy()
         for _step in range(100):
@@ -84,7 +85,8 @@ def test_rate_check_scalar_closed_form():
     mu = 1.5
     obj = diag_objective([mu, mu])
     eta = 0.4  # well inside (0, 2/mu)
-    violated, ratios, _, _ = convergence.rate_check(obj, np.array([2.0, -1.0]), eta, 50)
+    violated, ratios, _, _ = convergence.rate_check(obj, (mu, mu), np.array([2.0, -1.0]),
+                                                    eta, 50)
     assert violated is None
     # gap contracts by exactly (1 - eta*mu)^2 per step until it hits noise
     expected = (1 - eta * mu) ** 2
@@ -99,9 +101,9 @@ def test_step_size_guard():
     lip = 4.0
     obj = diag_objective([lip, lip])
     with pytest.raises(StepSizeOutOfRange):
-        convergence.rate_check(obj, np.ones(2), 2.0 / lip + 1e-9, 10)
+        convergence.rate_check(obj, (lip, lip), np.ones(2), 2.0 / lip + 1e-9, 10)
     with pytest.raises(StepSizeOutOfRange):
-        convergence.rate_check(obj, np.ones(2), 0.0, 10)
+        convergence.rate_check(obj, (lip, lip), np.ones(2), 0.0, 10)
 
 
 def test_rate_check_random_spd_no_violation():
@@ -114,7 +116,7 @@ def test_rate_check_random_spd_no_violation():
     mu, lip = obj.curvature_bounds()
     assert mu == pytest.approx(0.5, rel=1e-9)
     assert lip == pytest.approx(2.0, rel=1e-9)
-    violated, _, _, _ = convergence.rate_check(obj, rng.standard_normal(6), 0.5, 200)
+    violated, _, _, _ = convergence.rate_check(obj, (mu, lip), rng.standard_normal(6), 0.5, 200)
     assert violated is None
 
 
@@ -122,10 +124,10 @@ def test_gap_non_increasing_and_geometric():
     rng = np.random.default_rng(45)
     for _ in range(10):
         obj = convergence.random_objective(rng, 10)
-        mu, _ = obj.curvature_bounds()
-        eta = 0.9 * convergence.admissible_step_limit(obj)
+        mu, lip = obj.curvature_bounds()
+        eta = 0.9 * (2.0 / lip)
         w0 = rng.standard_normal(10)
-        violated, ratios, _, _ = convergence.rate_check(obj, w0, eta, 300)
+        violated, ratios, _, _ = convergence.rate_check(obj, (mu, lip), w0, eta, 300)
         assert violated is None
         assert all(r <= 1.0 + 1e-12 for r in ratios)
 
@@ -140,9 +142,15 @@ def test_loss_decrease_condition_for_admissible_steps():
         assert -eta + 0.5 * mu * eta * eta < 0
 
 
-def test_admissible_limit_is_intersection():
+def test_step_limit_is_the_smoothness_bound():
+    # min(2/mu, 2/L) = min(2/0.5, 2/2.0) = 1.0: the guard admits 1.0 itself
+    # and nothing above it
     obj = diag_objective([0.5, 2.0], split=1)
-    assert convergence.admissible_step_limit(obj) == 1.0  # min(2/0.5, 2/2.0)
+    curvature = obj.curvature_bounds()
+    violated, _, _, _ = convergence.rate_check(obj, curvature, np.ones(2), 1.0, 10)
+    assert violated is None
+    with pytest.raises(StepSizeOutOfRange, match=r"outside \(0, 1\.0\]"):
+        convergence.rate_check(obj, curvature, np.ones(2), np.nextafter(1.0, 2.0), 10)
 
 
 def test_run_lab_report_shape():
@@ -154,12 +162,12 @@ def test_run_lab_report_shape():
 
 
 def test_contraction_factor_is_the_larger_end_of_the_spectrum():
-    obj = diag_objective([0.5, 2.0], split=1)
+    # spectrum [0.5, 2.0]
     # eta = 0.3: (1 - 0.15)^2 = 0.7225 at mu beats (1 - 0.6)^2 = 0.16 at L
-    assert convergence.contraction_factor(obj, 0.3) == pytest.approx(0.7225, rel=1e-15)
+    assert convergence.contraction_factor(0.5, 2.0, 0.3) == pytest.approx(0.7225, rel=1e-15)
     # eta = 0.9: (1 - 1.8)^2 = 0.64 at L beats (1 - 0.45)^2 = 0.3025 at mu
-    assert convergence.contraction_factor(obj, 0.9) == pytest.approx(0.64, rel=1e-15)
-    assert convergence.contraction_factor(obj, 1.0) == 1.0  # eta = 2/L
+    assert convergence.contraction_factor(0.5, 2.0, 0.9) == pytest.approx(0.64, rel=1e-15)
+    assert convergence.contraction_factor(0.5, 2.0, 1.0) == 1.0  # eta = 2/L
 
 
 def test_lab_seed_whose_gap_beat_the_old_bound():
@@ -203,8 +211,26 @@ def test_lab_bound_column_is_gap0_times_rho_to_the_k():
     rng = np.random.default_rng(3)
     obj = convergence.random_objective(rng, 8)
     gap0 = obj.gap(rng.standard_normal(8), obj.minimizer())
-    rho = convergence.contraction_factor(obj, result["eta"])
+    mu, lip = obj.curvature_bounds()
+    assert (result["mu"], result["lip"]) == (mu, lip)
+    assert result["eta"] == 0.9 * (2.0 / lip)
+    rho = convergence.contraction_factor(mu, lip, result["eta"])
     assert [row["bound"] for row in result["rows"]] == [gap0 * rho ** k for k in range(1, 31)]
+
+
+def test_lab_takes_the_spectrum_once(monkeypatch):
+    # one eigvalsh in QuadraticObjective's positive-definiteness check, one
+    # for the (mu, L) pair that sets eta, the step guard and rho
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    convergence.run_lab(seed=3, dim=8, steps=30)
+    assert calls == [(8, 8), (8, 8)]
 
 
 @pytest.mark.parametrize("fraction", [0.3, 0.9, 1.0])
@@ -219,11 +245,12 @@ def test_rate_is_tight_on_the_limiting_eigenvector(fraction):
         matrix = convergence.random_objective(rng, dim).matrix
         obj = QuadraticObjective(matrix=matrix, linear=np.zeros(dim), split_index=dim // 2)
         mu, lip = obj.curvature_bounds()
-        eta = fraction * convergence.admissible_step_limit(obj)
-        rho = convergence.contraction_factor(obj, eta)
+        eta = fraction * (2.0 / lip)
+        rho = convergence.contraction_factor(mu, lip, eta)
         eigenvalues, vectors = np.linalg.eigh(matrix)
         limiting = 0 if (1 - eta * mu) ** 2 >= (1 - eta * lip) ** 2 else -1
-        violated, ratios, _, _ = convergence.rate_check(obj, vectors[:, limiting], eta, 200)
+        violated, ratios, _, _ = convergence.rate_check(obj, (mu, lip), vectors[:, limiting],
+                                                        eta, 200)
         assert violated is None
         checked = [ratio for ratio in ratios if ratio != 0.0]
         assert len(checked) >= 10
