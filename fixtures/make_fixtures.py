@@ -8,7 +8,17 @@ cost formulas; the intensity table carries published whole-model values.
 import json
 from pathlib import Path
 
-from codesign.profiles import FULL_STRUCTURE, config_from_dict, config_to_dict, total_load
+from codesign.profiles import (
+    FULL_STRUCTURE,
+    AccuracyPenaltyTable,
+    Config,
+    FusionStrategy,
+    LinkProfile,
+    ModelProfile,
+    config_to_dict,
+    device_from_dict,
+    total_load,
+)
 from codesign.reparam import plain_conv_layer, rep_block_layer
 
 HERE = Path(__file__).parent
@@ -58,16 +68,6 @@ def backbone_layers():
     return layers
 
 
-def layer_dict(layer):
-    return {
-        "index": layer.index,
-        "flops_by_strategy": {s.value: v for s, v in layer.flops_by_strategy.items()},
-        "bytes_by_strategy": {s.value: v for s, v in layer.bytes_by_strategy.items()},
-        "output_activation_bytes": layer.output_activation_bytes,
-        "fusible": layer.fusible,
-    }
-
-
 def main():
     for stem, spec in DEVICES.items():
         (HERE / f"{stem}.json").write_text(json.dumps(spec, indent=2) + "\n")
@@ -75,22 +75,15 @@ def main():
     (HERE / "model_intensities.json").write_text(
         json.dumps({"schema_version": 1, "models": INTENSITIES}, indent=2) + "\n")
 
-    raw = {
-        "devices": [DEVICES["jetson_nano"], DEVICES["jetson_nx"]],
-        "link": {"bandwidth": 12.5e6, "fixed_latency": 0.0},  # 100 Mbps
-        "model": {
-            "name": "repvgg-mini",
-            "layers": [layer_dict(l) for l in backbone_layers()],
-        },
-        "penalties": {
-            "1": {"conv3": 2.0, "conv3+skip": 1.2, "conv3+conv1": 0.8,
-                  "conv3+skip+conv1": 0.0},
-            "2": {"conv3": 2.6, "conv3+skip": 1.5, "conv3+conv1": 1.0,
-                  "conv3+skip+conv1": 0.0},
-        },
-        "lambda1": 0.01,
-    }
-    config = config_from_dict(raw)  # validate before writing
+    # the records validate the config before it is written; penalties are
+    # listed in FusionStrategy order: conv3, conv3+skip, conv3+conv1, everything
+    config = Config(device_from_dict(DEVICES["jetson_nano"]),
+                    device_from_dict(DEVICES["jetson_nx"]),
+                    LinkProfile(12.5e6),  # 100 Mbps
+                    ModelProfile("repvgg-mini", tuple(backbone_layers())),
+                    AccuracyPenaltyTable({1: dict(zip(FusionStrategy, (2.0, 1.2, 0.8, 0.0))),
+                                          2: dict(zip(FusionStrategy, (2.6, 1.5, 1.0, 0.0)))}),
+                    0.01)
     (HERE / "paper.json").write_text(json.dumps(config_to_dict(config), indent=2) + "\n")
 
     flops, data = total_load(config.model, FULL_STRUCTURE)

@@ -146,7 +146,7 @@ def _cmd_roofline(args) -> int:
     strategy = parse_strategy(args.theta, "--theta")
     flops, data = total_load(config.model, strategy)
     rows = []
-    for device in config.devices:
+    for device in (config.device1, config.device2):
         rep = roofline.report(flops, data, device)
         rows.append([config.model.name, device.name, repr(rep.intensity),
                      repr(roofline.machine_balance(device)), rep.bottleneck.value])

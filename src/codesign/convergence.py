@@ -39,8 +39,10 @@ class QuadraticObjective(namedtuple("QuadraticObjective", "matrix linear split_i
                 f"split_index={self.split_index} must leave both blocks non-empty")
         if not np.allclose(a, a.T):
             raise InvariantViolation("matrix must be symmetric")
-        if np.linalg.eigvalsh(a)[0] <= 0:
-            raise InvariantViolation("matrix must be positive definite")
+        try:  # a Cholesky factor exists exactly when a is positive definite
+            np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            raise InvariantViolation("matrix must be positive definite") from None
         return self
 
     @property

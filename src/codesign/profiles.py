@@ -10,8 +10,11 @@ is valid, and none can be assigned to afterwards.  ``_replace`` and ``_make``
 skip the checks.  Namedtuple classes are cheap to create, which keeps the
 package's start-up short.
 
-Config files are JSON with top-level keys ``devices``, ``link``, ``model``,
-``penalties`` and ``lambda1`` (see README for the full schema).
+The records state the config schema: each JSON object holds only its
+record's field names, written in field order, and ``Config`` holds the two
+devices.  A config file's top-level keys are ``devices`` (a list of the
+two, terminal first), ``link``, ``model``, ``penalties`` and ``lambda1``
+(see README for the full schema).
 """
 
 from __future__ import annotations
@@ -161,12 +164,6 @@ class ModelProfile(namedtuple("ModelProfile", "name layers")):
                     "listed in order and indexed consecutively from 0")
         return self
 
-    @property
-    def boundaries(self) -> range:
-        """Interior cut positions: cutting at k puts layers [0, k) on the
-        first device and [k, n) on the second."""
-        return range(1, len(self.layers))
-
 
 class AccuracyPenaltyTable(namedtuple("AccuracyPenaltyTable", "penalties")):
     """Accuracy points lost per sub-model (1 or 2) and fusion strategy:
@@ -204,33 +201,20 @@ class AccuracyPenaltyTable(namedtuple("AccuracyPenaltyTable", "penalties")):
         return self.penalties[sub_model][strategy]
 
 
-class Config(namedtuple("Config", "devices link model penalties lambda1")):
-    """A fully validated planning problem: two devices (first = terminal,
-    second = edge server), the link between them, the model, the accuracy
-    penalty table, and the latency/accuracy trade-off weight."""
+class Config(namedtuple("Config", "device1 device2 link model penalties lambda1")):
+    """A fully validated planning problem: two devices (``device1`` = terminal,
+    ``device2`` = edge server), the link between them, the model, the
+    accuracy penalty table, and the latency/accuracy trade-off weight."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if len(self.devices) < 2:
-            raise MissingField("devices (need at least a terminal and an edge device)")
-        if len(self.devices) > 2:
-            raise InvariantViolation(f"devices lists {len(self.devices)} devices; "
-                                     "a plan splits the model across exactly 2")
         if len(self.model.layers) < 2:
             raise InvariantViolation("model.layers must contain at least 2 layers")
         if self.lambda1 < 0:
             raise NonPositiveQuantity("lambda1")
         return self
-
-    @property
-    def device1(self) -> DeviceProfile:
-        return self.devices[0]
-
-    @property
-    def device2(self) -> DeviceProfile:
-        return self.devices[1]
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +251,25 @@ def _field(raw, key, where, kind=float, default=None):
     raise InvalidConfig(f"{path} must be {_EXPECTED[kind]}")
 
 
-def _build(cls, where, **fields):
-    """``cls(**fields)``; an error its validation raises gets ``where`` as prefix."""
+def _only_keys(raw, keys, where):
+    """Reject the first key of the JSON object ``raw``, in document order,
+    that ``keys`` does not name: a misspelt key must not fall back to a default."""
+    for key in raw:
+        if key not in keys:
+            path = f"{where}.{key}" if where else key
+            raise InvalidConfig(f"{path} is not a config key")
+
+
+def _build(cls, raw, where, **fields):
+    """``cls(**fields)`` read from the JSON object ``raw``, which may hold
+    only ``cls._fields``; an error the record's validation raises gets
+    ``where`` as prefix."""
     try:
-        return cls(**fields)
+        record = cls(**fields)
     except CodesignError as exc:
         raise type(exc)(f"{where}.{exc}") from None
+    _only_keys(raw, cls._fields, where)
+    return record
 
 
 def _strategy_map(raw, key, where) -> dict[FusionStrategy, float]:
@@ -281,7 +278,7 @@ def _strategy_map(raw, key, where) -> dict[FusionStrategy, float]:
 
 
 def device_from_dict(raw: dict, where: str = "device") -> DeviceProfile:
-    return _build(DeviceProfile, where,
+    return _build(DeviceProfile, raw, where,
                   name=_field(raw, "name", where, str),
                   peak_compute=_field(raw, "peak_compute", where),
                   mem_bandwidth=_field(raw, "mem_bandwidth", where),
@@ -289,13 +286,13 @@ def device_from_dict(raw: dict, where: str = "device") -> DeviceProfile:
 
 
 def _link_from_dict(raw: dict, where: str = "link") -> LinkProfile:
-    return _build(LinkProfile, where,
+    return _build(LinkProfile, raw, where,
                   bandwidth=_field(raw, "bandwidth", where),
                   fixed_latency=_field(raw, "fixed_latency", where, default=0.0))
 
 
 def _layer_from_dict(raw: dict, where: str) -> LayerProfile:
-    return _build(LayerProfile, where,
+    return _build(LayerProfile, raw, where,
                   index=_field(raw, "index", where, int),
                   flops_by_strategy=_strategy_map(raw, "flops_by_strategy", where),
                   bytes_by_strategy=_strategy_map(raw, "bytes_by_strategy", where),
@@ -304,7 +301,7 @@ def _layer_from_dict(raw: dict, where: str) -> LayerProfile:
 
 
 def model_from_dict(raw: dict, where: str = "model") -> ModelProfile:
-    return _build(ModelProfile, where, name=_field(raw, "name", where, str), layers=tuple(
+    return _build(ModelProfile, raw, where, name=_field(raw, "name", where, str), layers=tuple(
         _layer_from_dict(layer, f"{where}.layers[{i}]")
         for i, layer in enumerate(_field(raw, "layers", where, list))))
 
@@ -317,46 +314,38 @@ def _penalties_from_dict(raw: dict, where: str = "penalties") -> AccuracyPenalty
 
 
 def config_from_dict(raw: dict) -> Config:
-    return Config(devices=tuple(device_from_dict(d, f"devices[{i}]")
-                                for i, d in enumerate(_field(raw, "devices", "", list))),
-                  link=_link_from_dict(_field(raw, "link", "", dict)),
-                  model=model_from_dict(_field(raw, "model", "", dict)),
-                  penalties=_penalties_from_dict(_field(raw, "penalties", "", dict)),
-                  lambda1=_field(raw, "lambda1", ""))
+    devices = [device_from_dict(d, f"devices[{i}]")
+               for i, d in enumerate(_field(raw, "devices", "", list))]
+    fields = (_link_from_dict(_field(raw, "link", "", dict)),
+              model_from_dict(_field(raw, "model", "", dict)),
+              _penalties_from_dict(_field(raw, "penalties", "", dict)),
+              _field(raw, "lambda1", ""))
+    if len(devices) < 2:
+        raise MissingField("devices (need at least a terminal and an edge device)")
+    if len(devices) > 2:
+        raise InvariantViolation(f"devices lists {len(devices)} devices; "
+                                 "a plan splits the model across exactly 2")
+    config = Config(*devices, *fields)
+    _only_keys(raw, ("devices", "link", "model", "penalties", "lambda1"), "")
+    return config
+
+
+def _by_name(table: dict) -> dict:
+    """A strategy table keyed by strategy name, in the table's own order."""
+    return {s.value: v for s, v in table.items()}
 
 
 def config_to_dict(config: Config) -> dict:
+    """The JSON document ``config_from_dict`` reads back as ``config``."""
     return {
-        "devices": [
-            {
-                "name": d.name,
-                "peak_compute": d.peak_compute,
-                "mem_bandwidth": d.mem_bandwidth,
-                "utilization": d.utilization,
-            }
-            for d in config.devices
-        ],
-        "link": {
-            "bandwidth": config.link.bandwidth,
-            "fixed_latency": config.link.fixed_latency,
-        },
-        "model": {
-            "name": config.model.name,
-            "layers": [
-                {
-                    "index": layer.index,
-                    "flops_by_strategy": {s.value: v for s, v in layer.flops_by_strategy.items()},
-                    "bytes_by_strategy": {s.value: v for s, v in layer.bytes_by_strategy.items()},
-                    "output_activation_bytes": layer.output_activation_bytes,
-                    "fusible": layer.fusible,
-                }
-                for layer in config.model.layers
-            ],
-        },
-        "penalties": {
-            str(sub): {s.value: v for s, v in table.items()}
-            for sub, table in sorted(config.penalties.penalties.items())
-        },
+        "devices": [config.device1._asdict(), config.device2._asdict()],
+        "link": config.link._asdict(),
+        "model": dict(config.model._asdict(), layers=[
+            dict(layer._asdict(), flops_by_strategy=_by_name(layer.flops_by_strategy),
+                 bytes_by_strategy=_by_name(layer.bytes_by_strategy))
+            for layer in config.model.layers]),
+        "penalties": {str(sub): _by_name(table)
+                      for sub, table in sorted(config.penalties.penalties.items())},
         "lambda1": config.lambda1,
     }
 

@@ -180,6 +180,17 @@ def test_third_device_is_named(tmp_path, command):
     assert result.stdout == ""
 
 
+def test_misspelt_key_is_named(tmp_path):
+    # each would fall back to its default (1.0 and 0.0) if it were ignored
+    config = _config_with(tmp_path, (["devices", 0, "utilisation"], 0.25),
+                          (["link", "fixed_latancy"], 0.5))
+    result = codesign("cost", "--config", config, "--cut", "5", "--theta1", "conv3",
+                      "--theta2", "conv3")
+    assert result.returncode == 1
+    assert result.stderr == "InvalidConfig: devices[0].utilisation is not a config key\n"
+    assert result.stdout == ""
+
+
 @pytest.mark.parametrize("changes, quantity", [
     ([(["link", "bandwidth"], 1e-320)], "t3"),
     ([(["devices", 0, "peak_compute"], 1e-320)], "t1"),

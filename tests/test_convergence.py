@@ -219,8 +219,8 @@ def test_lab_bound_column_is_gap0_times_rho_to_the_k():
 
 
 def test_lab_takes_the_spectrum_once(monkeypatch):
-    # one eigvalsh in QuadraticObjective's positive-definiteness check, one
-    # for the (mu, L) pair that sets eta, the step guard and rho
+    # one eigvalsh, for the (mu, L) pair that sets eta, the step guard and
+    # rho; QuadraticObjective checks positive definiteness by Cholesky
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -230,7 +230,7 @@ def test_lab_takes_the_spectrum_once(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     convergence.run_lab(seed=3, dim=8, steps=30)
-    assert calls == [(8, 8), (8, 8)]
+    assert calls == [(8, 8)]
 
 
 @pytest.mark.parametrize("fraction", [0.3, 0.9, 1.0])

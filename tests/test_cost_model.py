@@ -110,7 +110,7 @@ def penalty_table(p1_s3=2.0, p2_s3=4.0):
 
 def test_accuracy_loss_full_structure_is_free():
     model = uniform_model(5)
-    for cut in model.boundaries:
+    for cut in range(1, len(model.layers)):
         plan = cost_model.evaluate_plan(model, cut, FULL, FULL, nano(), nx(), simple_link(),
                                         penalty_table(), 0.0)
         assert plan.cost.accuracy_loss == 0.0

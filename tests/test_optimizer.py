@@ -405,7 +405,7 @@ def reference_relaxed_latency(model, lam, theta1, theta2, d1, d2, link):
     head2_f, head2_b = partial(theta2)
     c2, m2 = tot2_f - head2_f, tot2_b - head2_b
 
-    positions = list(model.boundaries)
+    positions = list(range(1, n))
     acts = [layers[j - 1].output_activation_bytes for j in positions]
     s = k + t
     if s <= positions[0]:

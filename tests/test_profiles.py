@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from codesign.errors import (
+    InvalidConfig,
     InvariantViolation,
     MissingField,
     NonPositiveQuantity,
@@ -164,11 +165,76 @@ def test_config_device_accessors():
     assert config.lambda1 >= 0
 
 
+@pytest.mark.parametrize("devices, error, message", [
+    (1, MissingField, "devices (need at least a terminal and an edge device)"),
+    (3, InvariantViolation, "devices lists 3 devices; a plan splits the model across exactly 2"),
+], ids=["one", "three"])
+def test_config_needs_exactly_two_devices(devices, error, message):
+    raw = json.loads((FIXTURES / "paper.json").read_text())
+    raw["devices"] = [raw["devices"][0]] * devices
+    with pytest.raises(error) as err:
+        config_from_dict(raw)
+    assert str(err.value) == message
+
+
+def test_device_count_is_checked_after_every_key_is_read():
+    with pytest.raises(MissingField) as err:
+        config_from_dict({"devices": []})
+    assert str(err.value) == "link"
+
+
+# (key path of the object, a key its record does not name, the error's path)
+MISSPELT = [
+    ((), "lambda", "lambda"),
+    (("devices", 0), "utilisation", "devices[0].utilisation"),
+    (("link",), "fixed_latancy", "link.fixed_latancy"),
+    (("model",), "layer", "model.layer"),
+    (("model", "layers", 2), "fusable", "model.layers[2].fusable"),
+]
+
+
+@pytest.mark.parametrize("path, key, named", MISSPELT, ids=[named for *_, named in MISSPELT])
+def test_key_the_schema_does_not_name_is_rejected(path, key, named):
+    raw = json.loads((FIXTURES / "paper.json").read_text())
+    target = raw
+    for step in path:
+        target = target[step]
+    target[key] = 0.5
+    with pytest.raises(InvalidConfig) as err:
+        config_from_dict(raw)
+    assert str(err.value) == f"{named} is not a config key"
+
+
+def test_first_unknown_key_in_document_order_is_named():
+    raw = json.loads((FIXTURES / "paper.json").read_text())
+    raw["link"] = {"zeta": 1.0, "bandwidth": 1e6, "alpha": 1.0}
+    with pytest.raises(InvalidConfig) as err:
+        config_from_dict(raw)
+    assert str(err.value) == "link.zeta is not a config key"
+
+
+def test_unknown_key_does_not_hide_an_error_in_its_object():
+    raw = json.loads((FIXTURES / "paper.json").read_text())
+    raw["link"] = {"bandwidth": 0.0, "fixed_latancy": 0.5}
+    with pytest.raises(NonPositiveQuantity) as err:
+        config_from_dict(raw)
+    assert str(err.value) == "link.bandwidth"
+
+
+def test_device_file_with_an_unknown_key_is_rejected(tmp_path):
+    spec = json.loads((FIXTURES / "jetson_nano.json").read_text())
+    path = tmp_path / "board.json"
+    path.write_text(json.dumps({**spec, "peak_flops": 1.0}))
+    with pytest.raises(InvalidConfig) as err:
+        load_device(path)
+    assert str(err.value) == "board.peak_flops is not a config key"
+
+
 def test_readme_config_example_loads():
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     block = re.search(r"## Config schema\n.*?```jsonc\n(.*?)```", readme, re.S).group(1)
     config = config_from_dict(json.loads(block))
-    assert [d.name for d in config.devices] == ["jetson-nano", "jetson-nx"]
+    assert (config.device1.name, config.device2.name) == ("jetson-nano", "jetson-nx")
     assert len(config.model.layers) == 2
 
 

@@ -50,7 +50,7 @@ def table(changes):
 
 
 def config(**changes):
-    fields = {"devices": (device(), device()), "link": LinkProfile(1e6),
+    fields = {"device1": device(), "device2": device(), "link": LinkProfile(1e6),
               "model": uniform_model(3), "penalties": zero_table(), "lambda1": 0.0}
     return Config(**{**fields, **changes})
 
@@ -85,7 +85,7 @@ RECORDS = {
                     "output_activation_bytes", "fusible"), {}, layer),
     ModelProfile: (("name", "layers"), {}, lambda: uniform_model(3)),
     AccuracyPenaltyTable: (("penalties",), {}, zero_table),
-    Config: (("devices", "link", "model", "penalties", "lambda1"), {}, config),
+    Config: (("device1", "device2", "link", "model", "penalties", "lambda1"), {}, config),
     CostBreakdown: (("t1", "t2", "t3", "t_total", "accuracy_loss", "lagrangian"), {}, cost),
     PartitionPlan: (("cut_index", "lambda_c", "lambda_m", "theta1", "theta2", "cost",
                      "feasible"), {},
@@ -129,11 +129,8 @@ def test_attributes_cannot_be_assigned(record):
 
 
 def test_properties():
-    model = uniform_model(4)
-    assert model.boundaries == range(1, 4)
-    devices = (device(name="a"), device(name="b"))
-    setup = config(devices=devices)
-    assert (setup.device1, setup.device2) == devices
+    setup = config(device1=device(name="a"), device2=device(name="b"))
+    assert (setup.device1.name, setup.device2.name) == ("a", "b")
     assert zero_table().penalty(2, S3) == 0.0
     assert sim_config().effective_warmup == 0.1 * 5.0
     assert sim_config(warmup=0.0).effective_warmup == 0.0
@@ -172,10 +169,6 @@ INVALID = [
      "penalties[1][conv3+skip+conv1] must be 0"),
     (lambda: table({S3: 0.5}), InvariantViolation,
      "penalties[1][conv3] must be >= penalties[1][conv3+skip]"),
-    (lambda: config(devices=(device(),)), MissingField,
-     "devices (need at least a terminal and an edge device)"),
-    (lambda: config(devices=(device(), device(), device())), InvariantViolation,
-     "devices lists 3 devices; a plan splits the model across exactly 2"),
     (lambda: config(model=uniform_model(1)), InvariantViolation,
      "model.layers must contain at least 2 layers"),
     (lambda: config(lambda1=-1.0), NonPositiveQuantity, "lambda1"),
