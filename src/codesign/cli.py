@@ -35,7 +35,6 @@ import json
 import math
 import os
 import sys
-from pathlib import Path
 from time import perf_counter
 
 from .errors import (CodesignError, InvalidConfig, SchemaMismatch, UnknownStrategyName,
@@ -59,32 +58,34 @@ def _emit(*outputs: tuple[str | None, str]):
     """Write each (path, text) in order, to stdout where the path is None.
     An output that cannot be written (``--out``, ``--trace-out``, ``--csv``,
     or stdout, which is flushed here) raises ``UnwritableOutput`` naming its
-    path or ``<stdout>``, after the files this call already wrote are
-    removed: a failed command leaves no partial output."""
-    written = []
+    path or ``<stdout>``, after the files this call opened are removed, the
+    one that failed partway included: a failed command leaves no partial
+    output.  A path that could not be opened is left as it was."""
+    opened = []
     for path, text in outputs:
         try:
             if path:
-                Path(path).write_text(text)
+                with open(path, "w") as handle:
+                    opened.append(path)
+                    handle.write(text)
             else:
                 sys.stdout.write(text)
                 sys.stdout.flush()
         except OSError as exc:
-            for done in written:
+            for done in opened:
                 # a device such as /dev/null is not removed
                 if os.path.isfile(done):
                     with contextlib.suppress(OSError):
                         os.remove(done)
             raise UnwritableOutput(f"{path or STDOUT}: {exc.strerror or exc}") from None
-        if path:
-            written.append(path)
 
 
 def _dump_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _csv_text(header: list[str], rows) -> str:
+    """``csv.writer`` writes a float as its ``repr``: rows hold the values."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
@@ -148,8 +149,8 @@ def _cmd_roofline(args) -> int:
     rows = []
     for device in (config.device1, config.device2):
         rep = roofline.report(flops, data, device)
-        rows.append([config.model.name, device.name, repr(rep.intensity),
-                     repr(roofline.machine_balance(device)), rep.bottleneck.value])
+        rows.append([config.model.name, device.name, rep.intensity,
+                     roofline.machine_balance(device), rep.bottleneck.value])
     _emit((args.out, _csv_text(["model", "device", "intensity", "balance", "class"], rows)))
     return 0
 
@@ -198,7 +199,7 @@ def _cmd_plan(args) -> int:
                                  config.device2, config.link)
         outputs.append((args.trace_out, _csv_text(
             ["iteration", "lambda", "t_total"],
-            [[i, repr(lam), repr(t)] for i, (lam, t) in enumerate(trace)])))
+            [(i, *point) for i, point in enumerate(trace)])))
         clock.lap("refine", len(trace))
     # every text is built before any file is written
     _emit(*outputs, (args.out, _plan_csv(config.model.name, rows)))
@@ -210,7 +211,7 @@ def _cmd_fuse_check(args) -> int:
     from . import reparam
 
     worst = reparam.run_equivalence_suite(args.seed, trials=args.trials)
-    rows = [[s.value, args.trials, repr(err)] for s, err in worst.items()]
+    rows = [[s.value, args.trials, err] for s, err in worst.items()]
     _emit((args.out, _csv_text(["strategy", "trials", "max_rel_error"], rows)))
     return 0
 
@@ -219,8 +220,8 @@ def _cmd_convergence_lab(args) -> int:
     from . import convergence
 
     result = convergence.run_lab(args.seed, args.dim, args.steps)
-    rows = [[r["step"], repr(r["gap"]), repr(r["bound"]), repr(r["ratio"]),
-             str(r["within_bound"]).lower()] for r in result["rows"]]
+    rows = [[r["step"], r["gap"], r["bound"], r["ratio"], str(r["within_bound"]).lower()]
+            for r in result["rows"]]
     _emit((args.out, _csv_text(["step", "gap", "bound", "ratio", "within_bound"], rows)))
     print(f"eta={result['eta']!r} mu={result['mu']!r} lip={result['lip']!r} "
           f"violated_at={result['violated_at']}", file=sys.stderr)
@@ -252,10 +253,10 @@ def _cmd_simulate(args) -> int:
     report = simulator.run(sim_config, keep_log=args.csv is not None)
     outputs = []
     if args.csv:
-        rows = [[r.id, repr(r.arrival), repr(r.start1), repr(r.end1),
-                 repr(r.end_link), repr(r.end2)] for r in report.records]
         outputs.append((args.csv, _csv_text(["id", "arrival", "start1", "end1", "end_link",
-                                             "end2"], rows)))
+                                             "end2"], report.records)))
+    summary = report._asdict()
+    del summary["records"]
     _emit(*outputs, (args.out, _dump_json({
         "schema_version": SCHEMA_VERSION,
         "model": config.model.name,
@@ -265,13 +266,7 @@ def _cmd_simulate(args) -> int:
         "arrival_rate": args.rate,
         "horizon": args.horizon,
         "seed": args.seed,
-        "throughput": report.throughput,
-        "response_time": report.response_time,
-        "queue_occupancy": report.queue_occupancy,
-        "completed": report.completed,
-        "arrivals": report.arrivals,
-        "completed_total": report.completed_total,
-        "in_system_at_end": report.in_system_at_end,
+        **summary,
     })))
     return 0
 

@@ -27,8 +27,10 @@ STAGES = ("device1", "link", "device2")
 
 MAX_EXPECTED_ARRIVALS = 1e7  # run() keeps a response time per completion
 # With keep_log each arrival also keeps a RequestRecord, and `simulate --csv`
-# a row of reprs and a CSV line: about 0.9 KB per arrival at peak RSS, so
-# this bound keeps a logged run near 0.9 GB.
+# its CSV line: about 0.45 KB per arrival at peak RSS (`codesign simulate
+# --config fixtures/paper.json --rate 2000 --csv r.csv` peaks at 101 MB at
+# --horizon 100 and 187 MB at --horizon 200), so this bound keeps a logged
+# run near 0.45 GB.
 MAX_LOGGED_ARRIVALS = 1e6
 
 
@@ -45,8 +47,8 @@ class SimConfig(namedtuple("SimConfig", "arrival_rate service_times horizon seed
         if not (is_finite_real(self.arrival_rate) and self.arrival_rate > 0):
             raise InvariantViolation("arrival_rate must be a finite number > 0")
         if len(self.service_times) != 3 or not all(
-                is_finite_real(s) and s > 0 for s in self.service_times):
-            raise InvariantViolation("service_times must be three finite positive stage times")
+                is_finite_real(s) and s >= 0 for s in self.service_times):
+            raise InvariantViolation("service_times must be three finite stage times >= 0")
         if not (is_finite_real(self.horizon) and self.horizon > 0):
             raise InvariantViolation("horizon must be a finite number > 0")
         if self.arrival_rate * self.horizon > MAX_EXPECTED_ARRIVALS:
@@ -117,9 +119,9 @@ def run(config: SimConfig, keep_log: bool = False) -> SimReport:
 
     # The draw is Random.expovariate's body, the same on CPython 3.10-3.13
     # (the simulate goldens pin the stream it gives).  Times are
-    # positive and never NaN, so each conditional expression picks the float
-    # max or min would, and skipping an interval clipped to nothing, or adding
-    # one of length 0.0, leaves each sum as adding max(0.0, x) would.
+    # non-negative and never NaN, so each conditional expression picks the
+    # float max or min would, and skipping an interval clipped to nothing, or
+    # adding one of length 0.0, leaves each sum as adding max(0.0, x) would.
     a = -log(1.0 - random_()) / rate
     while a <= warmup:                  # before the window: a < horizon
         start1 = a if a > d1 else d1

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from codesign import cli, convergence
+from codesign import cli, convergence, reparam
 from codesign.errors import InvalidConfig
 from codesign.profiles import load_device
 from conftest import FIXTURES
@@ -294,6 +295,33 @@ def test_float_reprs_keep_the_sign_of_zero():
     assert [text[x] for x in (0.0, -0.0, 1.5, -0.0, 1.5)] == ["0.0", "-0.0", "1.5", "-0.0", "1.5"]
 
 
+def test_csv_writes_each_float_as_its_repr():
+    # every table but plan's hands its floats to csv.writer as they are
+    values = [5e-324, 1e-320, -0.0, 0.1, 1e16, float(2**53 + 1), 1 / 3]
+    assert cli._csv_text(["x"], [[v] for v in values]) == "x\n" + "".join(
+        f"{v!r}\n" for v in values)
+
+
+def test_zero_time_link_plans_simulates_and_reports(tmp_path):
+    # zero-byte activations cost the link nothing: its stage takes no time
+    raw = json.loads((FIXTURES / "paper.json").read_text())
+    for layer in raw["model"]["layers"]:
+        layer["output_activation_bytes"] = 0.0
+    config = tmp_path / "zero_link.json"
+    config.write_text(json.dumps(raw))
+    plan_csv, sim_json = tmp_path / "plan.csv", tmp_path / "sim.json"
+    assert codesign("plan", "--config", str(config), "--out", str(plan_csv)).returncode == 0
+    assert cli.read_plan_csv(plan_csv)[1]["t3"] == "0.0"
+    for cut in (["--cut", "5"], []):    # the winner's simulation last, for report
+        result = codesign("simulate", "--config", str(config), "--rate", "100",
+                          "--horizon", "1", *cut, "--out", str(sim_json))
+        assert result.returncode == 0, result.stderr
+        assert json.loads(sim_json.read_text())["service_times"]["t3"] == 0.0
+    result = codesign("report", "--plan", str(plan_csv), "--sim", str(sim_json))
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["simulation"]["completed"] > 0
+
+
 def test_report_merges_plan_and_sim(tmp_path):
     plan_csv = tmp_path / "plan.csv"
     sim_json = tmp_path / "sim.json"
@@ -537,6 +565,22 @@ def test_convergence_lab_prints_measured_gaps():
     assert sum(float(gap) != 0.0 for gap in printed) > 100
 
 
+@pytest.mark.parametrize("seed", [0, 5, 189])
+def test_fuse_check_and_lab_tables_print_the_reprs_of_their_results(tmp_path, seed):
+    fuse, lab = tmp_path / "fuse.csv", tmp_path / "lab.csv"
+    assert cli.main(["fuse-check", "--seed", str(seed), "--trials", "7",
+                     "--out", str(fuse)]) == 0
+    worst = reparam.run_equivalence_suite(seed, trials=7)
+    assert fuse.read_text() == "strategy,trials,max_rel_error\n" + "".join(
+        f"{strategy.value},7,{repr(err)}\n" for strategy, err in worst.items())
+    assert cli.main(["convergence-lab", "--seed", str(seed), "--dim", "8", "--steps", "40",
+                     "--out", str(lab)]) == 0
+    rows = convergence.run_lab(seed, 8, 40)["rows"]
+    assert lab.read_text() == "step,gap,bound,ratio,within_bound\n" + "".join(
+        f"{r['step']},{repr(r['gap'])},{repr(r['bound'])},{repr(r['ratio'])},"
+        f"{str(r['within_bound']).lower()}\n" for r in rows)
+
+
 def test_plan_and_trace_match_golden_files(tmp_path):
     # golden files written by the per-candidate scalar planner, which the
     # vectorized grid and the prefix-sum refinement replaced
@@ -647,6 +691,32 @@ def test_failed_second_write_leaves_no_first_file(tmp_path, argv):
     assert re.match(r"^[A-Za-z]+: ", result.stderr)
     assert result.stderr.startswith(f"UnwritableOutput: {tmp_path}: ")
     assert not first.exists()
+
+
+def _limit_file_size():
+    # CPython ignores SIGXFSZ, so a write past the limit fails with EFBIG
+    resource.setrlimit(resource.RLIMIT_FSIZE,
+                       (4096, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+
+
+# commands whose one output file outgrows a 4096-byte file size limit
+OVERSIZED_OUTPUTS = {
+    "plan --out": ["plan", "--config", CONFIG, "--out", "{file}"],
+    "simulate --csv": ["simulate", "--config", CONFIG, "--rate", "9000", "--horizon", "0.03",
+                       "--csv", "{file}"],
+}
+
+
+@pytest.mark.parametrize("argv", OVERSIZED_OUTPUTS.values(), ids=OVERSIZED_OUTPUTS)
+def test_write_that_fails_partway_leaves_no_file(tmp_path, argv):
+    big = tmp_path / "big.csv"
+    result = subprocess.run([sys.executable, "-m", "codesign",
+                             *[arg.format(file=big) for arg in argv]],
+                            capture_output=True, text=True, preexec_fn=_limit_file_size)
+    assert result.returncode == 1
+    assert result.stderr == f"UnwritableOutput: {big}: File too large\n"
+    assert result.stdout == ""
+    assert not big.exists()
 
 
 @pytest.mark.parametrize("argv", [

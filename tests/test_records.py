@@ -175,7 +175,7 @@ INVALID = [
     (lambda: sim_config(arrival_rate=0.0), InvariantViolation,
      "arrival_rate must be a finite number > 0"),
     (lambda: sim_config(service_times=(0.1, 0.1)), InvariantViolation,
-     "service_times must be three finite positive stage times"),
+     "service_times must be three finite stage times >= 0"),
     (lambda: sim_config(horizon=float("inf")), InvariantViolation,
      "horizon must be a finite number > 0"),
     (lambda: sim_config(arrival_rate=1e7, horizon=2.0), InvariantViolation,

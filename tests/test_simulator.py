@@ -58,6 +58,8 @@ def test_config_validation():
         (1.0, (nan, 0.1, 0.1), 1.0, None),
         (1.0, (0.1, inf, 0.1), 1.0, None),
         (1.0, (0.1, 0.1, nan), 1.0, None),
+        (1.0, (0.1, -0.1, 0.1), 1.0, None),
+        (1.0, (0.0, 0.0, 0.0, 0.0), 1.0, None),
     ]:
         with pytest.raises(InvariantViolation):
             SimConfig(arrival_rate=rate, service_times=times, horizon=horizon,
@@ -358,7 +360,9 @@ def _assert_matches_reference(config: SimConfig):
     return got
 
 
-@pytest.mark.parametrize("times", [(0.05, 0.02, 0.03), (0.01, 0.03, 0.02), "paper"])
+# a stage may take no time, as the link does for a zero-byte activation
+@pytest.mark.parametrize("times", [(0.05, 0.02, 0.03), (0.01, 0.03, 0.02), (0.05, 0.0, 0.03),
+                                   (0.0, 0.02, 0.0), "paper"])
 def test_recursion_matches_event_simulation(times):
     if times == "paper":
         times = _paper_winner_times()
@@ -369,7 +373,7 @@ def test_recursion_matches_event_simulation(times):
                                                 horizon=300.0 / rate, seed=seed))
 
 
-@pytest.mark.parametrize("times", [(0.05, 0.02, 0.03), "paper"])
+@pytest.mark.parametrize("times", [(0.05, 0.02, 0.03), (0.05, 0.0, 0.03), "paper"])
 @pytest.mark.parametrize("rho", [0.3, 0.9, 1.5, 3.0])
 def test_run_equals_minmax_loop_exactly(times, rho):
     # the event oracle compares occupancies to 1e-12 only; this pins every
@@ -386,6 +390,15 @@ def test_run_equals_minmax_loop_exactly(times, rho):
             want = reference_minmax_run(config)
             for field in SimReport._fields:
                 assert getattr(got, field) == getattr(want, field), (warmup, seed, field)
+
+
+def test_pipeline_of_zero_time_stages_responds_at_once():
+    report = _assert_matches_reference(SimConfig(arrival_rate=50.0,
+                                                 service_times=(0.0, 0.0, 0.0),
+                                                 horizon=20.0, seed=2))
+    assert report.completed > 0
+    assert report.response_time["max"] == 0.0
+    assert report.in_system_at_end == 0
 
 
 def test_events_exactly_at_the_horizon_count():
