@@ -50,21 +50,13 @@ def backbone_layers():
     """Small RepVGG-style stack for a 32x32 input: stem conv, three stages
     of fusible blocks with strided convs between them, and a dense head."""
     layers = [plain_conv_layer(0, 3, 16, 16, 16, in_height=32, in_width=32)]
-    index = 1
-    for _ in range(3):
-        layers.append(rep_block_layer(index, 16, 16, 16))
-        index += 1
-    layers.append(plain_conv_layer(index, 16, 32, 8, 8, in_height=16, in_width=16))
-    index += 1
-    for _ in range(4):
-        layers.append(rep_block_layer(index, 32, 8, 8))
-        index += 1
-    layers.append(plain_conv_layer(index, 32, 64, 4, 4, in_height=8, in_width=8))
-    index += 1
-    for _ in range(3):
-        layers.append(rep_block_layer(index, 64, 4, 4))
-        index += 1
-    layers.append(plain_conv_layer(index, 64, 128, 1, 1, kernel=4, in_height=4, in_width=4))
+    for stage, (channels, size, blocks) in enumerate(((16, 16, 3), (32, 8, 4), (64, 4, 3))):
+        if stage:  # a strided conv into each later stage: 2x channels, half the side
+            layers.append(plain_conv_layer(len(layers), channels // 2, channels, size, size,
+                                           in_height=2 * size, in_width=2 * size))
+        for _ in range(blocks):
+            layers.append(rep_block_layer(len(layers), channels, size, size))
+    layers.append(plain_conv_layer(len(layers), 64, 128, 1, 1, kernel=4, in_height=4, in_width=4))
     return layers
 
 

@@ -84,7 +84,7 @@ def _dump_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _csv_text(header: list[str], rows) -> str:
+def _csv_text(header: list[str] | tuple[str, ...], rows) -> str:
     """``csv.writer`` writes a float as its ``repr``: rows hold the values."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -155,13 +155,24 @@ def _cmd_roofline(args) -> int:
     return 0
 
 
-def _cmd_cost(args) -> int:
-    from .cost_model import evaluate_plan
+def _config_and_plan(args):
+    """The config and the plan ``cost`` and ``simulate`` run: the candidate
+    that --cut, --theta1 and --theta2 name (a strategy left out is the full
+    structure), or without --cut the grid winner."""
+    from .cost_model import evaluate_plan, grid_search
 
     config = load_config(args.config)
-    plan = evaluate_plan(config.model, args.cut, parse_strategy(args.theta1, "--theta1"),
-                         parse_strategy(args.theta2, "--theta2"), config.device1,
-                         config.device2, config.link, config.penalties, config.lambda1)
+    setting = (config.device1, config.device2, config.link, config.penalties, config.lambda1)
+    if args.cut is None:
+        return config, grid_search(config.model, *setting)
+    return config, evaluate_plan(
+        config.model, args.cut,
+        parse_strategy(args.theta1 or FULL_STRUCTURE.value, "--theta1"),
+        parse_strategy(args.theta2 or FULL_STRUCTURE.value, "--theta2"), *setting)
+
+
+def _cmd_cost(args) -> int:
+    config, plan = _config_and_plan(args)
     c = plan.cost
     _emit((args.out, _dump_json({
         "schema_version": SCHEMA_VERSION,
@@ -230,18 +241,8 @@ def _cmd_convergence_lab(args) -> int:
 
 def _cmd_simulate(args) -> int:
     from . import simulator
-    from .cost_model import evaluate_plan, grid_search
 
-    config = load_config(args.config)
-    if args.cut is not None:
-        plan = evaluate_plan(config.model, args.cut,
-                             parse_strategy(args.theta1 or FULL_STRUCTURE.value, "--theta1"),
-                             parse_strategy(args.theta2 or FULL_STRUCTURE.value, "--theta2"),
-                             config.device1, config.device2, config.link,
-                             config.penalties, config.lambda1)
-    else:
-        plan = grid_search(config.model, config.device1, config.device2, config.link,
-                           config.penalties, config.lambda1)
+    config, plan = _config_and_plan(args)
     cost = plan.cost
     sim_config = simulator.SimConfig(
         arrival_rate=args.rate,
@@ -253,8 +254,7 @@ def _cmd_simulate(args) -> int:
     report = simulator.run(sim_config, keep_log=args.csv is not None)
     outputs = []
     if args.csv:
-        outputs.append((args.csv, _csv_text(["id", "arrival", "start1", "end1", "end_link",
-                                             "end2"], report.records)))
+        outputs.append((args.csv, _csv_text(simulator.RequestRecord._fields, report.records)))
     summary = report._asdict()
     del summary["records"]
     _emit(*outputs, (args.out, _dump_json({

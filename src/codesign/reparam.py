@@ -113,11 +113,6 @@ class Kernel3x3(namedtuple("Kernel3x3", "weights bias")):
 # Folding
 # ---------------------------------------------------------------------------
 
-def _dirac_1x1(channels: int) -> np.ndarray:
-    # 1x1 kernel that passes each channel through unchanged
-    return np.eye(channels)[:, :, None, None]
-
-
 def fold_bn(branch: BranchSpec) -> tuple[np.ndarray, np.ndarray]:
     """Absorb a branch's batch norm into convolution weights and bias.
 
@@ -125,7 +120,7 @@ def fold_bn(branch: BranchSpec) -> tuple[np.ndarray, np.ndarray]:
     every branch folds the same way.
     """
     if branch.kind is BranchKind.IDENTITY:
-        weight = _dirac_1x1(branch.out_channels)
+        weight = np.eye(branch.out_channels)[:, :, None, None]
     else:
         weight = branch.weight
     scale = branch.bn.gamma / np.sqrt(branch.bn.var + branch.bn.eps)
@@ -141,25 +136,31 @@ def pad_1x1_to_3x3(kernel: np.ndarray) -> np.ndarray:
     return out
 
 
-def fuse(branches: list[BranchSpec], strategy: FusionStrategy) -> Kernel3x3:
-    """Sum the strategy's active branches into one 3x3 kernel + bias."""
+def _active_branches(branches: list[BranchSpec], strategy: FusionStrategy) -> list[BranchSpec]:
+    """The branches ``strategy`` keeps, in ``ACTIVE_BRANCHES`` order: the
+    one lookup that ``fuse`` and ``block_forward`` both read a block
+    through.  A repeated kind, then a kept kind that is missing, then kept
+    branches that disagree on channels raise ``ShapeMismatch``."""
     by_kind = {}
     for branch in branches:
         if branch.kind in by_kind:
             raise ShapeMismatch(f"duplicate {branch.kind.value} branch")
         by_kind[branch.kind] = branch
-
     active = []
     for kind in ACTIVE_BRANCHES[strategy]:
         if kind not in by_kind:
             raise ShapeMismatch(f"strategy {strategy.value} needs a {kind.value} branch")
         active.append(by_kind[kind])
-
     shapes = {(b.in_channels, b.out_channels) for b in active}
     if len(shapes) != 1:
         raise ShapeMismatch(f"branches disagree on channels: {sorted(shapes)}")
+    return active
 
-    in_ch, out_ch = shapes.pop()
+
+def fuse(branches: list[BranchSpec], strategy: FusionStrategy) -> Kernel3x3:
+    """Sum the strategy's active branches into one 3x3 kernel + bias."""
+    active = _active_branches(branches, strategy)
+    out_ch, in_ch = active[0].out_channels, active[0].in_channels
     weights = np.zeros((out_ch, in_ch, 3, 3))
     bias = np.zeros(out_ch)
     for branch in active:
@@ -211,10 +212,9 @@ def branch_forward(x: np.ndarray, branch: BranchSpec) -> np.ndarray:
 def block_forward(x: np.ndarray, branches: list[BranchSpec],
                   strategy: FusionStrategy) -> np.ndarray:
     """Multi-branch forward pass: sum of the active branches' outputs."""
-    by_kind = {b.kind: b for b in branches}
     total = None
-    for kind in ACTIVE_BRANCHES[strategy]:
-        y = branch_forward(x, by_kind[kind])
+    for branch in _active_branches(branches, strategy):
+        y = branch_forward(x, branch)
         total = y if total is None else total + y
     return total
 

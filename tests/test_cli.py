@@ -11,8 +11,8 @@ import pytest
 
 from codesign import cli, convergence, reparam
 from codesign.errors import InvalidConfig
-from codesign.profiles import load_device
-from conftest import FIXTURES
+from codesign.profiles import FusionStrategy, load_device
+from conftest import FIXTURES, FULL
 
 CONFIG = str(FIXTURES / "paper.json")
 GOLDEN = Path(__file__).parent / "golden"
@@ -505,6 +505,30 @@ def test_simulate_cut_defaults_to_full_structure():
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout)["plan"] == {
         "cut": 3, "theta1": "conv3", "theta2": "conv3+skip+conv1"}
+
+
+def _main_json(capsys, *argv):
+    assert cli.main(list(argv)) == 0, capsys.readouterr().err
+    return json.loads(capsys.readouterr().out)
+
+
+def test_simulate_cut_runs_the_candidate_cost_prices(capsys):
+    # every candidate of paper.json, under each way to name it: a strategy
+    # left out is the full structure
+    names = [s.value for s in FusionStrategy]
+    for cut in range(1, 14):
+        for theta1 in names:
+            for theta2 in names:
+                cost = _main_json(capsys, "cost", "--config", CONFIG, "--cut", str(cut),
+                                  "--theta1", theta1, "--theta2", theta2)
+                ways1 = [["--theta1", theta1]] + [[]] * (theta1 == FULL.value)
+                ways2 = [["--theta2", theta2]] + [[]] * (theta2 == FULL.value)
+                for flags in (a + b for a in ways1 for b in ways2):
+                    sim = _main_json(capsys, "simulate", "--config", CONFIG, "--rate", "10",
+                                     "--horizon", "0.5", "--cut", str(cut), *flags)
+                    assert sim["plan"] == {"cut": cut, "theta1": theta1, "theta2": theta2}
+                    assert sim["service_times"] == {"t1": cost["t1"], "t3": cost["t3"],
+                                                    "t2": cost["t2"]}
 
 
 def test_trace_out_without_refine_is_usage_error(tmp_path):

@@ -90,6 +90,13 @@ def test_degenerate_cut_rejected():
                                  0.0)
 
 
+def test_grid_of_a_one_layer_model_rejected():
+    with pytest.raises(DegenerateSplit) as err:
+        cost_model.evaluate_grid(uniform_model(1), nano(), nx(), simple_link(), zero_table(),
+                                 0.0)
+    assert str(err.value) == "model has no interior layer boundary to cut at"
+
+
 def test_total_is_exact_sum_of_parts():
     rng = np.random.default_rng(2)
     for _ in range(50):

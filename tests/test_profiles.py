@@ -177,6 +177,27 @@ def test_config_needs_exactly_two_devices(devices, error, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("keys", [("1", "2", "3"), ("1", "3")], ids=["extra", "renamed"])
+def test_penalties_need_exactly_sub_models_1_and_2(keys):
+    raw = json.loads((FIXTURES / "paper.json").read_text())
+    table = raw["penalties"]["2"]
+    raw["penalties"] = {key: table for key in keys}
+    with pytest.raises(InvalidConfig) as err:
+        config_from_dict(raw)
+    assert str(err.value) == 'penalties keys must be exactly "1" and "2"'
+
+
+def test_an_integer_beyond_the_float_range_is_not_a_finite_number(tmp_path):
+    raw = json.loads((FIXTURES / "paper.json").read_text())
+    raw["devices"][0]["peak_compute"] = 10 ** 399
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert '"peak_compute": 1' + "0" * 399 + "," in bad.read_text()
+    with pytest.raises(InvalidConfig) as err:
+        load_config(bad)
+    assert str(err.value) == "devices[0].peak_compute must be a finite number"
+
+
 def test_device_count_is_checked_after_every_key_is_read():
     with pytest.raises(MissingField) as err:
         config_from_dict({"devices": []})

@@ -156,22 +156,56 @@ def test_fuse_is_additive_over_branch_sets():
     assert np.allclose(total.bias, partial.bias + b1 + bi)
 
 
-def test_fuse_rejects_channel_mismatch():
+def forward_on_ones(branches, strategy):
+    """``block_forward`` of an all-ones input sized for the first branch."""
+    x = np.ones((branches[0].in_channels, 5, 5))
+    return reparam.block_forward(x, branches, strategy)
+
+
+# fuse and the branch-sum pass it is checked against read a block the same way
+BOTH_PASSES = pytest.mark.parametrize("read_block", [reparam.fuse, forward_on_ones],
+                                      ids=["fuse", "block_forward"])
+
+
+@BOTH_PASSES
+@pytest.mark.parametrize("out_ch", [1, 2])
+def test_fuse_rejects_channel_mismatch(read_block, out_ch):
+    # a 1-channel branch would broadcast onto the 4-channel sum unnoticed
     rng = np.random.default_rng(1)
     branches = [
         BranchSpec(BranchKind.CONV3X3, rng.standard_normal((4, 4, 3, 3)), identity_bn(4)),
-        BranchSpec(BranchKind.CONV1X1, rng.standard_normal((2, 4, 1, 1)), identity_bn(2)),
+        BranchSpec(BranchKind.CONV1X1, rng.standard_normal((out_ch, 4, 1, 1)),
+                   identity_bn(out_ch)),
     ]
-    with pytest.raises(ShapeMismatch):
-        reparam.fuse(branches, S3_1X1)
+    with pytest.raises(ShapeMismatch) as err:
+        read_block(branches, S3_1X1)
+    assert str(err.value) == f"branches disagree on channels: [(4, {out_ch}), (4, 4)]"
 
 
-def test_fuse_requires_needed_branches():
+@BOTH_PASSES
+def test_fuse_requires_needed_branches(read_block):
     rng = np.random.default_rng(2)
     only_3x3 = [BranchSpec(BranchKind.CONV3X3, rng.standard_normal((2, 2, 3, 3)),
                            identity_bn(2))]
-    with pytest.raises(ShapeMismatch):
-        reparam.fuse(only_3x3, S3_SKIP)
+    with pytest.raises(ShapeMismatch) as err:
+        read_block(only_3x3, S3_SKIP)
+    assert str(err.value) == "strategy conv3+skip needs a identity branch"
+
+
+@BOTH_PASSES
+@pytest.mark.parametrize("strategy", [S3, FULL], ids=lambda s: s.value)
+def test_fuse_rejects_a_repeated_kind(read_block, strategy):
+    # under the full structure the repeat is named before the missing
+    # identity branch and the 2-channel conv1x1, as fuse checks in that order
+    rng = np.random.default_rng(3)
+    branches = [
+        BranchSpec(BranchKind.CONV3X3, rng.standard_normal((4, 4, 3, 3)), identity_bn(4)),
+        BranchSpec(BranchKind.CONV1X1, rng.standard_normal((2, 4, 1, 1)), identity_bn(2)),
+        BranchSpec(BranchKind.CONV3X3, rng.standard_normal((4, 4, 3, 3)), identity_bn(4)),
+    ]
+    with pytest.raises(ShapeMismatch) as err:
+        read_block(branches, strategy)
+    assert str(err.value) == "duplicate conv3x3 branch"
 
 
 @pytest.mark.parametrize("strategy", list(FusionStrategy))
@@ -330,6 +364,13 @@ def test_fixture_table_shows_uniform_intensity_decrease():
     assert by_name["RepVGG"]["original_intensity"] == 19.81
     assert by_name["RepVGG"]["fused_intensity"] == 14.29
     assert by_name["Rep-GoogLeNet"]["fused_intensity"] == 24.89
+
+
+@pytest.mark.parametrize("dims", [(0, 4, 2, 2), (4, 4, 2, 0)], ids=["in_ch", "width"])
+def test_costs_reject_an_empty_dimension(dims):
+    with pytest.raises(ShapeMismatch) as err:
+        reparam.strategy_costs(*dims, S3)
+    assert str(err.value) == "channel counts and spatial dims must be >= 1"
 
 
 def test_identity_needs_square_channels():
