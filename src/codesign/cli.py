@@ -37,9 +37,9 @@ import os
 import sys
 from time import perf_counter
 
-from .errors import (CodesignError, InvalidConfig, SchemaMismatch, UnknownStrategyName,
-                     UnwritableOutput)
-from .profiles import FULL_STRUCTURE, FusionStrategy, _read_json, load_config, parse_strategy
+from .errors import CodesignError, SchemaMismatch, UnknownStrategyName, UnwritableOutput
+from .profiles import (FULL_STRUCTURE, FusionStrategy, _read_json, _read_text, load_config,
+                       parse_strategy)
 
 SCHEMA_VERSION = 1
 
@@ -273,13 +273,10 @@ def _cmd_simulate(args) -> int:
 
 def read_plan_csv(path) -> tuple[str, dict, int]:
     """(model name, winning row, candidate count) from a plan CSV."""
+    # newline="" as csv asks: a quoted line break is part of its field
+    text = _read_text(path, newline="")
     try:
-        with open(path, newline="") as handle:
-            rows = list(csv.DictReader(handle))
-    except OSError as exc:
-        raise InvalidConfig(f"{path}: {exc.strerror or exc}") from None
-    except UnicodeDecodeError as exc:
-        raise InvalidConfig(f"{path}: {exc}") from None
+        rows = list(csv.DictReader(io.StringIO(text, newline="")))
     except csv.Error as exc:
         raise SchemaMismatch(f"{path}: {exc}") from None
     if not rows or any(col not in rows[0] for col in PLAN_COLUMNS):
@@ -301,7 +298,8 @@ def _flag(text: str) -> bool:
 
 
 def build_report(plan_path, sim_path=None) -> dict:
-    """Merge a plan table and a simulation report into one document."""
+    """Merge a plan table and a simulation report of its winner into one
+    document; without ``sim_path`` the document is analytical only."""
     model, winner, candidates = read_plan_csv(plan_path)
 
     def field(column: str, parse):
@@ -333,21 +331,18 @@ def build_report(plan_path, sim_path=None) -> dict:
             sim = _read_json(sim_path, number=_finite)
         except ValueError as exc:       # from _finite: NaN, Infinity or 1e400
             raise SchemaMismatch(f"{sim_path}: {exc} is not a finite number") from None
-        # {} means no simulation; any other document must be a report of
-        # the winning plan
-        if sim != {}:
-            if not isinstance(sim, dict) or not {"model", "plan", "throughput"} <= sim.keys():
-                raise SchemaMismatch(f"{sim_path} is not a simulation report")
-            if sim["model"] != model:
-                raise SchemaMismatch(
-                    f"plan is for model {model!r} but simulation is for {sim['model']!r}")
-            winner_plan = {key: document["plan"][key] for key in ("cut", "theta1", "theta2")}
-            if sim["plan"] != winner_plan:
-                raise SchemaMismatch(
-                    f"{sim_path}: simulation is of plan {json.dumps(sim['plan'])} but the "
-                    f"winning plan is {json.dumps(winner_plan)}")
-            document["simulation"] = sim
-            document["analytical_only"] = False
+        if not isinstance(sim, dict) or not {"model", "plan", "throughput"} <= sim.keys():
+            raise SchemaMismatch(f"{sim_path} is not a simulation report")
+        if sim["model"] != model:
+            raise SchemaMismatch(
+                f"plan is for model {model!r} but simulation is for {sim['model']!r}")
+        winner_plan = {key: document["plan"][key] for key in ("cut", "theta1", "theta2")}
+        if sim["plan"] != winner_plan:
+            raise SchemaMismatch(
+                f"{sim_path}: simulation is of plan {json.dumps(sim['plan'])} but the "
+                f"winning plan is {json.dumps(winner_plan)}")
+        document["simulation"] = sim
+        document["analytical_only"] = False
     return document
 
 

@@ -7,8 +7,8 @@ class CodesignError(Exception):
 
 
 class InvalidConfig(CodesignError):
-    """Config file missing, unreadable or not valid JSON, or a value in it
-    of the wrong type or not finite."""
+    """An input file missing, unreadable, undecodable or not valid JSON, or
+    a config value of the wrong type or not finite."""
 
 
 class MissingField(CodesignError):
@@ -29,7 +29,7 @@ class InvariantViolation(CodesignError):
 
 
 class DegenerateSplit(CodesignError):
-    """A cut or fraction leaves one side of the pipeline empty."""
+    """A cut leaves one side of the pipeline empty."""
 
 
 class NoFeasiblePlan(CodesignError):
@@ -53,5 +53,5 @@ class SchemaMismatch(CodesignError):
 
 
 class UnwritableOutput(CodesignError):
-    """An output file cannot be written: a missing directory, a directory
-    in its place, no permission."""
+    """An output file (a missing directory, a directory in its place, no
+    permission, a full disk) or ``<stdout>`` cannot be written."""

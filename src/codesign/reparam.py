@@ -31,11 +31,6 @@ class BranchKind(Enum):
     CONV1X1 = "conv1x1"
     IDENTITY = "identity"
 
-    # Singletons that compare by identity, so they hash by it too, as
-    # ``FusionStrategy`` does: the C-level hash skips the Python-level
-    # Enum.__hash__ call of every branch table lookup.
-    __hash__ = object.__hash__
-
 
 # Branches that stay active under each fusion strategy.
 ACTIVE_BRANCHES: dict[FusionStrategy, tuple[BranchKind, ...]] = {

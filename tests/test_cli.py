@@ -290,6 +290,17 @@ def test_plan_quotes_the_model_name_once(tmp_path):
     assert cli.read_plan_csv(plan)[0] == 'a,"b'
 
 
+@pytest.mark.parametrize("name", ["a\r\nb", "a\nb", "a\u2028b", "a\x0cb"],
+                         ids=["crlf", "lf", "line-separator", "form-feed"])
+def test_a_line_break_in_the_model_name_reads_back(tmp_path, name):
+    # csv quotes the name, and the table is read with newline="", so only
+    # an unquoted \r or \n ends a row
+    config = _config_with(tmp_path, (["model", "name"], name))
+    plan = tmp_path / "plan.csv"
+    assert cli.main(["plan", "--config", config, "--out", str(plan)]) == 0
+    assert cli.read_plan_csv(plan)[0::2] == (name, 13 * 16)
+
+
 def test_float_reprs_keep_the_sign_of_zero():
     text = cli._FloatReprs()
     assert [text[x] for x in (0.0, -0.0, 1.5, -0.0, 1.5)] == ["0.0", "-0.0", "1.5", "-0.0", "1.5"]
@@ -346,14 +357,14 @@ def test_report_without_sim_is_analytical_only(tmp_path):
     assert doc["simulation"] is None
 
 
-def test_report_empty_sim_is_analytical_only(tmp_path):
-    plan_csv = tmp_path / "plan.csv"
-    codesign("plan", "--config", CONFIG, "--out", str(plan_csv))
+def test_report_rejects_an_empty_sim(tmp_path):
+    # leaving out --sim is the one way to ask for an analytical-only report
     empty = tmp_path / "sim.json"
     empty.write_text("{}")
-    result = codesign("report", "--plan", str(plan_csv), "--sim", str(empty))
-    assert result.returncode == 0
-    assert json.loads(result.stdout)["analytical_only"] is True
+    result = codesign("report", "--plan", str(GOLDEN / "paper_plan.csv"), "--sim", str(empty))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == f"SchemaMismatch: {empty} is not a simulation report\n"
 
 
 def test_report_model_mismatch(tmp_path):
@@ -406,7 +417,6 @@ def test_report_rejects_sim_that_is_not_an_object(tmp_path):
 
 @pytest.mark.parametrize("document", ["0", "null", "[]", '""', "false"])
 def test_report_rejects_falsy_sim_that_is_not_an_object(tmp_path, capsys, document):
-    # only {} means "no simulation"
     sim_json = tmp_path / "sim.json"
     sim_json.write_text(document)
     assert cli.main(["report", "--plan", str(GOLDEN / "paper_plan.csv"),
@@ -431,15 +441,18 @@ def test_report_rejects_a_sim_number_that_is_not_finite(tmp_path, capsys, number
 
 NOT_UTF8 = b"\xff\xfe{"
 
-
-@pytest.mark.parametrize("command", [
+# every command that reads a file, ending with the option that names it
+INPUT_FILE_COMMANDS = [
     ["plan", "--config"],
     ["cost", "--cut", "3", "--theta1", "conv3", "--theta2", "conv3", "--config"],
     ["simulate", "--rate", "10", "--horizon", "1", "--config"],
     ["roofline", "--config"],
     ["report", "--plan", str(GOLDEN / "paper_plan.csv"), "--sim"],
     ["report", "--plan"],
-])
+]
+
+
+@pytest.mark.parametrize("command", INPUT_FILE_COMMANDS)
 def test_undecodable_input_file_is_named(tmp_path, command):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(NOT_UTF8)
@@ -448,6 +461,45 @@ def test_undecodable_input_file_is_named(tmp_path, command):
     assert result.stdout == ""
     assert result.stderr.startswith(f"InvalidConfig: {bad}: 'utf-8' codec can't decode")
     assert result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", INPUT_FILE_COMMANDS,
+                         ids=lambda command: f"{command[0]} {command[-1]}")
+@pytest.mark.parametrize("content, reason", [
+    (None, "No such file or directory"),
+    (NOT_UTF8, "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+], ids=["missing", "undecodable"])
+def test_input_file_error_names_the_path_as_typed(tmp_path, monkeypatch, capsys, command,
+                                                  content, reason):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "inputs").mkdir()
+    if content is not None:
+        (tmp_path / "inputs" / "file.json").write_bytes(content)
+    assert cli.main([*command, "./inputs//file.json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"InvalidConfig: ./inputs//file.json: {reason}\n"
+
+
+@pytest.mark.parametrize("option, document, message", [
+    ("--config", "[", "InvalidConfig: {}: Expecting value: line 1 column 2 (char 1)"),
+    ("--sim", "[", "InvalidConfig: {}: Expecting value: line 1 column 2 (char 1)"),
+    ("--sim", '{"throughput": NaN}', "SchemaMismatch: {}: NaN is not a finite number"),
+    ("--plan", "x\n", "SchemaMismatch: {} is not a plan table (expected columns "
+                      f"{cli.PLAN_COLUMNS})"),
+], ids=["config-not-json", "sim-not-json", "sim-nan", "plan-not-a-table"])
+def test_every_error_about_a_file_names_it_as_typed(tmp_path, monkeypatch, capsys, option,
+                                                    document, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "inputs").mkdir()
+    (tmp_path / "inputs" / "file.json").write_text(document)
+    command = {"--config": ["plan", "--config"],
+               "--sim": ["report", "--plan", str(GOLDEN / "paper_plan.csv"), "--sim"],
+               "--plan": ["report", "--plan"]}[option]
+    assert cli.main([*command, "./inputs//file.json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message.format("./inputs//file.json") + "\n"
 
 
 def test_undecodable_device_file_is_named(tmp_path):

@@ -1,6 +1,7 @@
 """The package's import surface: the modules are the only API, and
 commands that never need numpy never load it."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -44,8 +45,9 @@ def test_version_and_unknown_names():
         codesign.no_such_name  # noqa: B018
 
 
-def _run(script: str) -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+def _run(script: str, *options: str, env=None) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *options, "-c", script], capture_output=True,
+                          text=True, env=env)
 
 
 def test_import_codesign_loads_no_submodule():
@@ -55,10 +57,11 @@ def test_import_codesign_loads_no_submodule():
     assert result.stdout.split() == ["['codesign']"]
 
 
-def test_light_commands_do_not_import_numpy(tmp_path):
+def _light_commands(tmp_path) -> list[list[str]]:
+    """Every command but fuse-check and convergence-lab, on paper.json."""
     config = str(FIXTURES / "paper.json")
     sim = GOLDEN / "paper_simulate.json"
-    commands = [
+    return [
         ["--help"],
         ["report", "--plan", str(GOLDEN / "paper_plan.csv"), "--sim", str(sim)],
         ["roofline", "--config", config],
@@ -69,11 +72,14 @@ def test_light_commands_do_not_import_numpy(tmp_path):
         ["simulate", "--config", config, "--rate", "100", "--horizon", "1"],
         ["simulate", "--config", config, "--rate", "100", "--horizon", "1", "--cut", "5"],
     ]
+
+
+def test_light_commands_do_not_import_numpy(tmp_path):
     script = f"""
 import contextlib, io, sys
 from codesign import cli
 assert "numpy" not in sys.modules, "import codesign.cli"
-for argv in {commands!r}:
+for argv in {_light_commands(tmp_path)!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         try:
             code = cli.main(argv)
@@ -84,6 +90,31 @@ for argv in {commands!r}:
 print("ok")
 """
     result = _run(script)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "ok\n"
+
+
+def test_light_commands_load_neither_pathlib_nor_numbers(tmp_path):
+    # no command needs either; run without site, whose .pth files may
+    # import pathlib themselves
+    src = str(Path(codesign.__file__).parent.parent)
+    script = f"""
+import contextlib, io, sys
+banned = ("pathlib", "numbers")
+assert not [name for name in banned if name in sys.modules], "python -S"
+from codesign import cli
+for argv in {_light_commands(tmp_path)!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code == 0, (argv, code)
+    loaded = [name for name in banned if name in sys.modules]
+    assert not loaded, (argv, loaded)
+print("ok")
+"""
+    result = _run(script, "-S", env=dict(os.environ, PYTHONPATH=src))
     assert result.returncode == 0, result.stderr
     assert result.stdout == "ok\n"
 

@@ -1,6 +1,8 @@
 import importlib.util
 import json
 import re
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,7 @@ from codesign.profiles import (
     LayerProfile,
     config_from_dict,
     config_to_dict,
+    is_finite_real,
     load_config,
     load_device,
     running_load,
@@ -198,6 +201,18 @@ def test_an_integer_beyond_the_float_range_is_not_a_finite_number(tmp_path):
     assert str(err.value) == "devices[0].peak_compute must be a finite number"
 
 
+@pytest.mark.parametrize("value, expected", [
+    (1, True), (0.5, True), (-0.0, True), (np.float64(0.5), True), (10 ** 308, True),
+    (10 ** 309, False), (float("nan"), False), (float("inf"), False),
+    (True, False), (False, False), (Fraction(1, 2), False), (Decimal("0.5"), False),
+    ("1", False), (None, False),
+])
+def test_only_an_int_or_a_float_is_a_finite_real(value, expected):
+    # the JSON parser and argparse give ints and floats; any other number
+    # type is no input's
+    assert is_finite_real(value) is expected
+
+
 def test_device_count_is_checked_after_every_key_is_read():
     with pytest.raises(MissingField) as err:
         config_from_dict({"devices": []})
@@ -249,6 +264,30 @@ def test_device_file_with_an_unknown_key_is_rejected(tmp_path):
     with pytest.raises(InvalidConfig) as err:
         load_device(path)
     assert str(err.value) == "board.peak_flops is not a config key"
+
+
+@pytest.mark.parametrize("content, reason", [
+    (None, "No such file or directory"),
+    (b"\xff\xfe{", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+], ids=["missing", "undecodable"])
+def test_device_file_error_names_the_path_as_given(tmp_path, monkeypatch, content, reason):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "boards").mkdir()
+    if content is not None:
+        (tmp_path / "boards" / "nano.json").write_bytes(content)
+    with pytest.raises(InvalidConfig) as err:
+        load_device("./boards//nano.json")
+    assert str(err.value) == f"./boards//nano.json: {reason}"
+
+
+def test_device_name_is_the_file_stem(tmp_path):
+    spec = json.loads((FIXTURES / "jetson_nano.json").read_text())
+    spec["peak_compute"] = 0.0
+    (tmp_path / "boards").mkdir()
+    (tmp_path / "boards" / "nano.v2.json").write_text(json.dumps(spec))
+    with pytest.raises(NonPositiveQuantity) as err:
+        load_device(f"{tmp_path}/.//boards//nano.v2.json")
+    assert str(err.value) == "nano.v2.peak_compute"
 
 
 def test_readme_config_example_loads():
