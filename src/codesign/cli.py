@@ -54,30 +54,32 @@ _STRATEGY_PAIRS = [[f"{a},{b}" for b in _STRATEGY_NAMES] for a in _STRATEGY_NAME
 _FLAG_PAIRS = (("false,false", "false,true"), ("true,false", "true,true"))
 
 
-def _emit(*outputs: tuple[str | None, str]):
-    """Write each (path, text) in order, to stdout where the path is None.
-    An output that cannot be written (``--out``, ``--trace-out``, ``--csv``,
-    or stdout, which is flushed here) raises ``UnwritableOutput`` naming its
-    path or ``<stdout>``, after the files this call opened are removed, the
-    one that failed partway included: a failed command leaves no partial
-    output.  A path that could not be opened is left as it was."""
+def _emit(*outputs: tuple[str | None, object]):
+    """Write each (path, output) in order, to stdout where the path is None;
+    an output is the text or a function writing into the file it is handed.
+    An output that cannot be written (``--out``, ``--trace-out``, ``--csv``
+    or stdout, flushed here) raises ``UnwritableOutput`` naming its path as
+    given or ``<stdout>``; any other exception passes unchanged.  Either way
+    each file opened here is removed first; a path never opened is left."""
     opened = []
-    for path, text in outputs:
-        try:
-            if path:
-                with open(path, "w") as handle:
-                    opened.append(path)
-                    handle.write(text)
-            else:
-                sys.stdout.write(text)
-                sys.stdout.flush()
-        except OSError as exc:
-            for done in opened:
-                # a device such as /dev/null is not removed
-                if os.path.isfile(done):
-                    with contextlib.suppress(OSError):
-                        os.remove(done)
+    try:
+        for path, output in outputs:
+            with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as handle:
+                opened.append(path)
+                if callable(output):
+                    output(handle)
+                else:
+                    handle.write(output)
+                handle.flush()
+    except BaseException as exc:
+        for done in opened:
+            # neither stdout (None) nor a device such as /dev/null is removed
+            if done and os.path.isfile(done):
+                with contextlib.suppress(OSError):
+                    os.remove(done)
+        if isinstance(exc, OSError):
             raise UnwritableOutput(f"{path or STDOUT}: {exc.strerror or exc}") from None
+        raise
 
 
 def _dump_json(payload: dict) -> str:
@@ -251,23 +253,28 @@ def _cmd_simulate(args) -> int:
         seed=args.seed,
         warmup=args.warmup,
     )
-    report = simulator.run(sim_config, keep_log=args.csv is not None)
-    outputs = []
-    if args.csv:
-        outputs.append((args.csv, _csv_text(simulator.RequestRecord._fields, report.records)))
-    summary = report._asdict()
-    del summary["records"]
-    _emit(*outputs, (args.out, _dump_json({
-        "schema_version": SCHEMA_VERSION,
-        "model": config.model.name,
-        "plan": {"cut": plan.cut_index, "theta1": plan.theta1.value,
-                 "theta2": plan.theta2.value},
-        "service_times": {"t1": cost.t1, "t3": cost.t3, "t2": cost.t2},
-        "arrival_rate": args.rate,
-        "horizon": args.horizon,
-        "seed": args.seed,
-        **summary,
-    })))
+    reports = []
+
+    def write_log(handle):
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(simulator.RequestRecord._fields)
+        reports.append(simulator.run(sim_config, writer.writerow))
+
+    def write_document(handle):
+        report = reports[0] if reports else simulator.run(sim_config)
+        handle.write(_dump_json({
+            "schema_version": SCHEMA_VERSION,
+            "model": config.model.name,
+            "plan": {"cut": plan.cut_index, "theta1": plan.theta1.value,
+                     "theta2": plan.theta2.value},
+            "service_times": {"t1": cost.t1, "t3": cost.t3, "t2": cost.t2},
+            "arrival_rate": args.rate,
+            "horizon": args.horizon,
+            "seed": args.seed,
+            **report._asdict(),
+        }))
+
+    _emit(*([(args.csv, write_log)] if args.csv else []), (args.out, write_document))
     return 0
 
 

@@ -245,7 +245,10 @@ def _field(raw, key, where, kind=float, default=None):
         if is_finite_real(value):
             return float(value)
     elif type(value) is kind:
-        return value
+        if kind is not str or "\r" not in value:
+            return value
+        # csv.writer quotes a lone \r on 3.13 only: a name's CSV bytes would vary
+        raise InvalidConfig(f"{where}.{key} must not contain a carriage return")
     path = f"{where}.{key}" if where else key
     if key not in raw:
         raise MissingField(path)

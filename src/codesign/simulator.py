@@ -7,11 +7,12 @@ time taken from the analytical cost breakdown.  Arrivals are the only
 source of randomness, so queueing effects can be isolated and compared
 against the analytical model.  Departures follow from the tandem-queue
 recursion (Lindley 1952) in one pass over the arrivals; no event list is
-needed.  That pass is the whole cost of a run, so it calls no Python
-function per arrival: the exponential draw is `Random.expovariate`'s own
-expression written inline, and conditional expressions stand in for
-builtin max and min, which cost several times a comparison on CPython
-3.10-3.12.
+needed, and a request log is handed on as the pass computes each record,
+so a logged run holds no more than an unlogged one.  That pass is the
+whole cost of a run, so it calls no Python function per arrival: the
+exponential draw is `Random.expovariate`'s own expression written inline,
+and conditional expressions stand in for builtin max and min, which cost
+several times a comparison on CPython 3.10-3.12.
 """
 
 from __future__ import annotations
@@ -25,13 +26,7 @@ from .profiles import is_finite_real
 
 STAGES = ("device1", "link", "device2")
 
-MAX_EXPECTED_ARRIVALS = 1e7  # run() keeps a response time per completion
-# With keep_log each arrival also keeps a RequestRecord, and `simulate --csv`
-# its CSV line: about 0.45 KB per arrival at peak RSS (`codesign simulate
-# --config fixtures/paper.json --rate 2000 --csv r.csv` peaks at 101 MB at
-# --horizon 100 and 187 MB at --horizon 200), so this bound keeps a logged
-# run near 0.45 GB.
-MAX_LOGGED_ARRIVALS = 1e6
+MAX_EXPECTED_ARRIVALS = 1e7  # run() keeps a response time per completion, logged or not
 
 
 class SimConfig(namedtuple("SimConfig", "arrival_rate service_times horizon seed warmup",
@@ -68,10 +63,9 @@ RequestRecord = namedtuple("RequestRecord", "id arrival start1 end1 end_link end
 # throughput: completions/s in the measurement window; response_time:
 # mean/p50/p95/max, or None when nothing completed; queue_occupancy: stage
 # -> time-averaged jobs present (queued + in service); completed:
-# completions inside the window; records: the RequestRecords, with keep_log.
+# completions inside the window.
 SimReport = namedtuple("SimReport", "throughput response_time queue_occupancy completed "
-                                    "arrivals completed_total in_system_at_end records",
-                       defaults=((),))
+                                    "arrivals completed_total in_system_at_end")
 
 
 def _percentile(sorted_values: list[float], q: float) -> float:
@@ -80,10 +74,11 @@ def _percentile(sorted_values: list[float], q: float) -> float:
     return sorted_values[rank - 1]
 
 
-def run(config: SimConfig, keep_log: bool = False) -> SimReport:
+def run(config: SimConfig, log=None) -> SimReport:
     """Simulate up to the horizon; statistics cover completions (and
     occupancy) inside the [warmup, horizon] window.  Identical seeds give
-    identical arrivals and reports.
+    identical arrivals and reports.  ``log``, when given, is called with
+    each window completion's RequestRecord as the pass computes it.
 
     Each stage is a FIFO server with a deterministic service time, so a
     request leaves a stage at max(its arrival there, the previous request's
@@ -102,11 +97,9 @@ def run(config: SimConfig, keep_log: bool = False) -> SimReport:
     `tests/test_simulator.py` keeps that loop as the reference.
     """
     rate, horizon = config.arrival_rate, config.horizon
-    if keep_log and rate * horizon > MAX_LOGGED_ARRIVALS:
-        raise InvariantViolation(
-            f"arrival_rate * horizon exceeds {MAX_LOGGED_ARRIVALS:g} with a request log")
     random_ = random.Random(config.seed).random
-    log = math.log
+    ln = math.log
+    logged = log is not None            # so the loops test only a bool
     warmup = config.effective_warmup
     s1, s_link, s2 = config.service_times
 
@@ -114,7 +107,6 @@ def run(config: SimConfig, keep_log: bool = False) -> SimReport:
     occ1 = occ_link = occ2 = 0.0        # occupancy integrals over the window
     arrivals = completed_total = 0
     responses: list[float] = []
-    records: list[RequestRecord] = []
     append = responses.append
 
     # The draw is Random.expovariate's body, the same on CPython 3.10-3.13
@@ -122,7 +114,7 @@ def run(config: SimConfig, keep_log: bool = False) -> SimReport:
     # non-negative and never NaN, so each conditional expression picks the
     # float max or min would, and skipping an interval clipped to nothing, or
     # adding one of length 0.0, leaves each sum as adding max(0.0, x) would.
-    a = -log(1.0 - random_()) / rate
+    a = -ln(1.0 - random_()) / rate
     while a <= warmup:                  # before the window: a < horizon
         start1 = a if a > d1 else d1
         d1 = start1 + s1
@@ -141,10 +133,10 @@ def run(config: SimConfig, keep_log: bool = False) -> SimReport:
             completed_total += 1
             if d2 > warmup:
                 append(d2 - a)
-                if keep_log:
-                    records.append(RequestRecord(arrivals, a, start1, d1, d_link, d2))
+                if logged:
+                    log(RequestRecord(arrivals, a, start1, d1, d_link, d2))
         arrivals += 1
-        a += -log(1.0 - random_()) / rate
+        a += -ln(1.0 - random_()) / rate
 
     # warmup < a <= start1 <= d1 <= d_link <= d2 <= horizon: every interval
     # lies in the window and every request completes, so the response list
@@ -161,10 +153,9 @@ def run(config: SimConfig, keep_log: bool = False) -> SimReport:
         occ_link += d_link - d1
         occ2 += d2 - d_link
         append(d2 - a)
-        if keep_log:
-            records.append(RequestRecord(arrivals + len(responses) - before - 1,
-                                         a, start1, d1, d_link, d2))
-        a += -log(1.0 - random_()) / rate
+        if logged:
+            log(RequestRecord(arrivals + len(responses) - before - 1, a, start1, d1, d_link, d2))
+        a += -ln(1.0 - random_()) / rate
     arrivals += len(responses) - before
     completed_total += len(responses) - before
 
@@ -182,7 +173,7 @@ def run(config: SimConfig, keep_log: bool = False) -> SimReport:
         if x > 0.0:
             occ2 += x
         arrivals += 1
-        a += -log(1.0 - random_()) / rate
+        a += -ln(1.0 - random_()) / rate
         d1 = (a if a > d1 else d1) + s1
         d_link = (d1 if d1 > d_link else d_link) + s_link
 
@@ -207,5 +198,4 @@ def run(config: SimConfig, keep_log: bool = False) -> SimReport:
         arrivals=arrivals,
         completed_total=completed_total,
         in_system_at_end=arrivals - completed_total,
-        records=tuple(records),
     )

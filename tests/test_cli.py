@@ -119,17 +119,83 @@ def test_simulate_rejects_unbounded_arrival_count():
     assert result.stderr.startswith("InvariantViolation: arrival_rate * horizon")
 
 
-def test_simulate_csv_rejects_a_log_past_its_bound(tmp_path):
-    # 2000 * 500.001 expected arrivals is just above the logged-run bound
-    # of 1e6, well under the 1e7 of an unlogged run
+# run as `python -S` with the codesign arguments: starts them as a child
+# and prints its exit code and peak RSS in KB
+_PEAK_RSS = """
+import os, sys
+argv = [sys.executable, "-S", "-m", "codesign", *sys.argv[1:]]
+_, status, usage = os.wait4(os.posix_spawn(sys.executable, argv, os.environ), 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _peak_rss_mb(*argv) -> float:
+    # a child's peak RSS starts at its parent's, so the parent is a small
+    # `python -S`, not pytest with numpy loaded
+    src = str(Path(cli.__file__).parent.parent)
+    result = subprocess.run([sys.executable, "-S", "-c", _PEAK_RSS, *argv], capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=src), check=True)
+    code, kilobytes = map(int, result.stdout.split())
+    assert code == 0, argv
+    return kilobytes / 1024
+
+
+def test_simulate_csv_peak_rss_grows_as_an_unlogged_run_does(tmp_path):
+    # 2e4 and 2e5 expected arrivals on paper.json's winner, which keeps up:
+    # an unlogged run grows 8.0 MB, a run that kept its log grew 75.8 MB
+    def growth(*extra):
+        small, large = (_peak_rss_mb("simulate", "--config", CONFIG, "--rate", "2000",
+                                     "--horizon", horizon, "--out", os.devnull, *extra)
+                        for horizon in ("10", "100"))
+        return large - small
+
+    assert growth("--csv", str(tmp_path / "requests.csv")) <= growth() + 4.0
+
+
+def test_simulate_csv_past_the_old_log_bound_then_unwritable_out(tmp_path):
+    # 1e7 * 0.1000001 expected arrivals is past the 1e6 a logged run was
+    # once refused at; at rho ~3300 all but ~300 stay queued, so the run
+    # is short.  The log is written, then --out fails and takes it with it.
     log = tmp_path / "requests.csv"
-    result = codesign("simulate", "--config", CONFIG, "--rate", "2000",
-                      "--horizon", "500.001", "--csv", str(log), timeout=60)
+    result = codesign("simulate", "--config", CONFIG, "--rate", "1e7", "--horizon", "0.1000001",
+                      "--csv", str(log), "--out", str(tmp_path), timeout=60)
     assert result.returncode == 1
     assert result.stdout == ""
-    assert result.stderr == ("InvariantViolation: arrival_rate * horizon exceeds 1e+06 "
-                             "with a request log\n")
+    assert result.stderr == f"UnwritableOutput: {tmp_path}: Is a directory\n"
     assert not log.exists()
+
+
+def test_simulate_interrupted_inside_the_run_leaves_no_log(tmp_path, monkeypatch):
+    from codesign import simulator
+
+    made = []
+
+    class Record(simulator.RequestRecord):
+        def __new__(cls, *fields):
+            if len(made) == 100:
+                raise KeyboardInterrupt
+            made.append(fields)
+            return super().__new__(cls, *fields)
+
+    monkeypatch.setattr(simulator, "RequestRecord", Record)
+    log = tmp_path / "requests.csv"
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["simulate", "--config", CONFIG, "--rate", "100", "--horizon", "10",
+                  "--csv", str(log)])
+    assert len(made) == 100
+    assert not log.exists()
+
+
+def test_emit_removes_its_files_and_passes_other_exceptions_on(tmp_path):
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+
+    def interrupted(handle):
+        handle.write("partial\n")
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        cli._emit((str(first), "done\n"), (str(second), interrupted))
+    assert not first.exists() and not second.exists()
 
 
 def _config_with(tmp_path, *changes):
@@ -290,15 +356,29 @@ def test_plan_quotes_the_model_name_once(tmp_path):
     assert cli.read_plan_csv(plan)[0] == 'a,"b'
 
 
-@pytest.mark.parametrize("name", ["a\r\nb", "a\nb", "a\u2028b", "a\x0cb"],
-                         ids=["crlf", "lf", "line-separator", "form-feed"])
-def test_a_line_break_in_the_model_name_reads_back(tmp_path, name):
+@pytest.mark.parametrize("key,name,refused", [
+    (["model", "name"], "a\r\nb", "model.name"),
+    (["model", "name"], "a\nb", None),
+    (["model", "name"], "a\u2028b", None),
+    (["model", "name"], "a\x0cb", None),
+    (["model", "name"], "a\rb", "model.name"),
+    (["devices", 0, "name"], "jetson\rnano", "devices[0].name"),
+], ids=["crlf", "lf", "line-separator", "form-feed", "cr", "device-cr"])
+def test_a_line_break_in_the_model_name_reads_back(tmp_path, capsys, key, name, refused):
     # csv quotes the name, and the table is read with newline="", so only
-    # an unquoted \r or \n ends a row
-    config = _config_with(tmp_path, (["model", "name"], name))
+    # an unquoted \r or \n ends a row.  csv.writer quotes a lone \r on
+    # Python 3.13 only, so a name holding a \r is refused at load.
+    config = _config_with(tmp_path, (key, name))
     plan = tmp_path / "plan.csv"
-    assert cli.main(["plan", "--config", config, "--out", str(plan)]) == 0
-    assert cli.read_plan_csv(plan)[0::2] == (name, 13 * 16)
+    if refused is None:
+        assert cli.main(["plan", "--config", config, "--out", str(plan)]) == 0
+        assert cli.read_plan_csv(plan)[0::2] == (name, 13 * 16)
+        return
+    for command in ("plan", "roofline"):
+        assert cli.main([command, "--config", config, "--out", str(plan)]) == 1
+        assert capsys.readouterr() == (
+            "", f"InvalidConfig: {refused} must not contain a carriage return\n")
+        assert not plan.exists()
 
 
 def test_float_reprs_keep_the_sign_of_zero():

@@ -97,7 +97,7 @@ RECORDS = {
     RequestRecord: (("id", "arrival", "start1", "end1", "end_link", "end2"), {},
                     lambda: RequestRecord(0, 0.1, 0.1, 0.2, 0.3, 0.4)),
     SimReport: (("throughput", "response_time", "queue_occupancy", "completed", "arrivals",
-                 "completed_total", "in_system_at_end", "records"), {"records": ()},
+                 "completed_total", "in_system_at_end"), {},
                 lambda: SimReport(1.0, None, {}, 0, 0, 0, 0)),
     BatchNorm: (("gamma", "beta", "mean", "var", "eps"), {"eps": 1e-5}, bn),
     BranchSpec: (("kind", "weight", "bn"), {},

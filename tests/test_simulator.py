@@ -119,16 +119,21 @@ def test_saturated_pipeline_completes_one_request_per_bottleneck_period(times):
         assert abs(report.completed - periods) <= 1.0, (seed, report.completed, periods)
 
 
+def run_logged(config: SimConfig) -> tuple[SimReport, list[RequestRecord]]:
+    records = []
+    return simulator.run(config, log=records.append), records
+
+
 def test_identical_seeds_identical_logs():
     config = SimConfig(arrival_rate=20.0, service_times=(0.03, 0.01, 0.02),
                        horizon=100.0, seed=77)
-    a = simulator.run(config, keep_log=True)
-    b = simulator.run(config, keep_log=True)
-    assert a.records == b.records
+    a, a_records = run_logged(config)
+    b, b_records = run_logged(config)
+    assert a_records == b_records
     assert a == b
-    c = simulator.run(SimConfig(arrival_rate=20.0, service_times=(0.03, 0.01, 0.02),
-                                horizon=100.0, seed=78), keep_log=True)
-    assert c.records != a.records
+    c, c_records = run_logged(SimConfig(arrival_rate=20.0, service_times=(0.03, 0.01, 0.02),
+                                        horizon=100.0, seed=78))
+    assert c_records != a_records
 
 
 def test_littles_law_at_stable_load():
@@ -171,9 +176,9 @@ def test_validate_link_dominated():
 def test_record_timestamps_are_ordered():
     config = SimConfig(arrival_rate=15.0, service_times=(0.03, 0.01, 0.02),
                        horizon=200.0, seed=4)
-    report = simulator.run(config, keep_log=True)
-    assert report.records
-    for r in report.records:
+    _, records = run_logged(config)
+    assert records
+    for r in records:
         assert r.arrival <= r.start1 < r.end1 < r.end_link < r.end2
         assert math.isclose(r.end1 - r.start1, 0.03, rel_tol=1e-9)
 
@@ -219,10 +224,11 @@ class _ReferenceStage:
         return finished, None, None
 
 
-def reference_event_run(config: SimConfig) -> SimReport:
+def reference_event_run(config: SimConfig) -> tuple[SimReport, list[RequestRecord]]:
     """Discrete-event simulation of the same pipeline: a heap of
     (time, seq, stage, request) events over three FIFO stages, with
-    per-request timestamps.  The oracle for `simulator.run`."""
+    per-request timestamps.  The oracle for `simulator.run`; returns the
+    report and the window's records."""
     rng = random.Random(config.seed)
     warmup = config.effective_warmup
     stages = [_ReferenceStage(s, warmup, config.horizon) for s in config.service_times]
@@ -272,11 +278,11 @@ def reference_event_run(config: SimConfig) -> SimReport:
     for stage in stages:
         stage.advance(config.horizon)
     return _reference_report(config, responses, [stage.integral for stage in stages],
-                             next_id, completed_total, len(stamps), records)
+                             next_id, completed_total, len(stamps)), records
 
 
 def _reference_report(config, responses, integrals, arrivals, completed_total,
-                      in_system_at_end, records) -> SimReport:
+                      in_system_at_end) -> SimReport:
     window = config.horizon - config.effective_warmup
     ordered = sorted(responses)
 
@@ -294,14 +300,13 @@ def _reference_report(config, responses, integrals, arrivals, completed_total,
         arrivals=arrivals,
         completed_total=completed_total,
         in_system_at_end=in_system_at_end,
-        records=tuple(records),
     )
 
 
-def reference_minmax_run(config: SimConfig) -> SimReport:
+def reference_minmax_run(config: SimConfig) -> tuple[SimReport, list[RequestRecord]]:
     """The Lindley pass as first written, with builtin max/min in every
     step.  `simulator.run` replaced them with conditional expressions and
-    must match this loop exactly, occupancies included."""
+    must match this loop exactly, occupancies and records included."""
     expovariate = random.Random(config.seed).expovariate
     rate, horizon = config.arrival_rate, config.horizon
     warmup = config.effective_warmup
@@ -329,7 +334,7 @@ def reference_minmax_run(config: SimConfig) -> SimReport:
         arrivals += 1
         a += expovariate(rate)
     return _reference_report(config, responses, (occ1, occ_link, occ2), arrivals,
-                             completed_total, arrivals - completed_total, records)
+                             completed_total, arrivals - completed_total), records
 
 
 def _paper_winner_times():
@@ -340,24 +345,25 @@ def _paper_winner_times():
 
 
 def _assert_equals_minmax_loop(config: SimConfig):
-    got = simulator.run(config, keep_log=True)
-    want = reference_minmax_run(config)
+    got, got_records = run_logged(config)
+    want, want_records = reference_minmax_run(config)
     for field in SimReport._fields:
         assert getattr(got, field) == getattr(want, field), field
-    return got
+    assert got_records == want_records
+    return got, got_records
 
 
 def _assert_matches_reference(config: SimConfig):
-    got = _assert_equals_minmax_loop(config)
-    want = reference_event_run(config)
-    assert got.records == want.records
+    got, got_records = _assert_equals_minmax_loop(config)
+    want, want_records = reference_event_run(config)
+    assert got_records == want_records
     for name in ("arrivals", "completed", "completed_total", "in_system_at_end",
                  "throughput", "response_time"):
         assert getattr(got, name) == getattr(want, name), name
     for stage in simulator.STAGES:
         assert got.queue_occupancy[stage] == pytest.approx(
             want.queue_occupancy[stage], rel=1e-12, abs=0.0)
-    return got
+    return got, got_records
 
 
 # a stage may take no time, as the link does for a zero-byte activation
@@ -386,16 +392,17 @@ def test_run_equals_minmax_loop_exactly(times, rho):
         for seed in range(6):
             config = SimConfig(arrival_rate=rate, service_times=times, horizon=horizon,
                                seed=seed, warmup=warmup)
-            got = simulator.run(config, keep_log=True)
-            want = reference_minmax_run(config)
+            got, got_records = run_logged(config)
+            want, want_records = reference_minmax_run(config)
             for field in SimReport._fields:
                 assert getattr(got, field) == getattr(want, field), (warmup, seed, field)
+            assert got_records == want_records, (warmup, seed)
 
 
 def test_pipeline_of_zero_time_stages_responds_at_once():
-    report = _assert_matches_reference(SimConfig(arrival_rate=50.0,
-                                                 service_times=(0.0, 0.0, 0.0),
-                                                 horizon=20.0, seed=2))
+    report, _ = _assert_matches_reference(SimConfig(arrival_rate=50.0,
+                                                    service_times=(0.0, 0.0, 0.0),
+                                                    horizon=20.0, seed=2))
     assert report.completed > 0
     assert report.response_time["max"] == 0.0
     assert report.in_system_at_end == 0
@@ -406,33 +413,33 @@ def test_events_exactly_at_the_horizon_count():
     # departures pass the horizon; each case puts an event on such a boundary
     times = (0.03, 0.01, 0.02)
     base = SimConfig(arrival_rate=20.0, service_times=times, horizon=100.0, seed=3)
-    records = simulator.run(base, keep_log=True).records
+    _, records = run_logged(base)
     last = records[-1]
     # a request leaving exactly at the horizon is complete
-    report = _assert_matches_reference(
+    _, logged = _assert_matches_reference(
         SimConfig(arrival_rate=20.0, service_times=times, horizon=last.end2, seed=3))
-    assert report.records[-1] == last
+    assert logged[-1] == last
     # a request arriving exactly at the horizon is counted, still in the system
-    report = _assert_matches_reference(
+    report, _ = _assert_matches_reference(
         SimConfig(arrival_rate=20.0, service_times=times, horizon=last.arrival, seed=3))
     assert report.arrivals == last.id + 1
     assert report.in_system_at_end >= 1
     # a request arriving exactly at the warmup is before the window, but it
     # leaves inside it, so its response counts
     middle = records[len(records) // 2]
-    report = _assert_matches_reference(
+    _, logged = _assert_matches_reference(
         SimConfig(arrival_rate=20.0, service_times=times, horizon=100.0, seed=3,
                   warmup=middle.arrival))
-    assert middle in report.records
+    assert middle in logged
     # a window that no arrival enters: it opens and closes between two arrivals
     before, after = next((r, s) for r, s in zip(records, records[1:]) if s.id == r.id + 1)
     third = (after.arrival - before.arrival) / 3
     warmup = before.arrival + third
-    report = _assert_matches_reference(
+    report, logged = _assert_matches_reference(
         SimConfig(arrival_rate=20.0, service_times=times, horizon=warmup + third,
                   seed=3, warmup=warmup))
     assert report.arrivals == before.id + 1
-    assert all(r.arrival < warmup for r in report.records)
+    assert all(r.arrival < warmup for r in logged)
 
 
 def test_run_equals_minmax_loop_on_any_config():
