@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import gc
 import io
 import json
@@ -55,16 +56,21 @@ _FLAG_PAIRS = (("false,false", "false,true"), ("true,false", "true,true"))
 
 
 def _emit(*outputs: tuple[str | None, object]):
-    """Write each (path, output) in order, to stdout where the path is None;
-    an output is the text or a function writing into the file it is handed.
-    An output that cannot be written (``--out``, ``--trace-out``, ``--csv``
-    or stdout, flushed here) raises ``UnwritableOutput`` naming its path as
-    given or ``<stdout>``; any other exception passes unchanged.  Either way
-    each file opened here is removed first; a path never opened is left."""
+    """Write each (path, output) in order, as UTF-8, to stdout where the
+    path is None (an empty path is a path); an output is the text or a
+    function writing into the file it is handed.  An output that cannot be
+    written (``--out``, ``--trace-out``, ``--csv``, or stdout: flushed here,
+    or closed when the process started) raises ``UnwritableOutput`` naming
+    its path as given or ``<stdout>``; any other exception passes unchanged.
+    Either way each file opened here is removed first; a path never opened
+    is left."""
     opened = []
     try:
         for path, output in outputs:
-            with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as handle:
+            if path is None and sys.stdout is None:     # the process started without one
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+            with (open(path, "w", encoding="utf-8") if path is not None
+                  else contextlib.nullcontext(sys.stdout)) as handle:
                 opened.append(path)
                 if callable(output):
                     output(handle)
@@ -74,11 +80,12 @@ def _emit(*outputs: tuple[str | None, object]):
     except BaseException as exc:
         for done in opened:
             # neither stdout (None) nor a device such as /dev/null is removed
-            if done and os.path.isfile(done):
+            if done is not None and os.path.isfile(done):
                 with contextlib.suppress(OSError):
                     os.remove(done)
         if isinstance(exc, OSError):
-            raise UnwritableOutput(f"{path or STDOUT}: {exc.strerror or exc}") from None
+            raise UnwritableOutput(
+                f"{STDOUT if path is None else path}: {exc.strerror or exc}") from None
         raise
 
 
@@ -141,7 +148,7 @@ class _StageClock:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_roofline(args) -> int:
+def _cmd_roofline(args):
     from . import roofline
     from .profiles import total_load
 
@@ -154,7 +161,6 @@ def _cmd_roofline(args) -> int:
         rows.append([config.model.name, device.name, rep.intensity,
                      roofline.machine_balance(device), rep.bottleneck.value])
     _emit((args.out, _csv_text(["model", "device", "intensity", "balance", "class"], rows)))
-    return 0
 
 
 def _config_and_plan(args):
@@ -173,7 +179,7 @@ def _config_and_plan(args):
         parse_strategy(args.theta2 or FULL_STRUCTURE.value, "--theta2"), *setting)
 
 
-def _cmd_cost(args) -> int:
+def _cmd_cost(args):
     config, plan = _config_and_plan(args)
     c = plan.cost
     _emit((args.out, _dump_json({
@@ -188,10 +194,9 @@ def _cmd_cost(args) -> int:
         "dA": c.accuracy_loss, "L": c.lagrangian,
         "feasible1": plan.feasible[0], "feasible2": plan.feasible[1],
     })))
-    return 0
 
 
-def _cmd_plan(args) -> int:
+def _cmd_plan(args):
     from .cost_model import evaluate_grid, row_plan
 
     clock = _StageClock()
@@ -203,7 +208,7 @@ def _cmd_plan(args) -> int:
     rows.sort()
     clock.lap("rank", len(rows))
     outputs = []
-    if args.trace_out:
+    if args.trace_out is not None:
         # the descent is reported only by its trace, so it runs only when
         # the trace is written
         from .optimizer import refine_lambda
@@ -217,19 +222,17 @@ def _cmd_plan(args) -> int:
     # every text is built before any file is written
     _emit(*outputs, (args.out, _plan_csv(config.model.name, rows)))
     clock.lap("emit", len(rows))
-    return 0
 
 
-def _cmd_fuse_check(args) -> int:
+def _cmd_fuse_check(args):
     from . import reparam
 
     worst = reparam.run_equivalence_suite(args.seed, trials=args.trials)
     rows = [[s.value, args.trials, err] for s, err in worst.items()]
     _emit((args.out, _csv_text(["strategy", "trials", "max_rel_error"], rows)))
-    return 0
 
 
-def _cmd_convergence_lab(args) -> int:
+def _cmd_convergence_lab(args):
     from . import convergence
 
     result = convergence.run_lab(args.seed, args.dim, args.steps)
@@ -238,10 +241,9 @@ def _cmd_convergence_lab(args) -> int:
     _emit((args.out, _csv_text(["step", "gap", "bound", "ratio", "within_bound"], rows)))
     print(f"eta={result['eta']!r} mu={result['mu']!r} lip={result['lip']!r} "
           f"violated_at={result['violated_at']}", file=sys.stderr)
-    return 0
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args):
     from . import simulator
 
     config, plan = _config_and_plan(args)
@@ -274,21 +276,24 @@ def _cmd_simulate(args) -> int:
             **report._asdict(),
         }))
 
-    _emit(*([(args.csv, write_log)] if args.csv else []), (args.out, write_document))
-    return 0
+    _emit(*([(args.csv, write_log)] if args.csv is not None else []),
+          (args.out, write_document))
 
 
-def read_plan_csv(path) -> tuple[str, dict, int]:
-    """(model name, winning row, candidate count) from a plan CSV."""
+def read_plan_csv(path) -> tuple[dict, int]:
+    """(winning row, candidate count) from a plan CSV.  Only the winner is
+    kept: every later row is parsed, so a malformed one is named, and counted."""
     # newline="" as csv asks: a quoted line break is part of its field
     text = _read_text(path, newline="")
     try:
-        rows = list(csv.DictReader(io.StringIO(text, newline="")))
+        rows = csv.DictReader(io.StringIO(text, newline=""))
+        winner = next(rows, None)
+        count = 1 + sum(1 for _ in rows)
     except csv.Error as exc:
         raise SchemaMismatch(f"{path}: {exc}") from None
-    if not rows or any(col not in rows[0] for col in PLAN_COLUMNS):
+    if winner is None or any(col not in winner for col in PLAN_COLUMNS):
         raise SchemaMismatch(f"{path} is not a plan table (expected columns {PLAN_COLUMNS})")
-    return rows[0]["model"], rows[0], len(rows)
+    return winner, count
 
 
 def _finite(text: str) -> float:
@@ -307,7 +312,8 @@ def _flag(text: str) -> bool:
 def build_report(plan_path, sim_path=None) -> dict:
     """Merge a plan table and a simulation report of its winner into one
     document; without ``sim_path`` the document is analytical only."""
-    model, winner, candidates = read_plan_csv(plan_path)
+    winner, candidates = read_plan_csv(plan_path)
+    model = winner["model"]
 
     def field(column: str, parse):
         try:
@@ -353,9 +359,8 @@ def build_report(plan_path, sim_path=None) -> dict:
     return document
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args):
     _emit((args.out, _dump_json(build_report(args.plan, args.sim))))
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -482,10 +487,11 @@ def main(argv=None) -> int:
             parser.error("plan: --trace-out needs --refine")
         if args.command == "simulate" and args.cut is None and (args.theta1 or args.theta2):
             parser.error("simulate: --theta1 and --theta2 need --cut")
-        return args.func(args)
+        args.func(args)
     except CodesignError as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return 1
+    return 0
 
 
 def run():
@@ -495,8 +501,12 @@ def run():
     ``os._exit`` on every way out, ``--help`` and argparse's exits included:
     the command has nothing left to finish, since every file it writes is
     closed in ``_emit``, so the interpreter's teardown (module cleanup, its
-    collections, atexit handlers, the BLAS threads' shutdown) is skipped."""
+    collections, atexit handlers, the BLAS threads' shutdown) is skipped.
+    stdout, if the process has one, writes UTF-8 whatever the locale, as
+    every file does."""
     gc.disable()
+    if sys.stdout is not None:
+        sys.stdout.reconfigure(encoding="utf-8")
     try:
         code = main()
     except SystemExit as exc:           # argparse: --help and usage errors
@@ -508,9 +518,11 @@ def run():
 
 
 def _settle_stdout(code):
-    """``code``, after a last flush of stdout.  If stdout cannot take what
-    is left in its buffer, a command that had not failed yet fails with a
-    named error; ``os._exit`` drops what is left unwritten."""
+    """``code``, after a last flush of stdout, if there is one.  If stdout
+    cannot take what is left in its buffer, a command that had not failed
+    yet fails with a named error; ``os._exit`` drops what is left unwritten."""
+    if sys.stdout is None:
+        return code
     try:
         sys.stdout.flush()
     except OSError as exc:

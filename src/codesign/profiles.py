@@ -245,10 +245,19 @@ def _field(raw, key, where, kind=float, default=None):
         if is_finite_real(value):
             return float(value)
     elif type(value) is kind:
-        if kind is not str or "\r" not in value:
+        if kind is not str:
             return value
-        # csv.writer quotes a lone \r on 3.13 only: a name's CSV bytes would vary
-        raise InvalidConfig(f"{where}.{key} must not contain a carriage return")
+        # a name is written as CSV in UTF-8: csv.writer quotes a lone \r on
+        # 3.13 only and cannot write a NUL on 3.10, and UTF-8 cannot encode a
+        # lone surrogate
+        for char, what in (("\r", "a carriage return"), ("\0", "a NUL")):
+            if char in value:
+                raise InvalidConfig(f"{where}.{key} must not contain {what}")
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise InvalidConfig(f"{where}.{key} must not contain a lone surrogate") from None
+        return value
     path = f"{where}.{key}" if where else key
     if key not in raw:
         raise MissingField(path)
@@ -355,11 +364,11 @@ def config_to_dict(config: Config) -> dict:
 
 
 def _read_text(path, newline=None) -> str:
-    """The text of the input file at ``path``, read with ``open``'s
+    """The text of the input file at ``path``, read as UTF-8 with ``open``'s
     ``newline``.  Every input file is opened here, so an error names each
     one the same way: as the path was given."""
     try:
-        with open(path, newline=newline) as handle:
+        with open(path, encoding="utf-8", newline=newline) as handle:
             return handle.read()
     except OSError as exc:
         raise InvalidConfig(f"{path}: {exc.strerror or exc}") from None

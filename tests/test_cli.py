@@ -152,6 +152,18 @@ def test_simulate_csv_peak_rss_grows_as_an_unlogged_run_does(tmp_path):
     assert growth("--csv", str(tmp_path / "requests.csv")) <= growth() + 4.0
 
 
+def test_report_peak_rss_does_not_hold_the_rows_it_counts(tmp_path):
+    # the golden table and one with its body 70 times (14,560 rows, 2.24 MB):
+    # holding a dict per row grew 27.7 MB, keeping only the winner 10.4 MB
+    header, *body = (GOLDEN / "paper_plan.csv").read_text().splitlines(keepends=True)
+    large = tmp_path / "plan.csv"
+    large.write_text(header + "".join(body) * 70)
+    small, big = (_peak_rss_mb("report", "--plan", str(plan), "--out", os.devnull)
+                  for plan in (GOLDEN / "paper_plan.csv", large))
+    assert big - small < 18.0
+    assert cli.build_report(large)["candidates"] == 70 * len(body)
+
+
 def test_simulate_csv_past_the_old_log_bound_then_unwritable_out(tmp_path):
     # 1e7 * 0.1000001 expected arrivals is past the 1e6 a logged run was
     # once refused at; at rho ~3300 all but ~300 stay queued, so the run
@@ -353,32 +365,92 @@ def test_plan_quotes_the_model_name_once(tmp_path):
     golden = (GOLDEN / "paper_plan.csv").read_text().splitlines(keepends=True)
     assert plan.read_text() == golden[0] + "".join(
         line.replace("repvgg-mini,", '"a,""b",', 1) for line in golden[1:])
-    assert cli.read_plan_csv(plan)[0] == 'a,"b'
+    assert cli.read_plan_csv(plan)[0]["model"] == 'a,"b'
+
+
+CR, NUL, SURROGATE = "a carriage return", "a NUL", "a lone surrogate"
 
 
 @pytest.mark.parametrize("key,name,refused", [
-    (["model", "name"], "a\r\nb", "model.name"),
+    (["model", "name"], "a\r\nb", f"model.name must not contain {CR}"),
     (["model", "name"], "a\nb", None),
     (["model", "name"], "a\u2028b", None),
     (["model", "name"], "a\x0cb", None),
-    (["model", "name"], "a\rb", "model.name"),
-    (["devices", 0, "name"], "jetson\rnano", "devices[0].name"),
-], ids=["crlf", "lf", "line-separator", "form-feed", "cr", "device-cr"])
+    (["model", "name"], "a\rb", f"model.name must not contain {CR}"),
+    (["devices", 0, "name"], "jetson\rnano", f"devices[0].name must not contain {CR}"),
+    (["model", "name"], "a\x00b", f"model.name must not contain {NUL}"),
+    (["devices", 0, "name"], "jetson\x00nano", f"devices[0].name must not contain {NUL}"),
+    (["model", "name"], "a\ud800b", f"model.name must not contain {SURROGATE}"),
+    (["devices", 0, "name"], "jetson\udfffnano",
+     f"devices[0].name must not contain {SURROGATE}"),
+], ids=["crlf", "lf", "line-separator", "form-feed", "cr", "device-cr", "nul", "device-nul",
+        "surrogate", "device-surrogate"])
 def test_a_line_break_in_the_model_name_reads_back(tmp_path, capsys, key, name, refused):
     # csv quotes the name, and the table is read with newline="", so only
     # an unquoted \r or \n ends a row.  csv.writer quotes a lone \r on
-    # Python 3.13 only, so a name holding a \r is refused at load.
+    # Python 3.13 only and cannot write a NUL on 3.10, and UTF-8 cannot
+    # encode a lone surrogate, so a name holding one is refused at load.
     config = _config_with(tmp_path, (key, name))
     plan = tmp_path / "plan.csv"
     if refused is None:
         assert cli.main(["plan", "--config", config, "--out", str(plan)]) == 0
-        assert cli.read_plan_csv(plan)[0::2] == (name, 13 * 16)
+        winner, count = cli.read_plan_csv(plan)
+        assert (winner["model"], count) == (name, 13 * 16)
         return
     for command in ("plan", "roofline"):
         assert cli.main([command, "--config", config, "--out", str(plan)]) == 1
-        assert capsys.readouterr() == (
-            "", f"InvalidConfig: {refused} must not contain a carriage return\n")
+        assert capsys.readouterr() == ("", f"InvalidConfig: {refused}\n")
         assert not plan.exists()
+
+
+# a locale whose preferred encoding is ASCII
+C_LOCALE = dict(os.environ, PYTHONCOERCECLOCALE="0", LC_ALL="C", PYTHONUTF8="0")
+
+
+@pytest.mark.parametrize("ensure_ascii", [False, True], ids=["utf-8", "escaped"])
+def test_every_file_and_stdout_is_utf8_in_any_locale(tmp_path, ensure_ascii):
+    raw = json.loads(Path(CONFIG).read_text())
+    raw["model"]["name"] = "repvgg-mini-\u00e9"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw, ensure_ascii=ensure_ascii), encoding="utf-8")
+
+    def expected(golden):
+        return (GOLDEN / golden).read_text().replace(
+            "repvgg-mini,", "repvgg-mini-\u00e9,").encode()
+
+    plan = tmp_path / "plan.csv"
+    for env in (None, C_LOCALE):
+        for command, golden in (("plan", "paper_plan.csv"), ("roofline", "paper_roofline.csv")):
+            result = subprocess.run([sys.executable, "-m", "codesign", command, "--config",
+                                     str(config)], capture_output=True, env=env)
+            assert (result.returncode, result.stderr, result.stdout) == (0, b"", expected(golden))
+        result = subprocess.run([sys.executable, "-m", "codesign", "plan", "--config",
+                                 str(config), "--out", str(plan)], capture_output=True, env=env)
+        assert (result.returncode, result.stderr, result.stdout) == (0, b"", b"")
+        assert plan.read_bytes() == expected("paper_plan.csv")
+
+
+# each command writing an output to the empty path, which names no file
+EMPTY_PATHS = {
+    "plan --out": ["plan", "--config", CONFIG, "--out", ""],
+    "plan --trace-out": ["plan", "--refine", "--config", CONFIG, "--trace-out", ""],
+    "simulate --csv": ["simulate", "--config", CONFIG, "--rate", "100", "--horizon", "1",
+                       "--csv", ""],
+    "simulate --out": ["simulate", "--config", CONFIG, "--rate", "100", "--horizon", "1",
+                       "--out", ""],
+    "roofline --out": ["roofline", "--config", CONFIG, "--out", ""],
+    "cost --out": ["cost", "--config", CONFIG, "--cut", "5", "--theta1", "conv3",
+                   "--theta2", "conv3", "--out", ""],
+    "report --out": ["report", "--plan", str(GOLDEN / "paper_plan.csv"), "--out", ""],
+}
+
+
+@pytest.mark.parametrize("argv", EMPTY_PATHS.values(), ids=EMPTY_PATHS)
+def test_an_empty_output_path_is_a_path(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", "UnwritableOutput: : No such file or directory\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_float_reprs_keep_the_sign_of_zero():
@@ -402,7 +474,7 @@ def test_zero_time_link_plans_simulates_and_reports(tmp_path):
     config.write_text(json.dumps(raw))
     plan_csv, sim_json = tmp_path / "plan.csv", tmp_path / "sim.json"
     assert codesign("plan", "--config", str(config), "--out", str(plan_csv)).returncode == 0
-    assert cli.read_plan_csv(plan_csv)[1]["t3"] == "0.0"
+    assert cli.read_plan_csv(plan_csv)[0]["t3"] == "0.0"
     for cut in (["--cut", "5"], []):    # the winner's simulation last, for report
         result = codesign("simulate", "--config", str(config), "--rate", "100",
                           "--horizon", "1", *cut, "--out", str(sim_json))
@@ -610,16 +682,18 @@ def test_report_names_a_malformed_winner_field(tmp_path, column, edit):
 
 
 def test_report_names_an_oversized_plan_field(tmp_path):
-    header, winner, *rest = (GOLDEN / "paper_plan.csv").read_text().splitlines()
+    header, *rows = (GOLDEN / "paper_plan.csv").read_text().splitlines()
     plan_csv = tmp_path / "plan.csv"
     model = "m" * 200_000  # beyond the csv module's field size limit
-    plan_csv.write_text("\n".join([header, ",".join([model, *winner.split(",")[1:]]),
-                                   *rest]) + "\n")
-    result = codesign("report", "--plan", str(plan_csv))
-    assert result.returncode == 1
-    assert result.stdout == ""
-    assert result.stderr.startswith(f"SchemaMismatch: {plan_csv}: field larger than")
-    assert result.stderr.count("\n") == 1
+    for row in (0, -1):     # the winner, and a row that is only counted
+        oversized = rows.copy()
+        oversized[row] = ",".join([model, *rows[row].split(",")[1:]])
+        plan_csv.write_text("\n".join([header, *oversized]) + "\n")
+        result = codesign("report", "--plan", str(plan_csv))
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"SchemaMismatch: {plan_csv}: field larger than")
+        assert result.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("flags", [["--theta1", "conv3"], ["--theta2", "conv3+skip"]])

@@ -229,3 +229,43 @@ def test_failed_stdout_removes_the_files_already_written(tmp_path, unbuffered):
             stdout=full, stderr=subprocess.PIPE, env=_env(PYTHONUNBUFFERED=unbuffered))
     _assert_named_stdout_error(result)
     assert not log.exists()
+
+
+def _close_stdout():
+    os.close(1)
+
+
+# commands that write stdout; the simulate --csv log goes with the failure
+STDOUT_WRITERS = {
+    "plan": ["plan", "--config", CONFIG],
+    "roofline": ["roofline", "--config", CONFIG],
+    "simulate --csv": ["simulate", "--config", CONFIG, "--rate", "100", "--horizon", "1",
+                       "--csv", "{dir}/requests.csv"],
+    "report": ["report", "--plan", str(GOLDEN / "paper_plan.csv")],
+    "--help": ["--help"],
+}
+
+
+@pytest.mark.parametrize("argv", STDOUT_WRITERS.values(), ids=STDOUT_WRITERS)
+def test_closed_stdout_is_named(tmp_path, argv):
+    # as `codesign ... >&-`: the process starts without a stdout
+    result = subprocess.run([sys.executable, "-m", "codesign",
+                             *[arg.format(dir=tmp_path) for arg in argv]],
+                            stderr=subprocess.PIPE, preexec_fn=_close_stdout, env=_env())
+    assert result.returncode == 1
+    assert result.stderr == b"UnwritableOutput: <stdout>: Bad file descriptor\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["plan", "--config", CONFIG, "--out", "{out}"], "paper_plan.csv"),
+    (["report", "--plan", str(GOLDEN / "paper_plan.csv"), "--sim",
+      str(GOLDEN / "paper_simulate.json"), "--out", "{out}"], "paper_report.json"),
+], ids=["plan", "report"])
+def test_closed_stdout_is_not_needed_by_out(tmp_path, argv, golden):
+    out = tmp_path / "out"
+    result = subprocess.run([sys.executable, "-m", "codesign",
+                             *[arg.format(out=out) for arg in argv]],
+                            stderr=subprocess.PIPE, preexec_fn=_close_stdout, env=_env())
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
