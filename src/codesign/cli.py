@@ -39,7 +39,7 @@ import sys
 from time import perf_counter
 
 from .errors import CodesignError, SchemaMismatch, UnknownStrategyName, UnwritableOutput
-from .profiles import (FULL_STRUCTURE, FusionStrategy, _read_json, _read_text, load_config,
+from .profiles import (FULL_STRUCTURE, FusionStrategy, _opened, _read_json, load_config,
                        parse_strategy)
 
 SCHEMA_VERSION = 1
@@ -87,6 +87,14 @@ def _emit(*outputs: tuple[str | None, object]):
             raise UnwritableOutput(
                 f"{STDOUT if path is None else path}: {exc.strerror or exc}") from None
         raise
+
+
+def _print_err(line: str):
+    """Print ``line`` to stderr.  A stderr that cannot take it (full, or a
+    pipe without a reader) drops it: a diagnostic never changes stdout or
+    the exit code."""
+    with contextlib.suppress(OSError):
+        print(line, file=sys.stderr)
 
 
 def _dump_json(payload: dict) -> str:
@@ -139,8 +147,8 @@ class _StageClock:
 
     def lap(self, stage: str, items: int):
         if self.enabled:
-            print(json.dumps({"stage": stage, "seconds": perf_counter() - self.start,
-                              "items": items}), file=sys.stderr)
+            _print_err(json.dumps({"stage": stage, "seconds": perf_counter() - self.start,
+                                   "items": items}))
         self.start = perf_counter()
 
 
@@ -235,12 +243,18 @@ def _cmd_fuse_check(args):
 def _cmd_convergence_lab(args):
     from . import convergence
 
-    result = convergence.run_lab(args.seed, args.dim, args.steps)
-    rows = [[r["step"], r["gap"], r["bound"], r["ratio"], str(r["within_bound"]).lower()]
-            for r in result["rows"]]
-    _emit((args.out, _csv_text(["step", "gap", "bound", "ratio", "within_bound"], rows)))
-    print(f"eta={result['eta']!r} mu={result['mu']!r} lip={result['lip']!r} "
-          f"violated_at={result['violated_at']}", file=sys.stderr)
+    results = []
+
+    def write_table(handle):
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["step", "gap", "bound", "ratio", "within_bound"])
+        results.append(convergence.run_lab(args.seed, args.dim, args.steps, lambda row: (
+            writer.writerow((*row[:4], "true" if row[4] else "false")))))
+
+    _emit((args.out, write_table))
+    result = results[0]
+    _print_err(f"eta={result['eta']!r} mu={result['mu']!r} lip={result['lip']!r} "
+               f"violated_at={result['violated_at']}")
 
 
 def _cmd_simulate(args):
@@ -281,16 +295,18 @@ def _cmd_simulate(args):
 
 
 def read_plan_csv(path) -> tuple[dict, int]:
-    """(winning row, candidate count) from a plan CSV.  Only the winner is
-    kept: every later row is parsed, so a malformed one is named, and counted."""
-    # newline="" as csv asks: a quoted line break is part of its field
-    text = _read_text(path, newline="")
-    try:
-        rows = csv.DictReader(io.StringIO(text, newline=""))
-        winner = next(rows, None)
-        count = 1 + sum(1 for _ in rows)
-    except csv.Error as exc:
-        raise SchemaMismatch(f"{path}: {exc}") from None
+    """(winning row, candidate count) from a plan CSV, read row by row.  Only
+    the winner is kept: every later row is parsed, so a malformed one is
+    named, and counted."""
+    # newline="" as csv asks: a quoted line break is part of its field, and
+    # lines end only at \r and \n, so a name holding U+2028 reads back
+    with _opened(path, newline="") as handle:
+        try:
+            rows = csv.DictReader(handle)
+            winner = next(rows, None)
+            count = 1 + sum(1 for _ in rows)
+        except csv.Error as exc:
+            raise SchemaMismatch(f"{path}: {exc}") from None
     if winner is None or any(col not in winner for col in PLAN_COLUMNS):
         raise SchemaMismatch(f"{path} is not a plan table (expected columns {PLAN_COLUMNS})")
     return winner, count
@@ -367,8 +383,9 @@ def _cmd_report(args):
 # Parser
 # ---------------------------------------------------------------------------
 
-# convergence-lab holds dim x dim matrices and about 0.9 KB per step: at
-# these limits each takes about 0.1 GB
+# convergence-lab holds a few dim x dim matrices (83 MB peak RSS at dim
+# 1024) and nothing per step, so the step limit bounds its time and table:
+# at both limits 118 s (1.2 ms a step) and a 4.2 MB table
 MAX_LAB_DIM = 1024
 MAX_LAB_STEPS = 100_000
 
@@ -489,7 +506,7 @@ def main(argv=None) -> int:
             parser.error("simulate: --theta1 and --theta2 need --cut")
         args.func(args)
     except CodesignError as err:
-        print(f"{type(err).__name__}: {err}", file=sys.stderr)
+        _print_err(f"{type(err).__name__}: {err}")
         return 1
     return 0
 
@@ -502,11 +519,17 @@ def run():
     the command has nothing left to finish, since every file it writes is
     closed in ``_emit``, so the interpreter's teardown (module cleanup, its
     collections, atexit handlers, the BLAS threads' shutdown) is skipped.
-    stdout, if the process has one, writes UTF-8 whatever the locale, as
-    every file does."""
+    stdout, if the process has one, and stderr write UTF-8 whatever the
+    locale, as every file does; a process started without a stderr (``2>&-``)
+    writes its diagnostics to ``os.devnull``, never to stdout."""
     gc.disable()
     if sys.stdout is not None:
         sys.stdout.reconfigure(encoding="utf-8")
+    if sys.stderr is None:
+        sys.stderr = open(os.devnull, "w", encoding="utf-8")
+    else:
+        # both arguments: an encoding alone resets errors to "strict"
+        sys.stderr.reconfigure(encoding="utf-8", errors="backslashreplace")
     try:
         code = main()
     except SystemExit as exc:           # argparse: --help and usage errors
@@ -527,7 +550,7 @@ def _settle_stdout(code):
         sys.stdout.flush()
     except OSError as exc:
         if not code:
-            print(f"UnwritableOutput: {STDOUT}: {exc.strerror or exc}", file=sys.stderr)
+            _print_err(f"UnwritableOutput: {STDOUT}: {exc.strerror or exc}")
             return 1
     return code
 

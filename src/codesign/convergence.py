@@ -109,17 +109,18 @@ def contraction_factor(mu: float, lip: float, eta: float) -> float:
 
 
 def rate_check(obj: QuadraticObjective, curvature: tuple[float, float], w0: np.ndarray,
-               eta: float, steps: int) -> tuple[int | None, list[float], list[float], list[float]]:
+               eta: float, steps: int, log) -> int | None:
     """Run split gradient descent and test the geometric contraction of the
     loss gap: gap_k <= rho^k * gap_0, with rho the exact per-step factor
     ``contraction_factor(mu, lip, eta)`` for ``curvature`` = (mu, lip) from
     ``obj.curvature_bounds()``, and each gap from ``obj.gap``.
 
-    Returns the first step at which the bound fails (None if it never does),
-    the per-step gap ratios gap_{k+1}/gap_k, the measured gaps gap_k and the
-    bounds gap_0 * rho^k for k = 1..steps.  Once the gap falls below float
-    noise the bound check stops and ratios are reported as 0; the gaps are
-    always as measured.
+    Calls ``log((k, gap, bound, ratio, within))`` once per step k = 1..steps,
+    as the step is taken: the measured gap_k, the bound gap_0 * rho^k, the
+    ratio gap_k/gap_{k-1} and whether this step meets its bound.  Once the
+    previous gap is below float noise the ratio is 0, and a gap below it
+    meets any bound; the gaps are always as measured.  Returns the first
+    step that misses its bound, or None.  No row is kept.
     """
     mu, lip = curvature
     # The smoothness bound 2/L; the loss-decrease bound 2/mu is never
@@ -136,18 +137,16 @@ def rate_check(obj: QuadraticObjective, curvature: tuple[float, float], w0: np.n
     w = w0
     previous_gap = gap0
     violated_at = None
-    ratios, gaps, bounds = [], [], []
     for k in range(1, steps + 1):
         w = split_step(obj, w, eta)
         gap = obj.gap(w, minimizer)
-        gaps.append(gap)
-        ratios.append(gap / previous_gap if previous_gap > floor else 0.0)
         bound = gap0 * factor ** k
-        bounds.append(bound)
-        if violated_at is None and gap > floor and gap > bound * (1.0 + 1e-9):
+        within = gap <= floor or gap <= bound * (1.0 + 1e-9)
+        log((k, gap, bound, gap / previous_gap if previous_gap > floor else 0.0, within))
+        if violated_at is None and not within:
             violated_at = k
         previous_gap = gap
-    return violated_at, ratios, gaps, bounds
+    return violated_at
 
 
 EIGENVALUE_RANGE = (0.5, 5.0)
@@ -164,30 +163,16 @@ def random_objective(rng: np.random.Generator, dim: int) -> QuadraticObjective:
                               split_index=dim // 2)
 
 
-def run_lab(seed: int, dim: int, steps: int) -> dict:
+def run_lab(seed: int, dim: int, steps: int, log) -> dict:
     """One seeded lab run: random quadratic, learning rate at 90% of the
-    admissible limit 2/L, geometric-bound check over the trajectory.  Each row's
-    ``bound`` is the gap_0 * rho^k that ``rate_check`` tested (see
-    ``contraction_factor``)."""
+    admissible limit 2/L, geometric-bound check over the trajectory, each
+    step's row handed to ``log`` as ``rate_check`` computes it (see
+    ``contraction_factor`` for the bound).  Returns ``mu``, ``lip``,
+    ``eta`` and ``violated_at``."""
     rng = np.random.default_rng(seed)
     obj = random_objective(rng, dim)
     mu, lip = obj.curvature_bounds()
     eta = 0.9 * (2.0 / lip)
     w0 = rng.standard_normal(dim)
-
-    violated_at, ratios, gaps, bounds = rate_check(obj, (mu, lip), w0, eta, steps)
-
-    rows = [{
-        "step": k,
-        "gap": gap,
-        "bound": bound,
-        "ratio": ratio,
-        "within_bound": violated_at is None or k < violated_at,
-    } for k, (gap, bound, ratio) in enumerate(zip(gaps, bounds, ratios), start=1)]
-    return {
-        "mu": mu,
-        "lip": lip,
-        "eta": eta,
-        "violated_at": violated_at,
-        "rows": rows,
-    }
+    return {"mu": mu, "lip": lip, "eta": eta,
+            "violated_at": rate_check(obj, (mu, lip), w0, eta, steps, log)}

@@ -19,6 +19,7 @@ two, terminal first), ``link``, ``model``, ``penalties`` and ``lambda1``
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -363,13 +364,14 @@ def config_to_dict(config: Config) -> dict:
     }
 
 
-def _read_text(path, newline=None) -> str:
-    """The text of the input file at ``path``, read as UTF-8 with ``open``'s
-    ``newline``.  Every input file is opened here, so an error names each
-    one the same way: as the path was given."""
+@contextlib.contextmanager
+def _opened(path, newline=None):
+    """The input file at ``path``, open as UTF-8 with ``open``'s ``newline``.
+    Every input file is opened here, and an error opening, reading or
+    decoding it in the block names the path as it was given."""
     try:
         with open(path, encoding="utf-8", newline=newline) as handle:
-            return handle.read()
+            yield handle
     except OSError as exc:
         raise InvalidConfig(f"{path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
@@ -379,7 +381,8 @@ def _read_text(path, newline=None) -> str:
 def _read_json(path, number=None) -> dict:
     """The JSON document at ``path``; ``number``, if given, parses each
     non-integer number and each NaN or Infinity constant."""
-    text = _read_text(path)
+    with _opened(path) as handle:
+        text = handle.read()
     try:
         return json.loads(text, parse_float=number, parse_constant=number)
     except json.JSONDecodeError as exc:

@@ -205,8 +205,9 @@ def test_c5_geometric_bound_and_split_consistency():
             eta = 0.9 * (2.0 / curvature[1])  # < 2/L by construction
             w0 = rng.standard_normal(16)
 
-            violated, _, _, _ = convergence.rate_check(obj, curvature, w0, eta, 500)
-            assert violated is None
+            rows = []
+            assert convergence.rate_check(obj, curvature, w0, eta, 500, rows.append) is None
+            assert len(rows) == 500 and all(within for *_, within in rows)
 
             w_split, w_full = w0.copy(), w0.copy()
             for _step in range(500):

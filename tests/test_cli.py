@@ -131,10 +131,11 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 
 def _peak_rss_mb(*argv) -> float:
     # a child's peak RSS starts at its parent's, so the parent is a small
-    # `python -S`, not pytest with numpy loaded
-    src = str(Path(cli.__file__).parent.parent)
+    # `python -S`, not pytest with numpy loaded; numpy's directory is on the
+    # path for the commands that load it
+    path = os.pathsep.join(str(Path(module.__file__).parent.parent) for module in (cli, np))
     result = subprocess.run([sys.executable, "-S", "-c", _PEAK_RSS, *argv], capture_output=True,
-                            text=True, env=dict(os.environ, PYTHONPATH=src), check=True)
+                            text=True, env=dict(os.environ, PYTHONPATH=path), check=True)
     code, kilobytes = map(int, result.stdout.split())
     assert code == 0, argv
     return kilobytes / 1024
@@ -154,14 +155,23 @@ def test_simulate_csv_peak_rss_grows_as_an_unlogged_run_does(tmp_path):
 
 def test_report_peak_rss_does_not_hold_the_rows_it_counts(tmp_path):
     # the golden table and one with its body 70 times (14,560 rows, 2.24 MB):
-    # holding a dict per row grew 27.7 MB, keeping only the winner 10.4 MB
+    # holding a dict per row grew 27.7 MB, holding the file's text 10.5 MB,
+    # reading it row by row 0.0 MB
     header, *body = (GOLDEN / "paper_plan.csv").read_text().splitlines(keepends=True)
     large = tmp_path / "plan.csv"
     large.write_text(header + "".join(body) * 70)
     small, big = (_peak_rss_mb("report", "--plan", str(plan), "--out", os.devnull)
                   for plan in (GOLDEN / "paper_plan.csv", large))
-    assert big - small < 18.0
+    assert big - small < 3.0
     assert cli.build_report(large)["candidates"] == 70 * len(body)
+
+
+def test_convergence_lab_peak_rss_does_not_grow_with_its_steps():
+    # each step's row is written as it is checked: keeping them grew 29.6 MB
+    # from 1,000 to 50,000 steps, writing them 0.0 MB
+    small, large = (_peak_rss_mb("convergence-lab", "--dim", "2", "--steps", steps,
+                                 "--out", os.devnull) for steps in ("1000", "50000"))
+    assert large - small < 3.0
 
 
 def test_simulate_csv_past_the_old_log_bound_then_unwritable_out(tmp_path):
@@ -430,6 +440,21 @@ def test_every_file_and_stdout_is_utf8_in_any_locale(tmp_path, ensure_ascii):
         assert plan.read_bytes() == expected("paper_plan.csv")
 
 
+def test_stderr_is_utf8_in_any_locale(tmp_path):
+    raw = json.loads(Path(CONFIG).read_text())
+    raw["model"]["name"] = "repvgg-mini-\u00e9"
+    config, plan = tmp_path / "config.json", tmp_path / "plan.csv"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    assert cli.main(["plan", "--config", str(config), "--out", str(plan)]) == 0
+    for env in (None, C_LOCALE):
+        result = subprocess.run([sys.executable, "-m", "codesign", "report", "--plan", str(plan),
+                                 "--sim", str(GOLDEN / "paper_simulate.json")],
+                                capture_output=True, env=env)
+        assert (result.returncode, result.stdout) == (1, b"")
+        assert result.stderr == ("SchemaMismatch: plan is for model 'repvgg-mini-\u00e9' but "
+                                 "simulation is for 'repvgg-mini'\n").encode()
+
+
 # each command writing an output to the empty path, which names no file
 EMPTY_PATHS = {
     "plan --out": ["plan", "--config", CONFIG, "--out", ""],
@@ -613,6 +638,19 @@ def test_undecodable_input_file_is_named(tmp_path, command):
     assert result.stdout == ""
     assert result.stderr.startswith(f"InvalidConfig: {bad}: 'utf-8' codec can't decode")
     assert result.stderr.count("\n") == 1
+
+
+def test_report_names_a_plan_that_stops_decoding_after_its_first_read(tmp_path, capsys):
+    # the table is decoded as its rows are read: a bad byte in its last row,
+    # past the first read of the file, is named as one in its first is
+    header, *body = (GOLDEN / "paper_plan.csv").read_bytes().splitlines(keepends=True)
+    plan = tmp_path / "plan.csv"
+    plan.write_bytes(header + b"".join(body) * 70 + NOT_UTF8 + b"\n")
+    assert cli.main(["report", "--plan", str(plan)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(f"InvalidConfig: {re.escape(str(plan))}: 'utf-8' codec can't decode "
+                        f"byte 0xff in position [0-9]+: invalid start byte\n", captured.err)
 
 
 @pytest.mark.parametrize("command", INPUT_FILE_COMMANDS,
@@ -805,10 +843,11 @@ def test_fuse_check_and_lab_tables_print_the_reprs_of_their_results(tmp_path, se
         f"{strategy.value},7,{repr(err)}\n" for strategy, err in worst.items())
     assert cli.main(["convergence-lab", "--seed", str(seed), "--dim", "8", "--steps", "40",
                      "--out", str(lab)]) == 0
-    rows = convergence.run_lab(seed, 8, 40)["rows"]
+    rows = []
+    convergence.run_lab(seed, 8, 40, rows.append)
     assert lab.read_text() == "step,gap,bound,ratio,within_bound\n" + "".join(
-        f"{r['step']},{repr(r['gap'])},{repr(r['bound'])},{repr(r['ratio'])},"
-        f"{str(r['within_bound']).lower()}\n" for r in rows)
+        f"{step},{repr(gap)},{repr(bound)},{repr(ratio)},{str(within).lower()}\n"
+        for step, gap, bound, ratio, within in rows)
 
 
 def test_plan_and_trace_match_golden_files(tmp_path):

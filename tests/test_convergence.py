@@ -16,6 +16,22 @@ def diag_objective(values, b=None, split=None):
     )
 
 
+def drop(row):
+    """A sink for a caller that wants only ``violated_at``."""
+
+
+def rate_rows(obj, curvature, w0, eta, steps):
+    """(``violated_at``, the rows ``rate_check`` logged)."""
+    rows = []
+    return convergence.rate_check(obj, curvature, w0, eta, steps, rows.append), rows
+
+
+def lab_rows(seed, dim, steps):
+    """(``run_lab``'s result, the rows it logged)."""
+    rows = []
+    return convergence.run_lab(seed, dim, steps, rows.append), rows
+
+
 def test_identity_quadratic_gradient_blocks():
     obj = diag_objective([1.0, 1.0, 1.0, 1.0])
     w = np.array([3.0, -1.0, 2.0, 0.5])
@@ -85,9 +101,9 @@ def test_rate_check_scalar_closed_form():
     mu = 1.5
     obj = diag_objective([mu, mu])
     eta = 0.4  # well inside (0, 2/mu)
-    violated, ratios, _, _ = convergence.rate_check(obj, (mu, mu), np.array([2.0, -1.0]),
-                                                    eta, 50)
+    violated, rows = rate_rows(obj, (mu, mu), np.array([2.0, -1.0]), eta, 50)
     assert violated is None
+    ratios = [ratio for _, _, _, ratio, _ in rows]
     # gap contracts by exactly (1 - eta*mu)^2 per step until it hits noise
     expected = (1 - eta * mu) ** 2
     for ratio in ratios:
@@ -101,9 +117,9 @@ def test_step_size_guard():
     lip = 4.0
     obj = diag_objective([lip, lip])
     with pytest.raises(StepSizeOutOfRange):
-        convergence.rate_check(obj, (lip, lip), np.ones(2), 2.0 / lip + 1e-9, 10)
+        convergence.rate_check(obj, (lip, lip), np.ones(2), 2.0 / lip + 1e-9, 10, drop)
     with pytest.raises(StepSizeOutOfRange):
-        convergence.rate_check(obj, (lip, lip), np.ones(2), 0.0, 10)
+        convergence.rate_check(obj, (lip, lip), np.ones(2), 0.0, 10, drop)
 
 
 def test_rate_check_random_spd_no_violation():
@@ -116,8 +132,7 @@ def test_rate_check_random_spd_no_violation():
     mu, lip = obj.curvature_bounds()
     assert mu == pytest.approx(0.5, rel=1e-9)
     assert lip == pytest.approx(2.0, rel=1e-9)
-    violated, _, _, _ = convergence.rate_check(obj, (mu, lip), rng.standard_normal(6), 0.5, 200)
-    assert violated is None
+    assert convergence.rate_check(obj, (mu, lip), rng.standard_normal(6), 0.5, 200, drop) is None
 
 
 def test_gap_non_increasing_and_geometric():
@@ -127,9 +142,9 @@ def test_gap_non_increasing_and_geometric():
         mu, lip = obj.curvature_bounds()
         eta = 0.9 * (2.0 / lip)
         w0 = rng.standard_normal(10)
-        violated, ratios, _, _ = convergence.rate_check(obj, (mu, lip), w0, eta, 300)
+        violated, rows = rate_rows(obj, (mu, lip), w0, eta, 300)
         assert violated is None
-        assert all(r <= 1.0 + 1e-12 for r in ratios)
+        assert all(ratio <= 1.0 + 1e-12 for _, _, _, ratio, _ in rows)
 
 
 def test_loss_decrease_condition_for_admissible_steps():
@@ -147,17 +162,17 @@ def test_step_limit_is_the_smoothness_bound():
     # and nothing above it
     obj = diag_objective([0.5, 2.0], split=1)
     curvature = obj.curvature_bounds()
-    violated, _, _, _ = convergence.rate_check(obj, curvature, np.ones(2), 1.0, 10)
-    assert violated is None
+    assert convergence.rate_check(obj, curvature, np.ones(2), 1.0, 10, drop) is None
     with pytest.raises(StepSizeOutOfRange, match=r"outside \(0, 1\.0\]"):
-        convergence.rate_check(obj, curvature, np.ones(2), np.nextafter(1.0, 2.0), 10)
+        convergence.rate_check(obj, curvature, np.ones(2), np.nextafter(1.0, 2.0), 10, drop)
 
 
 def test_run_lab_report_shape():
-    result = convergence.run_lab(seed=5, dim=8, steps=20)
+    result, rows = lab_rows(seed=5, dim=8, steps=20)
+    assert result.keys() == {"mu", "lip", "eta", "violated_at"}
     assert result["violated_at"] is None
-    assert len(result["rows"]) == 20
-    assert result["rows"][0]["within_bound"]
+    assert [row[0] for row in rows] == list(range(1, 21))
+    assert rows[0][4] is True
     assert 0 < result["eta"] <= 2.0 / result["lip"]
 
 
@@ -173,24 +188,24 @@ def test_contraction_factor_is_the_larger_end_of_the_spectrum():
 def test_lab_seed_whose_gap_beat_the_old_bound():
     # the gap ratio here is ~0.637 per step, above the old factor
     # 1 - eta*mu/2 ~ 0.619 but below the exact rho
-    result = convergence.run_lab(seed=1028020543, dim=16, steps=200)
+    result, rows = lab_rows(seed=1028020543, dim=16, steps=200)
     assert result["violated_at"] is None
-    assert all(row["within_bound"] for row in result["rows"])
+    assert all(within for *_, within in rows)
 
 
 @pytest.mark.parametrize("dim", [4, 8, 16])
 def test_lab_bound_holds_over_a_seed_range(dim):
     violated = [seed for seed in range(150)
-                if convergence.run_lab(seed, dim, 200)["violated_at"] is not None]
+                if convergence.run_lab(seed, dim, 200, drop)["violated_at"] is not None]
     assert violated == []
 
 
 def test_lab_bound_holds_at_dim_2_over_a_seed_range():
     # Measured as loss(w) - optimum, seed 189's gap near 2e-10 cancelled to
     # noise that exceeded the bound by 1.1e-6 relative (violated_at=47).
-    assert convergence.run_lab(189, 2, 200)["violated_at"] is None
+    assert convergence.run_lab(189, 2, 200, drop)["violated_at"] is None
     violated = [seed for seed in range(300)
-                if convergence.run_lab(seed, 2, 200)["violated_at"] is not None]
+                if convergence.run_lab(seed, 2, 200, drop)["violated_at"] is not None]
     assert violated == []
 
 
@@ -207,7 +222,7 @@ def test_gap_equals_the_loss_difference():
 
 
 def test_lab_bound_column_is_gap0_times_rho_to_the_k():
-    result = convergence.run_lab(seed=3, dim=8, steps=30)
+    result, rows = lab_rows(seed=3, dim=8, steps=30)
     rng = np.random.default_rng(3)
     obj = convergence.random_objective(rng, 8)
     gap0 = obj.gap(rng.standard_normal(8), obj.minimizer())
@@ -215,7 +230,7 @@ def test_lab_bound_column_is_gap0_times_rho_to_the_k():
     assert (result["mu"], result["lip"]) == (mu, lip)
     assert result["eta"] == 0.9 * (2.0 / lip)
     rho = convergence.contraction_factor(mu, lip, result["eta"])
-    assert [row["bound"] for row in result["rows"]] == [gap0 * rho ** k for k in range(1, 31)]
+    assert [row[2] for row in rows] == [gap0 * rho ** k for k in range(1, 31)]
 
 
 def test_lab_takes_the_spectrum_once(monkeypatch):
@@ -229,7 +244,7 @@ def test_lab_takes_the_spectrum_once(monkeypatch):
         return eigvalsh(a)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    convergence.run_lab(seed=3, dim=8, steps=30)
+    convergence.run_lab(seed=3, dim=8, steps=30, log=drop)
     assert calls == [(8, 8)]
 
 
@@ -249,10 +264,33 @@ def test_rate_is_tight_on_the_limiting_eigenvector(fraction):
         rho = convergence.contraction_factor(mu, lip, eta)
         eigenvalues, vectors = np.linalg.eigh(matrix)
         limiting = 0 if (1 - eta * mu) ** 2 >= (1 - eta * lip) ** 2 else -1
-        violated, ratios, _, _ = convergence.rate_check(obj, (mu, lip), vectors[:, limiting],
-                                                        eta, 200)
+        violated, rows = rate_rows(obj, (mu, lip), vectors[:, limiting], eta, 200)
         assert violated is None
-        checked = [ratio for ratio in ratios if ratio != 0.0]
+        checked = [ratio for _, _, _, ratio, _ in rows if ratio != 0.0]
         assert len(checked) >= 10
         for ratio in checked:
             assert ratio == pytest.approx(rho, rel=1e-9)
+
+
+def test_each_row_is_checked_against_its_own_bound():
+    # mu is overstated (the spectrum is [1, 2]), so rho = (1 - 0.4 * 1.5)^2
+    # = 0.16 is smaller than the gap's true factor (1 - 0.4)^2 = 0.36: the
+    # bound fails from step 2 (gap 0.22 against 0.24 at step 1), and once
+    # the gap sinks under the noise floor the rows meet it again
+    obj = diag_objective([1.0, 2.0], split=1)
+    w0 = np.ones(2)
+    violated, rows = rate_rows(obj, (1.5, 2.0), w0, 0.4, 40)
+    gap0 = obj.gap(w0, obj.minimizer())
+    floor = convergence._GAP_FLOOR_REL * max(gap0, 1.0)
+    rho = convergence.contraction_factor(1.5, 2.0, 0.4)
+    assert rho == pytest.approx(0.16, rel=1e-15)
+    assert [row[0] for row in rows] == list(range(1, 41))
+    w = w0
+    for k, gap, bound, _, within in rows:
+        w = convergence.split_step(obj, w, 0.4)
+        assert gap == obj.gap(w, obj.minimizer())
+        assert bound == gap0 * rho ** k
+        assert within is (gap <= floor or gap <= bound * (1 + 1e-9))
+    flags = [within for *_, within in rows]
+    assert violated == flags.index(False) + 1 == 2
+    assert any(flags[violated:])

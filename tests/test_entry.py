@@ -1,7 +1,8 @@
 """The process entry, ``cli.run``: ``codesign`` and ``python -m codesign``
 run each command with the cyclic garbage collector off and end the process
 without interpreter teardown, keep every exit code and output, and name a
-stdout that cannot be written.  ``cli.main`` leaves the collector as it
+stdout that cannot be written; a stderr that is closed or full changes
+neither stdout nor the exit code.  ``cli.main`` leaves the collector as it
 found it."""
 
 import contextlib
@@ -185,6 +186,8 @@ def _assert_named_stdout_error(result, code=1):
     ["plan", "--config", CONFIG],
     ["--help"],
     ["plan", "--help"],
+    # a table written row by row, which passes the 8 KB buffer partway
+    ["convergence-lab", "--steps", "2000"],
 ])
 def test_full_stdout_is_named(argv, unbuffered):
     with open("/dev/full", "wb") as full:
@@ -269,3 +272,66 @@ def test_closed_stdout_is_not_needed_by_out(tmp_path, argv, golden):
                             stderr=subprocess.PIPE, preexec_fn=_close_stdout, env=_env())
     assert (result.returncode, result.stderr) == (0, b"")
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# A stderr that is closed or full
+# ---------------------------------------------------------------------------
+
+def _close_stderr():
+    os.close(2)
+
+
+def test_closed_stderr_is_not_needed_by_out(tmp_path):
+    # as `codesign plan --out ... 2>&-`: the process starts without a stderr
+    out = tmp_path / "plan.csv"
+    result = subprocess.run([sys.executable, "-m", "codesign", "plan", "--config", CONFIG,
+                             "--out", str(out)], stdout=subprocess.PIPE,
+                            preexec_fn=_close_stderr, env=_env())
+    assert (result.returncode, result.stdout) == (0, b"")
+    assert out.read_bytes() == (GOLDEN / "paper_plan.csv").read_bytes()
+
+
+# (argv, environment changes, exit code, stdout: a golden file, "" for none,
+# or None for what the command prints with stderr open)
+WITHOUT_STDERR = {
+    "plan traced": (["plan", "--config", CONFIG], {"CODESIGN_TRACE": "1"}, 0, "paper_plan.csv"),
+    "missing config": (["plan", "--config", "missing.json"], {}, 1, ""),
+    "usage error": (["plan"], {}, 2, ""),
+    "convergence-lab": (["convergence-lab", "--steps", "40"], {}, 0, None),
+}
+
+
+def _run(argv, changes, **stderr):
+    return subprocess.run([sys.executable, "-m", "codesign", *argv], stdout=subprocess.PIPE,
+                          env=_env(**changes), **stderr)
+
+
+def _assert_stdout_and_code_unchanged(result, argv, changes, code, stdout):
+    if stdout is None:
+        stdout = _run(argv, changes, stderr=subprocess.DEVNULL).stdout
+        assert stdout.startswith(b"step,gap,bound,ratio,within_bound\n")
+    else:
+        stdout = (GOLDEN / stdout).read_bytes() if stdout else b""
+    assert (result.returncode, result.stdout) == (code, stdout)
+
+
+@pytest.mark.parametrize("argv, changes, code, stdout", WITHOUT_STDERR.values(),
+                         ids=WITHOUT_STDERR)
+def test_closed_stderr_changes_no_stdout_or_exit_code(argv, changes, code, stdout):
+    # diagnostics go nowhere, not to stdout
+    result = _run(argv, changes, preexec_fn=_close_stderr)
+    _assert_stdout_and_code_unchanged(result, argv, changes, code, stdout)
+
+
+# Python 3.10's argparse raises when it cannot write a usage error, so that
+# case is left out
+FULL_STDERR = {name: case for name, case in WITHOUT_STDERR.items() if name != "usage error"}
+
+
+@needs_dev_full
+@pytest.mark.parametrize("argv, changes, code, stdout", FULL_STDERR.values(), ids=FULL_STDERR)
+def test_full_stderr_changes_no_stdout_or_exit_code(argv, changes, code, stdout):
+    with open("/dev/full", "wb") as full:
+        result = _run(argv, changes, stderr=full)
+    _assert_stdout_and_code_unchanged(result, argv, changes, code, stdout)
