@@ -13,12 +13,12 @@ codesign``.  It turns the cyclic garbage collector off for the whole
 command, so no pass that allocation would trigger scans the ~12-22k
 objects that import leaves: a command makes no cyclic garbage that grows
 with its work (argparse's parser, a few hundred objects, is the only
-cycle).  After the last flush of stdout and stderr it ends the process
-with ``os._exit``, so no interpreter teardown runs: no module cleanup, no
-collection at exit, no atexit handler.  Profile a command through ``main``
-(``python -m cProfile -m codesign`` prints nothing, as its report would be
-written at exit).  ``main`` leaves the collector alone and returns, so
-in-process callers keep both.
+cycle).  Each output is flushed as it is written, and after a flush of
+stderr it ends the process with ``os._exit``, so no interpreter teardown
+runs: no module cleanup, no collection at exit, no atexit handler.
+Profile a command through ``main`` (``python -m cProfile -m codesign``
+prints nothing, as its report would be written at exit).  ``main`` leaves
+the collector alone and returns, so in-process callers keep both.
 
 With CODESIGN_TRACE=1, ``plan`` prints one JSON line per stage to stderr:
 {"stage": ..., "seconds": ..., "items": ...}.  stdout is unchanged.
@@ -55,16 +55,17 @@ _STRATEGY_PAIRS = [[f"{a},{b}" for b in _STRATEGY_NAMES] for a in _STRATEGY_NAME
 _FLAG_PAIRS = (("false,false", "false,true"), ("true,false", "true,true"))
 
 
-def _emit(*outputs: tuple[str | None, object]):
-    """Write each (path, output) in order, as UTF-8, to stdout where the
-    path is None (an empty path is a path); an output is the text or a
-    function writing into the file it is handed.  An output that cannot be
-    written (``--out``, ``--trace-out``, ``--csv``, or stdout: flushed here,
-    or closed when the process started) raises ``UnwritableOutput`` naming
-    its path as given or ``<stdout>``; any other exception passes unchanged.
-    Either way each file opened here is removed first; a path never opened
-    is left."""
-    opened = []
+def _emit(*outputs: tuple[str | None, object]) -> list:
+    """Write and flush each (path, output) in order, as UTF-8, to stdout
+    where the path is None (an empty path is a path): every stdout byte of
+    ``cli`` leaves here.  An output is the text or a function writing into
+    the file it is handed; returns what each write returned.  An output that
+    cannot be written (``--out``, ``--trace-out``, ``--csv``, or stdout:
+    flushed here, or closed when the process started) raises
+    ``UnwritableOutput`` naming its path as given or ``<stdout>``; any other
+    exception passes unchanged.  Either way each file opened here is removed
+    first; a path never opened is left."""
+    opened, results = [], []
     try:
         for path, output in outputs:
             if path is None and sys.stdout is None:     # the process started without one
@@ -72,10 +73,7 @@ def _emit(*outputs: tuple[str | None, object]):
             with (open(path, "w", encoding="utf-8") if path is not None
                   else contextlib.nullcontext(sys.stdout)) as handle:
                 opened.append(path)
-                if callable(output):
-                    output(handle)
-                else:
-                    handle.write(output)
+                results.append(output(handle) if callable(output) else handle.write(output))
                 handle.flush()
     except BaseException as exc:
         for done in opened:
@@ -87,27 +85,31 @@ def _emit(*outputs: tuple[str | None, object]):
             raise UnwritableOutput(
                 f"{STDOUT if path is None else path}: {exc.strerror or exc}") from None
         raise
+    return results
 
 
-def _print_err(line: str):
-    """Print ``line`` to stderr.  A stderr that cannot take it (full, or a
+def _print_err(text: str, end: str = "\n"):
+    """Print ``text`` to stderr.  A stderr that cannot take it (full, or a
     pipe without a reader) drops it: a diagnostic never changes stdout or
     the exit code."""
     with contextlib.suppress(OSError):
-        print(line, file=sys.stderr)
+        print(text, end=end, file=sys.stderr)
 
 
 def _dump_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _csv_text(header: list[str] | tuple[str, ...], rows) -> str:
-    """``csv.writer`` writes a float as its ``repr``: rows hold the values."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+def _table(header, rows=()):
+    """An output for ``_emit``: CSV of ``header`` and ``rows``, returning its
+    ``csv.writer`` for rows streamed after them.  ``csv.writer`` writes a
+    float as its ``repr``: rows hold the values."""
+    def write(handle):
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return writer
+    return write
 
 
 class _FloatReprs(dict):
@@ -125,7 +127,9 @@ def _plan_csv(model_name: str, rows: list[tuple]) -> str:
     """The ranked grid rows (``cost_model.ROW_FIELDS`` tuples) as CSV,
     byte-identical to ``csv.writer`` output.  The model name is the only
     field that can need quoting, so only it goes through ``csv``."""
-    model = _csv_text([model_name, ""], [])[:-2]
+    field = io.StringIO()
+    _table([model_name, ""])(field)
+    model = field.getvalue()[:-2]
     # t1, t2 and t3 repeat across the strategy pairs of a cut, so they share
     # reprs
     pairs, flags, text = _STRATEGY_PAIRS, _FLAG_PAIRS, _FloatReprs()
@@ -168,7 +172,7 @@ def _cmd_roofline(args):
         rep = roofline.report(flops, data, device)
         rows.append([config.model.name, device.name, rep.intensity,
                      roofline.machine_balance(device), rep.bottleneck.value])
-    _emit((args.out, _csv_text(["model", "device", "intensity", "balance", "class"], rows)))
+    _emit((args.out, _table(["model", "device", "intensity", "balance", "class"], rows)))
 
 
 def _config_and_plan(args):
@@ -223,7 +227,7 @@ def _cmd_plan(args):
 
         _, trace = refine_lambda(config.model, row_plan(rows[0]), config.device1,
                                  config.device2, config.link)
-        outputs.append((args.trace_out, _csv_text(
+        outputs.append((args.trace_out, _table(
             ["iteration", "lambda", "t_total"],
             [(i, *point) for i, point in enumerate(trace)])))
         clock.lap("refine", len(trace))
@@ -237,22 +241,18 @@ def _cmd_fuse_check(args):
 
     worst = reparam.run_equivalence_suite(args.seed, trials=args.trials)
     rows = [[s.value, args.trials, err] for s, err in worst.items()]
-    _emit((args.out, _csv_text(["strategy", "trials", "max_rel_error"], rows)))
+    _emit((args.out, _table(["strategy", "trials", "max_rel_error"], rows)))
 
 
 def _cmd_convergence_lab(args):
     from . import convergence
 
-    results = []
-
     def write_table(handle):
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["step", "gap", "bound", "ratio", "within_bound"])
-        results.append(convergence.run_lab(args.seed, args.dim, args.steps, lambda row: (
-            writer.writerow((*row[:4], "true" if row[4] else "false")))))
+        writer = _table(["step", "gap", "bound", "ratio", "within_bound"])(handle)
+        return convergence.run_lab(args.seed, args.dim, args.steps, lambda row: (
+            writer.writerow((*row[:4], "true" if row[4] else "false"))))
 
-    _emit((args.out, write_table))
-    result = results[0]
+    [result] = _emit((args.out, write_table))
     _print_err(f"eta={result['eta']!r} mu={result['mu']!r} lip={result['lip']!r} "
                f"violated_at={result['violated_at']}")
 
@@ -272,8 +272,7 @@ def _cmd_simulate(args):
     reports = []
 
     def write_log(handle):
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(simulator.RequestRecord._fields)
+        writer = _table(simulator.RequestRecord._fields)(handle)
         reports.append(simulator.run(sim_config, writer.writerow))
 
     def write_document(handle):
@@ -411,15 +410,16 @@ def _int_at_least(minimum: int, maximum: int | None = None):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Help for stdout goes through ``_emit``, so a stdout that cannot take
-    it is named: argparse's own write drops the error (Python 3.11+) or
-    raises it as a traceback (3.10)."""
+    """argparse writes help, usage and errors through ``_print_message``: a
+    stdout that cannot take them is named by ``_emit``, a stderr is dropped
+    by ``_print_err``.  argparse's own write drops both (Python 3.11+) or
+    raises them as a traceback (3.10)."""
 
-    def print_help(self, file=None):
-        if file is None:
-            _emit((None, self.format_help()))
+    def _print_message(self, message, file=None):
+        if file is sys.stdout:
+            _emit((None, message))
         else:
-            super().print_help(file)
+            _print_err(message, end="")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -495,6 +495,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _one_file(first: str | None, second: str | None) -> bool:
+    """Whether two output paths name one file, which the second write would
+    overwrite.  A path naming an existing file that is not a regular file,
+    such as ``/dev/null``, may take both; None is stdout."""
+    if first is None or second is None:
+        return False
+    path = os.path.realpath(first)
+    return path == os.path.realpath(second) and (
+        os.path.isfile(path) or not os.path.exists(path))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -502,6 +513,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command == "plan" and args.trace_out is not None and not args.refine:
             parser.error("plan: --trace-out needs --refine")
+        if args.command == "plan" and _one_file(args.trace_out, args.out):
+            parser.error("plan: --trace-out and --out name one file")
+        if args.command == "simulate" and _one_file(args.csv, args.out):
+            parser.error("simulate: --csv and --out name one file")
         if args.command == "simulate" and args.cut is None and (args.theta1 or args.theta2):
             parser.error("simulate: --theta1 and --theta2 need --cut")
         args.func(args)
@@ -514,10 +529,10 @@ def main(argv=None) -> int:
 def run():
     """Run ``main`` as the whole process and end it with ``main``'s code.
     The collector is off while the command runs (numpy's lazy import
-    included).  Once stdout and stderr are flushed the process ends with
-    ``os._exit`` on every way out, ``--help`` and argparse's exits included:
-    the command has nothing left to finish, since every file it writes is
-    closed in ``_emit``, so the interpreter's teardown (module cleanup, its
+    included).  Once stderr is flushed the process ends with ``os._exit``
+    on every way out, ``--help`` and argparse's exits included: the command
+    has nothing left to finish, since ``_emit`` closes every file it writes
+    and flushes stdout, so the interpreter's teardown (module cleanup, its
     collections, atexit handlers, the BLAS threads' shutdown) is skipped.
     stdout, if the process has one, and stderr write UTF-8 whatever the
     locale, as every file does; a process started without a stderr (``2>&-``)
@@ -534,25 +549,9 @@ def run():
         code = main()
     except SystemExit as exc:           # argparse: --help and usage errors
         code = exc.code
-    code = _settle_stdout(code)
     with contextlib.suppress(OSError):
         sys.stderr.flush()
     os._exit(code)
-
-
-def _settle_stdout(code):
-    """``code``, after a last flush of stdout, if there is one.  If stdout
-    cannot take what is left in its buffer, a command that had not failed
-    yet fails with a named error; ``os._exit`` drops what is left unwritten."""
-    if sys.stdout is None:
-        return code
-    try:
-        sys.stdout.flush()
-    except OSError as exc:
-        if not code:
-            _print_err(f"UnwritableOutput: {STDOUT}: {exc.strerror or exc}")
-            return 1
-    return code
 
 
 if __name__ == "__main__":

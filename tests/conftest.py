@@ -5,6 +5,7 @@ import pytest
 
 from codesign import simulator
 from codesign.profiles import (
+    STRATEGY_RANK,
     AccuracyPenaltyTable,
     DeviceProfile,
     FusionStrategy,
@@ -120,6 +121,33 @@ def zero_table() -> AccuracyPenaltyTable:
         1: {s: 0.0 for s in FusionStrategy},
         2: {s: 0.0 for s in FusionStrategy},
     })
+
+
+def brute_force_argmin(model, d1, d2, link, table, lambda1):
+    """Independently coded exhaustive enumeration; returns
+    (cut, theta1, theta2) of the objective argmin under the same tie-break."""
+    best_key, best = None, None
+    for cut in range(1, len(model.layers)):
+        for th1 in FusionStrategy:
+            for th2 in FusionStrategy:
+                c1 = sum(l.flops_by_strategy[th1] for l in model.layers[:cut])
+                m1 = sum(l.bytes_by_strategy[th1] for l in model.layers[:cut])
+                c2 = sum(l.flops_by_strategy[th2] for l in model.layers[cut:])
+                m2 = sum(l.bytes_by_strategy[th2] for l in model.layers[cut:])
+                r1 = d1.utilization * min(d1.peak_compute, (c1 / m1) * d1.mem_bandwidth)
+                r2 = d2.utilization * min(d2.peak_compute, (c2 / m2) * d2.mem_bandwidth)
+                t1 = c1 / r1
+                t2 = c2 / r2
+                t3 = model.layers[cut - 1].output_activation_bytes / link.bandwidth \
+                    + link.fixed_latency
+                t_total = t1 + t2 + t3
+                lam_c = c1 / (c1 + c2)
+                loss = lam_c * table.penalty(1, th1) + (1 - lam_c) * table.penalty(2, th2)
+                objective = t_total + lambda1 * loss
+                key = (objective, t_total, cut, STRATEGY_RANK[th1], STRATEGY_RANK[th2])
+                if best_key is None or key < best_key:
+                    best_key, best = key, (cut, th1, th2)
+    return best
 
 
 def simple_link(bandwidth: float = 12.5e6, fixed: float = 0.0) -> LinkProfile:

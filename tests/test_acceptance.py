@@ -15,7 +15,6 @@ from scipy.signal import correlate2d
 
 from codesign import convergence, cost_model, reparam, simulator
 from codesign.profiles import (
-    STRATEGY_RANK,
     AccuracyPenaltyTable,
     FusionStrategy,
     ModelProfile,
@@ -30,6 +29,7 @@ from conftest import (
     S3,
     S3_1X1,
     S3_SKIP,
+    brute_force_argmin,
     random_device,
     random_model,
     saturated_throughput,
@@ -116,30 +116,6 @@ def test_c2_fusion_equivalence():
 
 # --- 3. optimizer exhaustiveness ----------------------------------------------
 
-def _brute_force(model, d1, d2, link, table, lambda1):
-    best_key, best = None, None
-    for cut in range(1, len(model.layers)):
-        for th1 in FusionStrategy:
-            for th2 in FusionStrategy:
-                c1 = sum(l.flops_by_strategy[th1] for l in model.layers[:cut])
-                m1 = sum(l.bytes_by_strategy[th1] for l in model.layers[:cut])
-                c2 = sum(l.flops_by_strategy[th2] for l in model.layers[cut:])
-                m2 = sum(l.bytes_by_strategy[th2] for l in model.layers[cut:])
-                r1 = d1.utilization * min(d1.peak_compute, (c1 / m1) * d1.mem_bandwidth)
-                r2 = d2.utilization * min(d2.peak_compute, (c2 / m2) * d2.mem_bandwidth)
-                t1, t2 = c1 / r1, c2 / r2
-                t3 = model.layers[cut - 1].output_activation_bytes / link.bandwidth \
-                    + link.fixed_latency
-                t_total = t1 + t2 + t3
-                lam = c1 / (c1 + c2)
-                loss = lam * table.penalty(1, th1) + (1 - lam) * table.penalty(2, th2)
-                key = (t_total + lambda1 * loss, t_total, cut,
-                       STRATEGY_RANK[th1], STRATEGY_RANK[th2])
-                if best_key is None or key < best_key:
-                    best_key, best = key, (cut, th1, th2)
-    return best
-
-
 def test_c3_optimizer_matches_brute_force():
     with criterion(3, "grid search == brute-force argmin on 50 profiles", 10.0):
         rng = np.random.default_rng(2024)
@@ -158,7 +134,7 @@ def test_c3_optimizer_matches_brute_force():
             lambda1 = float(rng.choice([0.0, 0.0, 0.01, 1.0]))
             plan = cost_model.grid_search(model, d1, d2, link, table, lambda1)
             assert (plan.cut_index, plan.theta1, plan.theta2) == \
-                _brute_force(model, d1, d2, link, table, lambda1), f"case {case}"
+                brute_force_argmin(model, d1, d2, link, table, lambda1), f"case {case}"
 
 
 # --- 4. latency/accuracy trade-off --------------------------------------------

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import re
@@ -486,8 +487,9 @@ def test_float_reprs_keep_the_sign_of_zero():
 def test_csv_writes_each_float_as_its_repr():
     # every table but plan's hands its floats to csv.writer as they are
     values = [5e-324, 1e-320, -0.0, 0.1, 1e16, float(2**53 + 1), 1 / 3]
-    assert cli._csv_text(["x"], [[v] for v in values]) == "x\n" + "".join(
-        f"{v!r}\n" for v in values)
+    table = io.StringIO()
+    cli._table(["x"], [[v] for v in values])(table)
+    assert table.getvalue() == "x\n" + "".join(f"{v!r}\n" for v in values)
 
 
 def test_zero_time_link_plans_simulates_and_reports(tmp_path):
@@ -782,6 +784,28 @@ def test_trace_out_without_refine_is_usage_error(tmp_path):
     assert result.stdout == ""
     assert "--trace-out needs --refine" in result.stderr
     assert not trace.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--config", CONFIG, "--rate", "100", "--horizon", "1",
+      "--csv", "same.json", "--out", "same.json"], "simulate: --csv and --out name one file"),
+    (["plan", "--config", CONFIG, "--refine", "--trace-out", "same.csv", "--out", "./same.csv"],
+     "plan: --trace-out and --out name one file"),
+], ids=["simulate", "plan"])
+def test_two_outputs_naming_one_file_is_usage_error(argv, message, tmp_path, monkeypatch,
+                                                    capsys):
+    # the second output would overwrite the first; a device may take both
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as raised:
+        cli.main(argv)
+    assert raised.value.code == 2
+    output = capsys.readouterr()
+    assert output.out == ""
+    assert message in output.err
+    assert list(tmp_path.iterdir()) == []
+    devnull = [os.devnull if arg.endswith(("same.json", "same.csv")) else arg for arg in argv]
+    assert cli.main(devnull) == 0
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_plan_strict_and_refine_flags(tmp_path):

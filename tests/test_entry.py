@@ -324,13 +324,9 @@ def test_closed_stderr_changes_no_stdout_or_exit_code(argv, changes, code, stdou
     _assert_stdout_and_code_unchanged(result, argv, changes, code, stdout)
 
 
-# Python 3.10's argparse raises when it cannot write a usage error, so that
-# case is left out
-FULL_STDERR = {name: case for name, case in WITHOUT_STDERR.items() if name != "usage error"}
-
-
 @needs_dev_full
-@pytest.mark.parametrize("argv, changes, code, stdout", FULL_STDERR.values(), ids=FULL_STDERR)
+@pytest.mark.parametrize("argv, changes, code, stdout", WITHOUT_STDERR.values(),
+                         ids=WITHOUT_STDERR)
 def test_full_stderr_changes_no_stdout_or_exit_code(argv, changes, code, stdout):
     with open("/dev/full", "wb") as full:
         result = _run(argv, changes, stderr=full)

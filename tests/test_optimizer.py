@@ -21,6 +21,7 @@ from conftest import (
     S3,
     S3_1X1,
     S3_SKIP,
+    brute_force_argmin,
     random_device,
     random_model,
     nano,
@@ -31,33 +32,6 @@ from conftest import (
     uniform_model,
     zero_table,
 )
-
-
-def brute_force_argmin(model, d1, d2, link, table, lambda1):
-    """Independently coded exhaustive enumeration; returns
-    (cut, theta1, theta2) of the objective argmin under the same tie-break."""
-    best_key, best = None, None
-    for cut in range(1, len(model.layers)):
-        for th1 in FusionStrategy:
-            for th2 in FusionStrategy:
-                c1 = sum(l.flops_by_strategy[th1] for l in model.layers[:cut])
-                m1 = sum(l.bytes_by_strategy[th1] for l in model.layers[:cut])
-                c2 = sum(l.flops_by_strategy[th2] for l in model.layers[cut:])
-                m2 = sum(l.bytes_by_strategy[th2] for l in model.layers[cut:])
-                r1 = d1.utilization * min(d1.peak_compute, (c1 / m1) * d1.mem_bandwidth)
-                r2 = d2.utilization * min(d2.peak_compute, (c2 / m2) * d2.mem_bandwidth)
-                t1 = c1 / r1
-                t2 = c2 / r2
-                t3 = model.layers[cut - 1].output_activation_bytes / link.bandwidth \
-                    + link.fixed_latency
-                t_total = t1 + t2 + t3
-                lam_c = c1 / (c1 + c2)
-                loss = lam_c * table.penalty(1, th1) + (1 - lam_c) * table.penalty(2, th2)
-                objective = t_total + lambda1 * loss
-                key = (objective, t_total, cut, STRATEGY_RANK[th1], STRATEGY_RANK[th2])
-                if best_key is None or key < best_key:
-                    best_key, best = key, (cut, th1, th2)
-    return best
 
 
 def ranked_plans(model, d1, d2, link, table, lambda1):
