@@ -35,6 +35,7 @@ import io
 import json
 import math
 import os
+import stat
 import sys
 from time import perf_counter
 
@@ -237,9 +238,9 @@ def _cmd_plan(args):
 
 
 def _cmd_fuse_check(args):
-    from . import reparam
+    from . import fusion
 
-    worst = reparam.run_equivalence_suite(args.seed, trials=args.trials)
+    worst = fusion.run_equivalence_suite(args.seed, trials=args.trials)
     rows = [[s.value, args.trials, err] for s, err in worst.items()]
     _emit((args.out, _table(["strategy", "trials", "max_rel_error"], rows)))
 
@@ -495,15 +496,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _regular_file(path: str | None) -> tuple[int, int] | None:
+    """(st_dev, st_ino) of the regular file that ``path`` names, None
+    standing for stdout; None for anything else: no file there yet, a
+    device such as ``/dev/null``, a pipe, or a stdout with no file behind
+    it."""
+    try:
+        st = os.stat(sys.stdout.fileno() if path is None else path)
+    except (AttributeError, OSError, ValueError):
+        return None
+    return (st.st_dev, st.st_ino) if stat.S_ISREG(st.st_mode) else None
+
+
 def _one_file(first: str | None, second: str | None) -> bool:
-    """Whether two output paths name one file, which the second write would
-    overwrite.  A path naming an existing file that is not a regular file,
-    such as ``/dev/null``, may take both; None is stdout."""
-    if first is None or second is None:
+    """Whether an optional output ``first`` (None: not written) and the
+    output ``second`` (None: stdout) name one file, which the second write
+    would overwrite.  Existing files are compared by device and inode, so a
+    hard link counts, and so does ``/dev/stdout`` when stdout is redirected
+    to the other path; paths not yet there by ``realpath``.  A file that is
+    not a regular file, such as ``/dev/null``, may take both."""
+    if first is None:
         return False
-    path = os.path.realpath(first)
-    return path == os.path.realpath(second) and (
-        os.path.isfile(path) or not os.path.exists(path))
+    ids = _regular_file(first), _regular_file(second)
+    if ids != (None, None):
+        return ids[0] == ids[1]
+    return second is not None and not os.path.exists(first) and (
+        os.path.realpath(first) == os.path.realpath(second))
 
 
 def main(argv=None) -> int:
@@ -513,10 +531,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command == "plan" and args.trace_out is not None and not args.refine:
             parser.error("plan: --trace-out needs --refine")
+        out = "stdout" if args.out is None else "--out"
         if args.command == "plan" and _one_file(args.trace_out, args.out):
-            parser.error("plan: --trace-out and --out name one file")
+            parser.error(f"plan: --trace-out and {out} name one file")
         if args.command == "simulate" and _one_file(args.csv, args.out):
-            parser.error("simulate: --csv and --out name one file")
+            parser.error(f"simulate: --csv and {out} name one file")
         if args.command == "simulate" and args.cut is None and (args.theta1 or args.theta2):
             parser.error("simulate: --theta1 and --theta2 need --cut")
         args.func(args)

@@ -186,7 +186,7 @@ def run(config: SimConfig, log=None) -> SimReport:
     if responses:
         responses.sort()
         response_time = {
-            "mean": sum(responses) / len(responses),
+            "mean": math.fsum(responses) / len(responses),
             "p50": _percentile(responses, 0.50),
             "p95": _percentile(responses, 0.95),
             "max": responses[-1],

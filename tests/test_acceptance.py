@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.signal import correlate2d
 
-from codesign import convergence, cost_model, reparam, simulator
+from codesign import convergence, cost_model, fusion, reparam, simulator
 from codesign.profiles import (
     AccuracyPenaltyTable,
     FusionStrategy,
@@ -104,13 +104,13 @@ def test_c2_fusion_equivalence():
             for _ in range(100):
                 ch = int(rng.choice([1, 4, 16]))
                 size = int(rng.choice([5, 8, 16]))
-                branches = reparam.random_branches(rng, ch)
+                branches = fusion.random_branches(rng, ch)
                 x = rng.standard_normal((ch, size, size))
-                fused = reparam.fuse(branches, strategy)
-                got = reparam.conv2d(x, fused.weights, fused.bias)
+                fused = fusion.fuse(branches, strategy)
+                got = fusion.conv2d(x, fused.weights, fused.bias)
                 want = sum(_oracle_branch(x, b) for b in branches
                            if b.kind in reparam.ACTIVE_BRANCHES[strategy])
-                worst = max(worst, reparam.max_rel_error(got, want))
+                worst = max(worst, fusion.max_rel_error(got, want))
             assert worst <= 1e-5, f"{strategy.value}: max rel error {worst}"
 
 

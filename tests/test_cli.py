@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from codesign import cli, convergence, reparam
+from codesign import cli, convergence, fusion
 from codesign.errors import InvalidConfig
 from codesign.profiles import FusionStrategy, load_device
 from conftest import FIXTURES, FULL
@@ -808,6 +808,41 @@ def test_two_outputs_naming_one_file_is_usage_error(argv, message, tmp_path, mon
     assert list(tmp_path.iterdir()) == []
 
 
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", CONFIG, "--rate", "100", "--horizon", "1", "--csv"],
+    ["plan", "--config", CONFIG, "--refine", "--trace-out"],
+], ids=["simulate", "plan"])
+def test_an_output_naming_the_redirected_stdout_is_usage_error(argv, tmp_path):
+    # the command's stdout would overwrite the output before it, however
+    # the file is named: /dev/stdout, or a hard link to it
+    stdout = tmp_path / "stdout.txt"
+    link = tmp_path / "link.txt"
+    stdout.touch()
+    os.link(stdout, link)
+    for path in ("/dev/stdout", str(stdout), str(link)):
+        with open(stdout, "w") as handle:
+            result = subprocess.run([sys.executable, "-m", "codesign", *argv, path],
+                                    stdout=handle, stderr=subprocess.PIPE, text=True)
+        assert result.returncode == 2, path
+        assert f"{argv[0]}: {argv[-1]} and stdout name one file" in result.stderr
+        assert stdout.read_text() == ""
+    result = codesign(*argv, str(stdout), "--out", str(link))
+    assert result.returncode == 2
+    assert f"{argv[0]}: {argv[-1]} and --out name one file" in result.stderr
+    assert sorted(tmp_path.iterdir()) == [link, stdout]
+    assert stdout.read_text() == ""
+    # without the option, stdout alone is written
+    with open(stdout, "w") as handle:
+        assert subprocess.run([sys.executable, "-m", "codesign", *argv[:-1]],
+                              stdout=handle).returncode == 0
+    assert stdout.read_text() != ""
+    # a stdout that is not a regular file may take both: a pipe, /dev/null
+    assert codesign(*argv, "/dev/stdout").returncode == 0
+    with open(os.devnull, "w") as handle:
+        assert subprocess.run([sys.executable, "-m", "codesign", *argv, "/dev/stdout"],
+                              stdout=handle).returncode == 0
+
 def test_plan_strict_and_refine_flags(tmp_path):
     trace = tmp_path / "trace.csv"
     result = codesign("plan", "--config", CONFIG, "--refine", "--trace-out", str(trace))
@@ -862,7 +897,7 @@ def test_fuse_check_and_lab_tables_print_the_reprs_of_their_results(tmp_path, se
     fuse, lab = tmp_path / "fuse.csv", tmp_path / "lab.csv"
     assert cli.main(["fuse-check", "--seed", str(seed), "--trials", "7",
                      "--out", str(fuse)]) == 0
-    worst = reparam.run_equivalence_suite(seed, trials=7)
+    worst = fusion.run_equivalence_suite(seed, trials=7)
     assert fuse.read_text() == "strategy,trials,max_rel_error\n" + "".join(
         f"{strategy.value},7,{repr(err)}\n" for strategy, err in worst.items())
     assert cli.main(["convergence-lab", "--seed", str(seed), "--dim", "8", "--steps", "40",

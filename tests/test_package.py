@@ -18,11 +18,12 @@ GOLDEN = Path(__file__).parent / "golden"
 EXPORTS = {
     "cost_model": ["CostBreakdown", "PartitionPlan", "evaluate_plan", "grid_search"],
     "errors": ["CodesignError"],
+    "fusion": ["Kernel3x3", "fold_bn", "fuse", "pad_1x1_to_3x3"],
     "optimizer": ["refine_lambda"],
     "profiles": ["AccuracyPenaltyTable", "Config", "DeviceProfile", "FusionStrategy",
                  "LayerProfile", "LinkProfile", "ModelProfile", "load_config", "load_device",
                  "total_load"],
-    "reparam": ["Kernel3x3", "fold_bn", "fuse", "pad_1x1_to_3x3", "strategy_costs"],
+    "reparam": ["strategy_costs"],
     "roofline": ["Bottleneck", "classify", "effective_rate", "machine_balance"],
     "simulator": ["SimConfig", "SimReport", "run"],
 }
@@ -78,7 +79,8 @@ def test_light_commands_do_not_import_numpy(tmp_path):
     script = f"""
 import contextlib, io, sys
 from codesign import cli
-assert "numpy" not in sys.modules, "import codesign.cli"
+banned = ("numpy", "codesign.fusion")
+assert not [name for name in banned if name in sys.modules], "import codesign.cli"
 for argv in {_light_commands(tmp_path)!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         try:
@@ -86,7 +88,8 @@ for argv in {_light_commands(tmp_path)!r}:
         except SystemExit as exc:
             code = exc.code
     assert code == 0, (argv, code)
-    assert "numpy" not in sys.modules, argv
+    loaded = [name for name in banned if name in sys.modules]
+    assert not loaded, (argv, loaded)
 print("ok")
 """
     result = _run(script)
@@ -117,6 +120,22 @@ print("ok")
     result = _run(script, "-S", env=dict(os.environ, PYTHONPATH=src))
     assert result.returncode == 0, result.stderr
     assert result.stdout == "ok\n"
+
+
+def test_the_cost_accounting_loads_neither_numpy_nor_pathlib_nor_numbers():
+    # the layer constructors that fixtures and benchmark inputs are built
+    # with are plain float arithmetic; the fusion algebra is in `fusion`
+    src = str(Path(codesign.__file__).parent.parent)
+    script = """
+import sys
+banned = ("numpy", "pathlib", "numbers")
+assert not [name for name in banned if name in sys.modules], "python -S"
+import codesign.reparam
+print([name for name in banned + ("codesign.fusion",) if name in sys.modules])
+"""
+    result = _run(script, "-S", env=dict(os.environ, PYTHONPATH=src))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def test_only_the_refine_trace_imports_the_optimizer(tmp_path):

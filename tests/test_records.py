@@ -13,6 +13,7 @@ from codesign.errors import (
     NonPositiveQuantity,
     ShapeMismatch,
 )
+from codesign.fusion import BatchNorm, BranchSpec, Kernel3x3
 from codesign.profiles import (
     AccuracyPenaltyTable,
     Config,
@@ -22,7 +23,7 @@ from codesign.profiles import (
     LinkProfile,
     ModelProfile,
 )
-from codesign.reparam import BatchNorm, BranchKind, BranchSpec, Kernel3x3
+from codesign.reparam import BranchKind
 from codesign.roofline import Bottleneck, IntensityReport
 from codesign.simulator import RequestRecord, SimConfig, SimReport
 

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.signal import correlate2d
 
-from codesign import reparam
+from codesign import fusion, reparam
 from codesign.errors import ShapeMismatch
+from codesign.fusion import BatchNorm, BranchSpec
 from codesign.profiles import FusionStrategy
-from codesign.reparam import BatchNorm, BranchKind, BranchSpec
+from codesign.reparam import BranchKind
 
 from conftest import FIXTURES, FULL, S3, S3_1X1, S3_SKIP
 
@@ -51,7 +52,7 @@ def identity_bn(channels, eps=1e-5):
 def test_fold_identity_bn_is_noop():
     w = np.arange(2 * 2 * 9, dtype=float).reshape(2, 2, 3, 3)
     branch = BranchSpec(BranchKind.CONV3X3, w, identity_bn(2))
-    kernel, bias = reparam.fold_bn(branch)
+    kernel, bias = fusion.fold_bn(branch)
     assert np.array_equal(kernel, w)
     assert np.array_equal(bias, np.zeros(2))
 
@@ -62,7 +63,7 @@ def test_fold_scale_shift():
                    mean=np.zeros(3), var=np.full(3, 1.0 - eps), eps=eps)
     dirac = np.eye(3)[:, :, None, None]
     branch = BranchSpec(BranchKind.CONV1X1, dirac, bn)
-    kernel, bias = reparam.fold_bn(branch)
+    kernel, bias = fusion.fold_bn(branch)
     assert np.allclose(kernel, 2.0 * dirac)
     assert np.allclose(bias, np.ones(3))
 
@@ -76,29 +77,29 @@ def test_folded_branch_matches_conv_then_bn():
             BatchNorm(rng.uniform(0.5, 1.5, ch), rng.standard_normal(ch),
                       rng.standard_normal(ch), rng.uniform(0.2, 1.5, ch)))
         x = rng.standard_normal((ch, 7, 7))
-        kernel, bias = reparam.fold_bn(branch)
+        kernel, bias = fusion.fold_bn(branch)
         got = oracle_conv(x, kernel, bias)
         want = oracle_branch(x, branch)
-        assert reparam.max_rel_error(got, want) < 1e-5
+        assert fusion.max_rel_error(got, want) < 1e-5
 
 
 # --- pad_1x1_to_3x3 ---------------------------------------------------------
 
 def test_pad_scalar_kernel():
-    padded = reparam.pad_1x1_to_3x3(np.full((1, 1, 1, 1), 5.0))
+    padded = fusion.pad_1x1_to_3x3(np.full((1, 1, 1, 1), 5.0))
     expected = np.zeros((1, 1, 3, 3))
     expected[0, 0, 1, 1] = 5.0
     assert np.array_equal(padded, expected)
 
 
 def test_pad_zero_kernel():
-    assert np.array_equal(reparam.pad_1x1_to_3x3(np.zeros((2, 3, 1, 1))),
+    assert np.array_equal(fusion.pad_1x1_to_3x3(np.zeros((2, 3, 1, 1))),
                           np.zeros((2, 3, 3, 3)))
 
 
 def test_pad_rejects_non_1x1():
     with pytest.raises(ShapeMismatch):
-        reparam.pad_1x1_to_3x3(np.zeros((1, 1, 3, 3)))
+        fusion.pad_1x1_to_3x3(np.zeros((1, 1, 3, 3)))
 
 
 def test_padded_kernel_computes_same_convolution():
@@ -108,14 +109,14 @@ def test_padded_kernel_computes_same_convolution():
         kernel = rng.standard_normal((ch, ch, 1, 1))
         x = rng.standard_normal((ch, 6, 6))
         direct = oracle_conv(x, kernel)          # valid-mode 1x1
-        padded = oracle_conv(x, reparam.pad_1x1_to_3x3(kernel))  # same-mode 3x3
+        padded = oracle_conv(x, fusion.pad_1x1_to_3x3(kernel))  # same-mode 3x3
         assert np.max(np.abs(direct - padded)) < 1e-6
 
 
 # --- fuse --------------------------------------------------------------------
 
 def make_branches(rng, channels):
-    return reparam.random_branches(rng, channels)
+    return fusion.random_branches(rng, channels)
 
 
 def test_fuse_single_branch_with_identity_bn():
@@ -126,7 +127,7 @@ def test_fuse_single_branch_with_identity_bn():
         BranchSpec(BranchKind.CONV1X1, rng.standard_normal((4, 4, 1, 1)), identity_bn(4)),
         BranchSpec(BranchKind.IDENTITY, None, identity_bn(4)),
     ]
-    fused = reparam.fuse(branches, S3)
+    fused = fusion.fuse(branches, S3)
     assert np.allclose(fused.weights, w)
     assert np.allclose(fused.bias, 0.0)
 
@@ -135,9 +136,9 @@ def test_fuse_opposite_branches_cancel():
     w = np.random.default_rng(4).standard_normal((2, 2, 3, 3))
     plus = BranchSpec(BranchKind.CONV3X3, w, identity_bn(2))
     # rig a second bundle with the negated kernel and fuse them pairwise
-    minus_kernel, minus_bias = reparam.fold_bn(
+    minus_kernel, minus_bias = fusion.fold_bn(
         BranchSpec(BranchKind.CONV3X3, -w, identity_bn(2)))
-    plus_kernel, plus_bias = reparam.fold_bn(plus)
+    plus_kernel, plus_bias = fusion.fold_bn(plus)
     assert np.allclose(plus_kernel + minus_kernel, 0.0)
     assert np.allclose(plus_bias + minus_bias, 0.0)
 
@@ -147,11 +148,11 @@ def test_fuse_is_additive_over_branch_sets():
     # 3x3 alone and the (1x1, identity) pair folded separately
     rng = np.random.default_rng(12)
     branches = make_branches(rng, 5)
-    total = reparam.fuse(branches, FULL)
-    partial = reparam.fuse(branches, S3)
-    k1, b1 = reparam.fold_bn(branches[1])
-    ki, bi = reparam.fold_bn(branches[2])
-    rest_w = reparam.pad_1x1_to_3x3(k1) + reparam.pad_1x1_to_3x3(ki)
+    total = fusion.fuse(branches, FULL)
+    partial = fusion.fuse(branches, S3)
+    k1, b1 = fusion.fold_bn(branches[1])
+    ki, bi = fusion.fold_bn(branches[2])
+    rest_w = fusion.pad_1x1_to_3x3(k1) + fusion.pad_1x1_to_3x3(ki)
     assert np.allclose(total.weights, partial.weights + rest_w)
     assert np.allclose(total.bias, partial.bias + b1 + bi)
 
@@ -159,11 +160,11 @@ def test_fuse_is_additive_over_branch_sets():
 def forward_on_ones(branches, strategy):
     """``block_forward`` of an all-ones input sized for the first branch."""
     x = np.ones((branches[0].in_channels, 5, 5))
-    return reparam.block_forward(x, branches, strategy)
+    return fusion.block_forward(x, branches, strategy)
 
 
 # fuse and the branch-sum pass it is checked against read a block the same way
-BOTH_PASSES = pytest.mark.parametrize("read_block", [reparam.fuse, forward_on_ones],
+BOTH_PASSES = pytest.mark.parametrize("read_block", [fusion.fuse, forward_on_ones],
                                       ids=["fuse", "block_forward"])
 
 
@@ -219,11 +220,11 @@ def test_fused_kernel_matches_branch_sum(strategy):
         size = int(rng.choice([5, 8, 16]))
         branches = make_branches(rng, ch)
         x = rng.standard_normal((ch, size, size))
-        fused = reparam.fuse(branches, strategy)
+        fused = fusion.fuse(branches, strategy)
         got = oracle_conv(x, fused.weights, fused.bias)
         want = sum(oracle_branch(x, b) for b in branches
                    if b.kind in reparam.ACTIVE_BRANCHES[strategy])
-        worst = max(worst, reparam.max_rel_error(got, want))
+        worst = max(worst, fusion.max_rel_error(got, want))
     assert worst <= 1e-5
 
 
@@ -235,7 +236,7 @@ def test_package_conv_matches_oracle_conv():
             w = rng.standard_normal((ch_out, ch_in, k, k))
             b = rng.standard_normal(ch_out)
             x = rng.standard_normal((ch_in, 9, 9))
-            assert reparam.max_rel_error(reparam.conv2d(x, w, b),
+            assert fusion.max_rel_error(fusion.conv2d(x, w, b),
                                          oracle_conv(x, w, b)) < 1e-12
 
 
@@ -263,18 +264,18 @@ def tensordot_equivalence_suite(seed, trials):
     for strategy in FusionStrategy:
         err = 0.0
         for _ in range(trials):
-            ch = int(rng.choice(reparam.EQUIVALENCE_CHANNELS))
-            size = int(rng.choice(reparam.EQUIVALENCE_SIZES))
-            branches = reparam.random_branches(rng, ch)
+            ch = int(rng.choice(fusion.EQUIVALENCE_CHANNELS))
+            size = int(rng.choice(fusion.EQUIVALENCE_SIZES))
+            branches = fusion.random_branches(rng, ch)
             x = rng.standard_normal((ch, size, size))
-            fused = reparam.fuse(branches, strategy)
+            fused = fusion.fuse(branches, strategy)
             got = tensordot_conv(x, fused.weights, fused.bias)
             by_kind = {b.kind: b for b in branches}
             want = None
             for kind in reparam.ACTIVE_BRANCHES[strategy]:
                 branch = by_kind[kind]
                 y = x if kind is BranchKind.IDENTITY else tensordot_conv(x, branch.weight)
-                y = reparam.batch_norm(y, branch.bn)
+                y = fusion.batch_norm(y, branch.bn)
                 want = y if want is None else want + y
             scale = max(float(np.max(np.abs(want))), 1e-30)
             err = max(err, float(np.max(np.abs(got - want))) / scale)
@@ -284,7 +285,7 @@ def tensordot_equivalence_suite(seed, trials):
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 614])
 def test_equivalence_suite_equals_the_tensordot_path(seed):
-    got = reparam.run_equivalence_suite(seed, 100)
+    got = fusion.run_equivalence_suite(seed, 100)
     want = tensordot_equivalence_suite(seed, 100)
     assert {s: repr(e) for s, e in got.items()} == {s: repr(e) for s, e in want.items()}
 
@@ -299,7 +300,7 @@ def test_conv2d_equals_the_tensordot_path_bit_for_bit(k, with_bias, height, widt
             w = rng.standard_normal((ch_out, ch_in, k, k))
             b = rng.standard_normal(ch_out) if with_bias else None
             x = rng.standard_normal((ch_in, height, width))
-            got, want = reparam.conv2d(x, w, b), tensordot_conv(x, w, b)
+            got, want = fusion.conv2d(x, w, b), tensordot_conv(x, w, b)
             assert got.shape == want.shape == (ch_out, height, width)
             assert got.tobytes() == want.tobytes(), (ch_in, ch_out)
 

@@ -290,7 +290,7 @@ def _reference_report(config, responses, integrals, arrivals, completed_total,
     def rank(q):
         return ordered[min(len(ordered), max(1, math.ceil(q * len(ordered)))) - 1]
 
-    response_time = {"mean": sum(ordered) / len(ordered), "p50": rank(0.50),
+    response_time = {"mean": math.fsum(ordered) / len(ordered), "p50": rank(0.50),
                      "p95": rank(0.95), "max": ordered[-1]} if ordered else None
     return SimReport(
         throughput=len(responses) / window,
