@@ -12,11 +12,11 @@ from codesign.profiles import (
     FULL_STRUCTURE,
     AccuracyPenaltyTable,
     Config,
+    DeviceProfile,
     FusionStrategy,
     LinkProfile,
     ModelProfile,
     config_to_dict,
-    device_from_dict,
     total_load,
 )
 from codesign.reparam import plain_conv_layer, rep_block_layer
@@ -69,8 +69,8 @@ def main():
 
     # the records validate the config before it is written; penalties are
     # listed in FusionStrategy order: conv3, conv3+skip, conv3+conv1, everything
-    config = Config(device_from_dict(DEVICES["jetson_nano"]),
-                    device_from_dict(DEVICES["jetson_nx"]),
+    config = Config(DeviceProfile(**DEVICES["jetson_nano"]),
+                    DeviceProfile(**DEVICES["jetson_nx"]),
                     LinkProfile(12.5e6),  # 100 Mbps
                     ModelProfile("repvgg-mini", tuple(backbone_layers())),
                     AccuracyPenaltyTable({1: dict(zip(FusionStrategy, (2.0, 1.2, 0.8, 0.0))),

@@ -6,7 +6,8 @@ report.  Tabular output is CSV, structured output is JSON (schema version
 0 success, 1 domain error (printed as "ErrorName: detail"), 2 usage error.
 
 Each subcommand imports the modules it runs when it runs, so only
-fuse-check and convergence-lab load numpy.
+fuse-check and convergence-lab load numpy, and without it only they fail,
+with ``MissingDependency``.
 
 ``run`` is the process entry of the ``codesign`` script and of ``python -m
 codesign``.  It turns the cyclic garbage collector off for the whole
@@ -39,7 +40,8 @@ import stat
 import sys
 from time import perf_counter
 
-from .errors import CodesignError, SchemaMismatch, UnknownStrategyName, UnwritableOutput
+from .errors import (CodesignError, MissingDependency, SchemaMismatch, UnknownStrategyName,
+                     UnwritableOutput)
 from .profiles import (FULL_STRUCTURE, FusionStrategy, _opened, _read_json, load_config,
                        parse_strategy)
 
@@ -237,7 +239,18 @@ def _cmd_plan(args):
     clock.lap("emit", len(rows))
 
 
+def _require_numpy(command: str):
+    """Import numpy, which only fuse-check and convergence-lab need.  Only
+    numpy's own ImportError becomes ``MissingDependency``: one raised inside
+    ``codesign.fusion`` or ``codesign.convergence`` surfaces unchanged."""
+    try:
+        import numpy  # noqa: F401
+    except ImportError:
+        raise MissingDependency(f"{command} needs numpy (pip install 'codesign[lab]')") from None
+
+
 def _cmd_fuse_check(args):
+    _require_numpy("fuse-check")
     from . import fusion
 
     worst = fusion.run_equivalence_suite(args.seed, trials=args.trials)
@@ -246,6 +259,7 @@ def _cmd_fuse_check(args):
 
 
 def _cmd_convergence_lab(args):
+    _require_numpy("convergence-lab")
     from . import convergence
 
     def write_table(handle):

@@ -52,6 +52,11 @@ class SchemaMismatch(CodesignError):
     pass
 
 
+class MissingDependency(CodesignError):
+    """A command needs a package that is not installed (numpy, for
+    fuse-check and convergence-lab)."""
+
+
 class UnwritableOutput(CodesignError):
     """An output file (a missing directory, a directory in its place, no
     permission, a full disk) or ``<stdout>`` cannot be written."""

@@ -12,9 +12,11 @@ package's start-up short.
 
 The records state the config schema: each JSON object holds only its
 record's field names, written in field order, and ``Config`` holds the two
-devices.  A config file's top-level keys are ``devices`` (a list of the
-two, terminal first), ``link``, ``model``, ``penalties`` and ``lambda1``
-(see README for the full schema).
+devices.  ``_record`` reads every device, link, layer and model, each field
+by its JSON kind in the one ``_KINDS`` table; a field left out takes its
+record's own default.  A config file's top-level keys are ``devices`` (a
+list of the two, terminal first), ``link``, ``model``, ``penalties`` and
+``lambda1`` (see README for the full schema).
 """
 
 from __future__ import annotations
@@ -274,50 +276,39 @@ def _only_keys(raw, keys, where):
             raise InvalidConfig(f"{path} is not a config key")
 
 
-def _build(cls, raw, where, **fields):
-    """``cls(**fields)`` read from the JSON object ``raw``, which may hold
-    only ``cls._fields``; an error the record's validation raises gets
-    ``where`` as prefix."""
-    try:
-        record = cls(**fields)
-    except CodesignError as exc:
-        raise type(exc)(f"{where}.{exc}") from None
-    _only_keys(raw, cls._fields, where)
-    return record
-
-
 def _strategy_map(raw, key, where) -> dict[FusionStrategy, float]:
     table, where = _field(raw, key, where, dict), f"{where}.{key}"
     return {parse_strategy(name, where): _field(table, name, where) for name in table}
 
 
-def device_from_dict(raw: dict, where: str = "device") -> DeviceProfile:
-    return _build(DeviceProfile, raw, where,
-                  name=_field(raw, "name", where, str),
-                  peak_compute=_field(raw, "peak_compute", where),
-                  mem_bandwidth=_field(raw, "mem_bandwidth", where),
-                  utilization=_field(raw, "utilization", where, default=1.0))
+def _layers(raw, key, where) -> tuple[LayerProfile, ...]:
+    return tuple(_record(LayerProfile, layer, f"{where}.{key}[{i}]")
+                 for i, layer in enumerate(_field(raw, key, where, list)))
 
 
-def _link_from_dict(raw: dict, where: str = "link") -> LinkProfile:
-    return _build(LinkProfile, raw, where,
-                  bandwidth=_field(raw, "bandwidth", where),
-                  fixed_latency=_field(raw, "fixed_latency", where, default=0.0))
+# Each record's (field, kind, default) in field order.  A kind is a JSON type
+# ``_field`` reads or a reader of ``raw[key]``; a field is required unless
+# the record has a default for it.
+_KINDS = {cls: tuple((key, kind, cls._field_defaults.get(key))
+                     for key, kind in zip(cls._fields, kinds, strict=True))
+          for cls, kinds in ((DeviceProfile, (str, float, float, float)),
+                             (LinkProfile, (float, float)),
+                             (LayerProfile, (int, _strategy_map, _strategy_map, float, bool)),
+                             (ModelProfile, (str, _layers)))}
 
 
-def _layer_from_dict(raw: dict, where: str) -> LayerProfile:
-    return _build(LayerProfile, raw, where,
-                  index=_field(raw, "index", where, int),
-                  flops_by_strategy=_strategy_map(raw, "flops_by_strategy", where),
-                  bytes_by_strategy=_strategy_map(raw, "bytes_by_strategy", where),
-                  output_activation_bytes=_field(raw, "output_activation_bytes", where),
-                  fusible=_field(raw, "fusible", where, bool))
-
-
-def model_from_dict(raw: dict, where: str = "model") -> ModelProfile:
-    return _build(ModelProfile, raw, where, name=_field(raw, "name", where, str), layers=tuple(
-        _layer_from_dict(layer, f"{where}.layers[{i}]")
-        for i, layer in enumerate(_field(raw, "layers", where, list))))
+def _record(cls, raw, where):
+    """``cls`` read from the JSON object ``raw``, which may hold only
+    ``cls._fields``, each field by its ``_KINDS`` entry; an error the
+    record's validation raises gets ``where`` as prefix."""
+    values = [_field(raw, key, where, kind, default) if isinstance(kind, type)
+              else kind(raw, key, where) for key, kind, default in _KINDS[cls]]
+    try:
+        record = cls(*values)
+    except CodesignError as exc:
+        raise type(exc)(f"{where}.{exc}") from None
+    _only_keys(raw, cls._fields, where)
+    return record
 
 
 def _penalties_from_dict(raw: dict, where: str = "penalties") -> AccuracyPenaltyTable:
@@ -328,10 +319,10 @@ def _penalties_from_dict(raw: dict, where: str = "penalties") -> AccuracyPenalty
 
 
 def config_from_dict(raw: dict) -> Config:
-    devices = [device_from_dict(d, f"devices[{i}]")
+    devices = [_record(DeviceProfile, d, f"devices[{i}]")
                for i, d in enumerate(_field(raw, "devices", "", list))]
-    fields = (_link_from_dict(_field(raw, "link", "", dict)),
-              model_from_dict(_field(raw, "model", "", dict)),
+    fields = (_record(LinkProfile, _field(raw, "link", "", dict), "link"),
+              _record(ModelProfile, _field(raw, "model", "", dict), "model"),
               _penalties_from_dict(_field(raw, "penalties", "", dict)),
               _field(raw, "lambda1", ""))
     if len(devices) < 2:
@@ -379,12 +370,27 @@ def _opened(path, newline=None):
 
 
 def _read_json(path, number=None) -> dict:
-    """The JSON document at ``path``; ``number``, if given, parses each
-    non-integer number and each NaN or Infinity constant."""
+    """The JSON document at ``path``, in which no object repeats a key;
+    ``number``, if given, parses each non-integer number and each NaN or
+    Infinity constant."""
     with _opened(path) as handle:
         text = handle.read()
+
+    def unique(pairs):
+        # json keeps a repeated key's last value, which would drop the
+        # others as silently as a misspelt key's
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise InvalidConfig(f"{path}: duplicate key {key!r}")
+                seen.add(key)
+        return obj
+
     try:
-        return json.loads(text, parse_float=number, parse_constant=number)
+        return json.loads(text, parse_float=number, parse_constant=number,
+                          object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise InvalidConfig(f"{path}: {exc}") from None
 
@@ -396,7 +402,7 @@ def load_config(path) -> Config:
 
 def load_device(path) -> DeviceProfile:
     """Read a single-device spec file, such as fixtures/jetson_*.json."""
-    return device_from_dict(_read_json(path), os.path.splitext(os.path.basename(path))[0])
+    return _record(DeviceProfile, _read_json(path), os.path.splitext(os.path.basename(path))[0])
 
 
 # ---------------------------------------------------------------------------

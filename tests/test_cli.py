@@ -618,6 +618,38 @@ def test_report_rejects_a_sim_number_that_is_not_finite(tmp_path, capsys, number
     assert captured.err == f"SchemaMismatch: {sim_json}: {number} is not a finite number\n"
 
 
+@pytest.mark.parametrize("argv, source, key", [
+    (["plan", "--config"], FIXTURES / "paper.json", "lambda1"),
+    (["report", "--plan", str(GOLDEN / "paper_plan.csv"), "--sim"],
+     GOLDEN / "paper_simulate.json", "horizon"),
+], ids=["config", "sim"])
+def test_a_repeated_key_is_named(tmp_path, capsys, argv, source, key):
+    # json keeps the last of a repeated key, so the first value would be
+    # dropped as silently as a misspelt key's
+    path = tmp_path / "dup.json"
+    path.write_text(source.read_text().replace(f'"{key}": ', f'"{key}": 5.0, "{key}": ', 1))
+    assert cli.main([*argv, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"InvalidConfig: {path}: duplicate key '{key}'\n"
+
+
+@pytest.mark.parametrize("argv", [["fuse-check", "--trials", "2"],
+                                  ["convergence-lab", "--steps", "2"]], ids=lambda a: a[0])
+def test_a_missing_numpy_is_named(tmp_path, argv):
+    shadow = tmp_path / "shadow" / "numpy"
+    shadow.mkdir(parents=True)
+    (shadow / "__init__.py").write_text('raise ImportError("no numpy here")\n')
+    src = Path(cli.__file__).parent.parent
+    path = os.pathsep.join(filter(None, [str(shadow.parent), str(src),
+                                         os.environ.get("PYTHONPATH")]))
+    result = codesign(*argv, env={**os.environ, "PYTHONPATH": path})
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == (f"MissingDependency: {argv[0]} needs numpy "
+                             "(pip install 'codesign[lab]')\n")
+
+
 NOT_UTF8 = b"\xff\xfe{"
 
 # every command that reads a file, ending with the option that names it

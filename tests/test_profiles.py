@@ -16,8 +16,10 @@ from codesign.errors import (
     UnknownStrategyName,
 )
 from codesign.profiles import (
+    DeviceProfile,
     FusionStrategy,
     LayerProfile,
+    LinkProfile,
     config_from_dict,
     config_to_dict,
     is_finite_real,
@@ -255,6 +257,43 @@ def test_unknown_key_does_not_hide_an_error_in_its_object():
     with pytest.raises(NonPositiveQuantity) as err:
         config_from_dict(raw)
     assert str(err.value) == "link.bandwidth"
+
+
+def test_a_key_left_out_takes_its_record_default():
+    raw = json.loads((FIXTURES / "paper.json").read_text())
+    del raw["devices"][0]["utilization"]
+    del raw["link"]["fixed_latency"]
+    config = config_from_dict(raw)
+    assert config.device1.utilization == DeviceProfile._field_defaults["utilization"]
+    assert config.link.fixed_latency == LinkProfile._field_defaults["fixed_latency"]
+
+
+def test_a_repeated_config_key_is_named(tmp_path):
+    # json keeps the last of a repeated key: 5.0 would be dropped unseen
+    text = (FIXTURES / "paper.json").read_text()
+    path = tmp_path / "dup.json"
+    path.write_text(text.replace('"lambda1": 0.01', '"lambda1": 5.0, "lambda1": 0.01'))
+    with pytest.raises(InvalidConfig) as err:
+        load_config(path)
+    assert str(err.value) == f"{path}: duplicate key 'lambda1'"
+
+
+def test_a_repeated_key_in_a_layer_is_named(tmp_path):
+    text = (FIXTURES / "paper.json").read_text()
+    path = tmp_path / "dup.json"
+    path.write_text(text.replace('"fusible": true', '"fusible": true, "fusible": false', 1))
+    with pytest.raises(InvalidConfig) as err:
+        load_config(path)
+    assert str(err.value) == f"{path}: duplicate key 'fusible'"
+
+
+def test_a_repeated_device_file_key_is_named(tmp_path):
+    path = tmp_path / "board.json"
+    path.write_text('{"name": "board", "peak_compute": 1e12, "mem_bandwidth": 2e10, '
+                    '"peak_compute": 1e9}')
+    with pytest.raises(InvalidConfig) as err:
+        load_device(path)
+    assert str(err.value) == f"{path}: duplicate key 'peak_compute'"
 
 
 def test_device_file_with_an_unknown_key_is_rejected(tmp_path):
