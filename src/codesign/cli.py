@@ -212,15 +212,15 @@ def _cmd_cost(args):
 
 
 def _cmd_plan(args):
-    from .cost_model import evaluate_grid, row_plan
+    from .cost_model import evaluate_grid, ranked, row_plan
 
     clock = _StageClock()
     config = load_config(args.config)
     clock.lap("load", len(config.model.layers))
     rows = evaluate_grid(config.model, config.device1, config.device2, config.link,
-                         config.penalties, config.lambda1, require_feasible=args.strict)
+                         config.penalties, config.lambda1)
     clock.lap("evaluate", len(rows))
-    rows.sort()
+    rows = ranked(rows, args.strict)
     clock.lap("rank", len(rows))
     outputs = []
     if args.trace_out is not None:
@@ -239,10 +239,21 @@ def _cmd_plan(args):
     clock.lap("emit", len(rows))
 
 
+# Variables through which a user sets OpenBLAS's thread count.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 def _require_numpy(command: str):
     """Import numpy, which only fuse-check and convergence-lab need.  Only
     numpy's own ImportError becomes ``MissingDependency``: one raised inside
-    ``codesign.fusion`` or ``codesign.convergence`` surfaces unchanged."""
+    ``codesign.fusion`` or ``codesign.convergence`` surfaces unchanged.
+
+    Unless the user set one of ``_BLAS_THREAD_VARIABLES``, OpenBLAS is asked
+    for one thread (read when numpy is first imported): these commands'
+    matrices are small enough that a worker thread buys nothing, and one
+    thread makes their output the same on every machine."""
+    if not any(name in os.environ for name in _BLAS_THREAD_VARIABLES):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         import numpy  # noqa: F401
     except ImportError:

@@ -12,6 +12,10 @@ each segment once per (cut, strategy).  Both take one path:
 device's roofline, and ``_cut_rows`` builds the ``ROW_FIELDS`` rows.  So
 every grid row, the winner included, equals ``evaluate_plan``'s to the last
 bit, and ties are broken on exact keys.
+
+Costing and choosing are apart: ``evaluate_grid`` only costs, and
+``ranked`` is the one place that chooses (the ``strict`` feasibility filter
+and the ranking), for ``plan`` and ``grid_search`` alike.
 """
 
 from __future__ import annotations
@@ -158,16 +162,13 @@ def _sweep(model: ModelProfile, d1: DeviceProfile, d2: DeviceProfile, link: Link
 
 
 def evaluate_grid(model: ModelProfile, d1: DeviceProfile, d2: DeviceProfile,
-                  link: LinkProfile, table: AccuracyPenaltyTable, lambda1: float,
-                  require_feasible: bool = False) -> list[tuple]:
+                  link: LinkProfile, table: AccuracyPenaltyTable, lambda1: float) -> list[tuple]:
     """Every candidate of the grid, unranked, in one sweep: one tuple per
-    candidate laid out as ``ROW_FIELDS``.  ``sorted`` ranks the rows (the
-    order ``ROW_FIELDS`` states) and ``row_plan`` turns one into a plan.
+    candidate laid out as ``ROW_FIELDS``.  ``ranked`` chooses among the rows
+    and ``row_plan`` turns one into a plan.
 
-    With ``require_feasible`` only candidates whose segments both reach
-    their device's balance point are kept; ``NoFeasiblePlan`` is raised if
-    none does.  A latency or objective that is not finite in any candidate
-    raises ``InvariantViolation``, as in ``evaluate_plan``.
+    A latency or objective that is not finite in any candidate raises
+    ``InvariantViolation``, as in ``evaluate_plan``.
     """
     if len(model.layers) < 2:
         raise DegenerateSplit("model has no interior layer boundary to cut at")
@@ -176,10 +177,19 @@ def evaluate_grid(model: ModelProfile, d1: DeviceProfile, d2: DeviceProfile,
     # if they all are
     if not all(map(math.isfinite, [row[0] for row in rows])):
         _require_finite(next(row_plan(row) for row in rows if not math.isfinite(row[0])))
-    if require_feasible:
+    return rows
+
+
+def ranked(rows: list[tuple], strict: bool = False) -> list[tuple]:
+    """``ROW_FIELDS`` rows best first, the order ``ROW_FIELDS`` states:
+    sorted in place and returned.  With ``strict`` only rows whose segments
+    both reach their device's balance point are kept (a new list);
+    ``NoFeasiblePlan`` is raised if none does."""
+    if strict:
         rows = [row for row in rows if row[-2] and row[-1]]
         if not rows:
             raise NoFeasiblePlan("every candidate violates an intensity requirement")
+    rows.sort()
     return rows
 
 
@@ -187,8 +197,7 @@ def grid_search(model: ModelProfile, d1: DeviceProfile, d2: DeviceProfile,
                 link: LinkProfile, table: AccuracyPenaltyTable, lambda1: float) -> PartitionPlan:
     """Best plan over the full grid, infeasible candidates included (the
     roofline rate cap already prices memory-bound segments)."""
-    # the smallest row tuple is the first in canonical order
-    return row_plan(min(evaluate_grid(model, d1, d2, link, table, lambda1)))
+    return row_plan(ranked(evaluate_grid(model, d1, d2, link, table, lambda1))[0])
 
 
 def _require_finite(plan: PartitionPlan):

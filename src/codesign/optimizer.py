@@ -1,7 +1,7 @@
 """Continuous refinement of the grid winner's cut.
 
-``refine_lambda`` is gradient descent from the winner of
-``cost_model.evaluate_grid`` on a continuous relaxation of the cut fraction,
+``refine_lambda`` is gradient descent from the grid winner (the first row
+``cost_model.ranked`` returns) on a continuous relaxation of the cut fraction,
 reported as its (lambda, T_total) trace.  Each relaxed point costs O(log n):
 a binary search over prefix sums built once per descent, with segments
 priced by ``cost_model._price``.

@@ -1,6 +1,7 @@
+from __future__ import annotations
+
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from codesign import simulator
@@ -123,9 +124,11 @@ def zero_table() -> AccuracyPenaltyTable:
     })
 
 
-def brute_force_argmin(model, d1, d2, link, table, lambda1):
+def brute_force_argmin(model, d1, d2, link, table, lambda1, strict=False):
     """Independently coded exhaustive enumeration; returns
-    (cut, theta1, theta2) of the objective argmin under the same tie-break."""
+    (cut, theta1, theta2) of the objective argmin under the same tie-break.
+    With ``strict`` only candidates whose segments both reach their device's
+    balance point (peak FLOP/s over bandwidth) compete; None if none does."""
     best_key, best = None, None
     for cut in range(1, len(model.layers)):
         for th1 in FusionStrategy:
@@ -134,6 +137,9 @@ def brute_force_argmin(model, d1, d2, link, table, lambda1):
                 m1 = sum(l.bytes_by_strategy[th1] for l in model.layers[:cut])
                 c2 = sum(l.flops_by_strategy[th2] for l in model.layers[cut:])
                 m2 = sum(l.bytes_by_strategy[th2] for l in model.layers[cut:])
+                if strict and (c1 / m1 < d1.peak_compute / d1.mem_bandwidth
+                               or c2 / m2 < d2.peak_compute / d2.mem_bandwidth):
+                    continue
                 r1 = d1.utilization * min(d1.peak_compute, (c1 / m1) * d1.mem_bandwidth)
                 r2 = d2.utilization * min(d2.peak_compute, (c2 / m2) * d2.mem_bandwidth)
                 t1 = c1 / r1

@@ -650,6 +650,30 @@ def test_a_missing_numpy_is_named(tmp_path, argv):
                              "(pip install 'codesign[lab]')\n")
 
 
+def _clear_blas_threads(monkeypatch):
+    # set, then delete, so monkeypatch restores each variable's absence too
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.setenv(name, "")
+        monkeypatch.delenv(name)
+
+
+def test_lab_commands_ask_for_one_blas_thread(monkeypatch):
+    _clear_blas_threads(monkeypatch)
+    cli._require_numpy("fuse-check")
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+    assert "GOTO_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ
+
+
+@pytest.mark.parametrize("name,value", [("OMP_NUM_THREADS", "4"),
+                                        ("OPENBLAS_NUM_THREADS", "2")])
+def test_a_blas_thread_count_the_user_set_stands(monkeypatch, name, value):
+    _clear_blas_threads(monkeypatch)
+    monkeypatch.setenv(name, value)
+    before = dict(os.environ)
+    cli._require_numpy("convergence-lab")
+    assert dict(os.environ) == before
+
+
 NOT_UTF8 = b"\xff\xfe{"
 
 # every command that reads a file, ending with the option that names it

@@ -112,8 +112,8 @@ def test_strict_mode_raises_when_nothing_feasible():
     model = uniform_model(3, flops=1e6, data=1e8)
     d = DeviceProfile("d", 1e13, 1e9)  # balance 10000
     with pytest.raises(NoFeasiblePlan):
-        cost_model.evaluate_grid(model, d, d, simple_link(), zero_table(), 0.0,
-                                 require_feasible=True)
+        cost_model.ranked(cost_model.evaluate_grid(model, d, d, simple_link(), zero_table(), 0.0),
+                          strict=True)
 
 
 def test_strict_mode_picks_best_feasible():
@@ -127,12 +127,12 @@ def test_strict_mode_picks_best_feasible():
         d1, d2 = (DeviceProfile(name, float(rng.uniform(0.1, 5)) * 1e9, 1e9) for name in "ab")
         plans = ranked_plans(model, d1, d2, link, table, 0.0)
         feasible = [plan for plan in plans if all(plan.feasible)]
+        rows = cost_model.evaluate_grid(model, d1, d2, link, table, 0.0)
         if not feasible:
             with pytest.raises(NoFeasiblePlan):
-                cost_model.evaluate_grid(model, d1, d2, link, table, 0.0, require_feasible=True)
+                cost_model.ranked(rows, strict=True)
             continue
-        strict = sorted(cost_model.evaluate_grid(model, d1, d2, link, table, 0.0,
-                                                 require_feasible=True))
+        strict = cost_model.ranked(rows, strict=True)
         assert [cost_model.row_plan(row) for row in strict] == feasible
         if len(feasible) < len(plans):
             partial += 1
@@ -140,6 +140,60 @@ def test_strict_mode_picks_best_feasible():
     # the draws that check the filter: some rows dropped, and the winner moved
     assert partial >= 3
     assert moved >= 1
+
+
+def flat_model(rng, n_layers):
+    """Non-fusible layers of random costs: the 16 candidates of a cut tie
+    exactly under a zero table, while intensities still differ by cut."""
+    return ModelProfile("flat", tuple(
+        uniform_layer(i, float(rng.integers(10**6, 10**9)), float(rng.integers(10**5, 10**8)),
+                      float(rng.integers(10**3, 10**7)))
+        for i in range(n_layers)))
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_ranked_is_filter_then_sort_with_brute_force_winner(strict):
+    # ranked (the one selection plan and grid_search share) against a
+    # filter and a sort coded apart, and its winner against the brute-force
+    # argmin over the kept candidates, exact ties included
+    fields = cost_model.ROW_FIELDS
+    key = [fields.index(name) for name in ("lagrangian", "t_total", "cut", "theta1", "theta2")]
+    feasible = [fields.index("feasible1"), fields.index("feasible2")]
+    rng = np.random.default_rng(32)
+    partial = raised = 0
+    for case in range(40):
+        tied = case % 4 == 3
+        n_layers = int(rng.integers(2, 10))
+        model = flat_model(rng, n_layers) if tied else random_model(rng, n_layers)
+        if case % 2:
+            d1, d2 = (DeviceProfile(name, float(rng.uniform(0.1, 5)) * 1e9, 1e9) for name in "ab")
+        else:
+            d1, d2 = random_device(rng, "a"), random_device(rng, "b")
+        link = simple_link(float(rng.uniform(1e6, 1e9)))
+        table = zero_table() if tied else random_table(rng)
+        lambda1 = 0.0 if tied else float(rng.choice([0.0, 0.01, 1.0]))
+        # shuffled: exact ties must break the same whatever the row order
+        rows = cost_model.evaluate_grid(model, d1, d2, link, table, lambda1)
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        kept = [row for row in rows if not strict or all(row[i] for i in feasible)]
+        expected = sorted(kept, key=lambda row: [row[i] for i in key])
+        best = brute_force_argmin(model, d1, d2, link, table, lambda1, strict=strict)
+        if not kept:
+            assert best is None
+            with pytest.raises(NoFeasiblePlan, match="^every candidate violates an intensity "
+                                                     "requirement$"):
+                cost_model.ranked(rows, strict)
+            raised += 1
+            continue
+        partial += len(kept) < len(rows)
+        assert cost_model.ranked(rows, strict) == expected
+        plan = cost_model.row_plan(expected[0])
+        assert (plan.cut_index, plan.theta1, plan.theta2) == best, f"case {case}"
+    if strict:
+        # the draws that check the filter: some drop rows, some drop them all
+        assert partial >= 3 and raised >= 1
+    else:
+        assert partial == raised == 0
 
 
 # --- the grid sweep vs the scalar cost model -----------------------------------

@@ -16,7 +16,8 @@ GOLDEN = Path(__file__).parent / "golden"
 # Names `codesign/__init__.py` once re-exported, with the submodule that
 # defines each; they are imported from that submodule now.
 EXPORTS = {
-    "cost_model": ["CostBreakdown", "PartitionPlan", "evaluate_plan", "grid_search"],
+    "cost_model": ["CostBreakdown", "PartitionPlan", "evaluate_plan", "grid_search",
+                   "ranked"],
     "errors": ["CodesignError"],
     "fusion": ["Kernel3x3", "fold_bn", "fuse", "pad_1x1_to_3x3"],
     "optimizer": ["refine_lambda"],
