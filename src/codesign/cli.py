@@ -181,13 +181,14 @@ def _cmd_roofline(args):
 def _config_and_plan(args):
     """The config and the plan ``cost`` and ``simulate`` run: the candidate
     that --cut, --theta1 and --theta2 name (a strategy left out is the full
-    structure), or without --cut the grid winner."""
-    from .cost_model import evaluate_plan, grid_search
+    structure), or without --cut the first row ``plan`` prints for the same
+    selection (``simulate --strict``)."""
+    from .cost_model import evaluate_grid, evaluate_plan, ranked, row_plan
 
     config = load_config(args.config)
     setting = (config.device1, config.device2, config.link, config.penalties, config.lambda1)
     if args.cut is None:
-        return config, grid_search(config.model, *setting)
+        return config, row_plan(ranked(evaluate_grid(config.model, *setting), args.strict)[0])
     return config, evaluate_plan(
         config.model, args.cut,
         parse_strategy(args.theta1 or FULL_STRUCTURE.value, "--theta1"),
@@ -408,7 +409,7 @@ def _cmd_report(args):
 # Parser
 # ---------------------------------------------------------------------------
 
-# convergence-lab holds a few dim x dim matrices (83 MB peak RSS at dim
+# convergence-lab holds a few dim x dim matrices (75 MB peak RSS at dim
 # 1024) and nothing per step, so the step limit bounds its time and table:
 # at both limits 118 s (1.2 ms a step) and a 4.2 MB table
 MAX_LAB_DIM = 1024
@@ -418,9 +419,10 @@ MAX_LAB_STEPS = 100_000
 def _int_at_least(minimum: int, maximum: int | None = None):
     """argparse type: an integer >= ``minimum`` (and <= ``maximum``, if
     given); anything else is a usage error.  So a count of 0 cannot pass a
-    check that never ran, numpy never sees a negative seed or a size it
-    cannot allocate, and ``random.Random``, which seeds with the
-    absolute value, never makes ``--seed -5`` a silent ``--seed 5``."""
+    check that never ran, numpy never sees a size it cannot allocate, and
+    ``random.Random``, which every command with ``--seed`` draws from and
+    which seeds with the absolute value, never makes ``--seed -5`` a silent
+    ``--seed 5``."""
     expected = f"an integer >= {minimum}" + (
         "" if maximum is None else f" and <= {maximum}")
 
@@ -459,6 +461,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="planning config JSON")
         p.add_argument("--out", help="write output to this path instead of stdout")
 
+    def add_selection(p):
+        """The options that choose among the grid's candidates: ``simulate``
+        runs the plan ``plan`` ranks first under the same ones."""
+        p.add_argument("--strict", action="store_true",
+                       help="drop candidates whose segments miss their device's balance point")
+
     p = sub.add_parser("roofline", help="per-device compute/memory classification as CSV")
     add_config(p)
     p.add_argument("--theta", default=FULL_STRUCTURE.value, choices=_STRATEGY_NAMES,
@@ -474,8 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="grid-search the best plan; CSV of ranked candidates")
     add_config(p)
-    p.add_argument("--strict", action="store_true",
-                   help="drop candidates whose segments miss their device's balance point")
+    add_selection(p)
     p.add_argument("--refine", action="store_true",
                    help="run the cut refinement from the grid winner and write its "
                         "descent trace to --trace-out (skipped without --trace-out: "
@@ -506,6 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, required=True, help="simulated seconds")
     p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--warmup", type=float, help="seconds excluded from stats (default 10%% of horizon)")
+    add_selection(p)
     p.add_argument("--cut", type=int, help="simulate this cut instead of the grid winner")
     p.add_argument("--theta1", choices=_STRATEGY_NAMES, help="with --cut (default: full structure)")
     p.add_argument("--theta2", choices=_STRATEGY_NAMES, help="with --cut (default: full structure)")
@@ -563,6 +571,8 @@ def main(argv=None) -> int:
             parser.error(f"simulate: --csv and {out} name one file")
         if args.command == "simulate" and args.cut is None and (args.theta1 or args.theta2):
             parser.error("simulate: --theta1 and --theta2 need --cut")
+        if args.command == "simulate" and args.cut is not None and args.strict:
+            parser.error("simulate: --strict chooses among the grid's candidates; --cut names one")
         args.func(args)
     except CodesignError as err:
         _print_err(f"{type(err).__name__}: {err}")

@@ -9,6 +9,7 @@ whole-vector update exactly.
 
 from __future__ import annotations
 
+import random
 from collections import namedtuple
 
 import numpy as np
@@ -152,27 +153,39 @@ def rate_check(obj: QuadraticObjective, curvature: tuple[float, float], w0: np.n
 EIGENVALUE_RANGE = (0.5, 5.0)
 
 
-def random_objective(rng: np.random.Generator, dim: int) -> QuadraticObjective:
-    """Random SPD quadratic with eigenvalues drawn uniformly from
-    ``EIGENVALUE_RANGE`` and an even block split."""
-    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    eigenvalues = rng.uniform(*EIGENVALUE_RANGE, dim)
+def _uniform(rng: random.Random, n: int) -> np.ndarray:
+    """``n`` floats uniform on [-1, 1) from one draw of ``rng``: its 4-byte
+    little-endian words w map exactly to w/2**31 - 1, the same on every
+    platform."""
+    return np.frombuffer(rng.randbytes(4 * n), "<u4") * 2.0 ** -31 - 1.0
+
+
+def random_objective(rng: random.Random, dim: int) -> QuadraticObjective:
+    """Random SPD quadratic from ``_uniform`` draws of ``rng``: the QR
+    input (dim x dim), then eigenvalues spread uniformly over
+    ``EIGENVALUE_RANGE`` (its midpoint plus its half-width times u), then
+    the linear term; the blocks are split evenly.  Each draw is freed once
+    used: a view of one draw of all three would hold the dim x dim input
+    as long as the linear term."""
+    lo, hi = EIGENVALUE_RANGE
+    q, _ = np.linalg.qr(_uniform(rng, dim * dim).reshape(dim, dim))
+    eigenvalues = (lo + hi) / 2 + (hi - lo) / 2 * _uniform(rng, dim)
     a = (q * eigenvalues) @ q.T
     a = (a + a.T) / 2.0
-    return QuadraticObjective(matrix=a, linear=rng.standard_normal(dim),
-                              split_index=dim // 2)
+    return QuadraticObjective(matrix=a, linear=_uniform(rng, dim), split_index=dim // 2)
 
 
 def run_lab(seed: int, dim: int, steps: int, log) -> dict:
     """One seeded lab run: random quadratic, learning rate at 90% of the
     admissible limit 2/L, geometric-bound check over the trajectory, each
     step's row handed to ``log`` as ``rate_check`` computes it (see
-    ``contraction_factor`` for the bound).  Returns ``mu``, ``lip``,
-    ``eta`` and ``violated_at``."""
-    rng = np.random.default_rng(seed)
+    ``contraction_factor`` for the bound).  ``random.Random(seed)`` draws
+    the quadratic, then the start w0 (``_uniform``).  Returns ``mu``,
+    ``lip``, ``eta`` and ``violated_at``."""
+    rng = random.Random(seed)
     obj = random_objective(rng, dim)
     mu, lip = obj.curvature_bounds()
     eta = 0.9 * (2.0 / lip)
-    w0 = rng.standard_normal(dim)
+    w0 = _uniform(rng, dim)
     return {"mu": mu, "lip": lip, "eta": eta,
             "violated_at": rate_check(obj, (mu, lip), w0, eta, steps, log)}

@@ -53,8 +53,8 @@ FLAGS = {
     "fuse-check": {"--seed": INTS, "--trials": INTS, "--out": OUTS},
     "convergence-lab": {"--seed": INTS, "--dim": DIMS, "--steps": INTS, "--out": OUTS},
     "simulate": {"--config": CONFIGS, "--rate": FLOATS, "--horizon": FLOATS,
-                 "--seed": INTS, "--warmup": FLOATS, "--cut": CUTS, "--theta1": STRATEGIES,
-                 "--theta2": STRATEGIES, "--csv": OUTS, "--out": OUTS},
+                 "--seed": INTS, "--warmup": FLOATS, "--strict": st.just(None), "--cut": CUTS,
+                 "--theta1": STRATEGIES, "--theta2": STRATEGIES, "--csv": OUTS, "--out": OUTS},
     "report": {"--plan": PLANS, "--sim": SIMS, "--out": OUTS},
 }
 # drawn every time, so that most draws get past argparse

@@ -1,6 +1,8 @@
 import io
 import json
+import math
 import os
+import random
 import re
 import resource
 import subprocess
@@ -809,6 +811,65 @@ def test_simulate_cut_defaults_to_full_structure():
         "cut": 3, "theta1": "conv3", "theta2": "conv3+skip+conv1"}
 
 
+def test_simulate_strict_with_cut_is_usage_error():
+    result = codesign("simulate", "--config", CONFIG, "--rate", "10", "--horizon", "1",
+                      "--strict", "--cut", "3")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "simulate: --strict chooses among the grid's candidates; --cut names one" in (
+        result.stderr)
+
+
+def test_simulate_strict_fails_where_plan_strict_does():
+    # no candidate on paper.json is feasible on both devices
+    result = codesign("simulate", "--config", CONFIG, "--rate", "10", "--horizon", "1",
+                      "--strict")
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == "NoFeasiblePlan: every candidate violates an intensity requirement\n"
+
+
+def paper_variant(index: int) -> dict:
+    """Draw ``index`` (from 0) of paper.json's variants under
+    ``random.Random(0)``: each device's peak (1e9-1e13 FLOP/s) and memory
+    bandwidth (1e9-1e12 B/s), then the link bandwidth (1e5-1e9 B/s) and
+    lambda1 (1e-6-1), all log-uniform.  Of the first 3,000, 1,319 have a
+    plan feasible on both devices, and in 390 of them it is not the
+    unrestricted winner."""
+    rng = random.Random(0)
+    raw = json.loads((FIXTURES / "paper.json").read_text())
+
+    def log_uniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    for _ in range(index + 1):  # each draw sets every field it varies
+        for device in raw["devices"]:
+            device["peak_compute"] = log_uniform(1e9, 1e13)
+            device["mem_bandwidth"] = log_uniform(1e9, 1e12)
+        raw["link"]["bandwidth"] = log_uniform(1e5, 1e9)
+        raw["lambda1"] = log_uniform(1e-6, 1.0)
+    return raw
+
+
+# the first five variants whose strict winner differs from the unrestricted
+# one: in the cut, and in three of them in a strategy too
+@pytest.mark.parametrize("index", [0, 13, 17, 27, 61])
+def test_strict_plan_then_strict_simulate_then_report(tmp_path, capsys, index):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(paper_variant(index)))
+    plan, sim, loose = tmp_path / "plan.csv", tmp_path / "sim.json", tmp_path / "loose.json"
+    run = ["simulate", "--config", str(config), "--rate", "100", "--horizon", "1"]
+    assert cli.main(["plan", "--strict", "--config", str(config), "--out", str(plan)]) == 0
+    assert cli.main([*run, "--strict", "--out", str(sim)]) == 0
+    assert cli.main([*run, "--out", str(loose)]) == 0
+    assert json.loads(sim.read_text())["plan"] != json.loads(loose.read_text())["plan"]
+    assert cli.main(["report", "--plan", str(plan), "--sim", str(sim)]) == 0
+    assert json.loads(capsys.readouterr().out)["analytical_only"] is False
+    # the unrestricted winner is another plan, which report names
+    assert cli.main(["report", "--plan", str(plan), "--sim", str(loose)]) == 1
+    assert capsys.readouterr().err.startswith(f"SchemaMismatch: {loose}: simulation is of plan")
+
+
 def _main_json(capsys, *argv):
     assert cli.main(list(argv)) == 0, capsys.readouterr().err
     return json.loads(capsys.readouterr().out)
@@ -936,10 +997,12 @@ def test_convergence_lab_prints_measured_gaps():
     printed = [row.split(",")[1] for row in result.stdout.splitlines()[1:]]
     assert len(printed) == 200
 
-    rng = np.random.default_rng(7)
+    # run_lab's draws: the quadratic, then w0 as 4-byte little-endian words
+    # w, each w/2**31 - 1
+    rng = random.Random(7)
     obj = convergence.random_objective(rng, 16)
     eta = 0.9 * (2.0 / obj.curvature_bounds()[1])
-    w = rng.standard_normal(16)
+    w = np.frombuffer(rng.randbytes(4 * 16), "<u4") * 2.0 ** -31 - 1.0
     minimizer = obj.minimizer()
     for gap in printed:
         w = convergence.split_step(obj, w, eta)
@@ -1023,7 +1086,7 @@ HELP_FLAGS = {
     "plan": ["--config", "--strict", "--refine"],
     "fuse-check": ["--seed"],
     "convergence-lab": ["--seed", "--dim", "--steps"],
-    "simulate": ["--config", "--rate", "--horizon", "--seed"],
+    "simulate": ["--config", "--rate", "--horizon", "--seed", "--strict"],
     "report": ["--plan", "--sim"],
 }
 

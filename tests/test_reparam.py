@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 
 import numpy as np
 import pytest
@@ -116,7 +118,35 @@ def test_padded_kernel_computes_same_convolution():
 # --- fuse --------------------------------------------------------------------
 
 def make_branches(rng, channels):
-    return fusion.random_branches(rng, channels)
+    return fusion.random_branches(rng, channels, 0)[0]
+
+
+def test_random_branches_map_one_draw_in_order():
+    # the stream fuse-check draws from: hashed, so a Python whose
+    # random.Random changes its bytes fails here first
+    assert hashlib.sha256(random.Random(614).randbytes(4096)).hexdigest() == (
+        "a467f4ec4d7daab9740213dff0e5174bcbc2b4bc6f832bd05faf03c2dd1c5e50")
+    c, size = 4, 5
+    branches, x = fusion.random_branches(random.Random(614), c, size)
+    raw = random.Random(614).randbytes(4 * (10 * c * c + 12 * c + c * size * size))
+    u = [int.from_bytes(raw[i:i + 4], "little") / 2 ** 31 - 1 for i in range(0, len(raw), 4)]
+    assert [b.kind for b in branches] == [BranchKind.CONV3X3, BranchKind.CONV1X1,
+                                          BranchKind.IDENTITY]
+    drawn = [branches[0].weight, branches[1].weight]
+    for b in branches:
+        drawn += [(b.bn.gamma - 1.0) * 2, b.bn.beta, b.bn.mean, (b.bn.var - 0.75) * 2]
+    drawn.append(x)
+    assert x.shape == (c, size, size)
+    assert np.concatenate([a.ravel() for a in drawn]).tolist() == u
+    for b in branches:
+        assert 0.5 <= b.bn.gamma.min() and b.bn.gamma.max() < 1.5
+        assert 0.25 <= b.bn.var.min() and b.bn.var.max() < 1.25
+    # x comes last, so the block is the same whatever the input's size
+    alone, empty = fusion.random_branches(random.Random(614), c, 0)
+    assert empty.shape == (c, 0, 0)
+    for a, b in zip(alone, branches):
+        assert np.array_equal(a.weight, b.weight) if b.weight is not None else a.weight is None
+        assert all(np.array_equal(p, q) for p, q in zip(a.bn, b.bn))
 
 
 def test_fuse_single_branch_with_identity_bn():
@@ -146,8 +176,7 @@ def test_fuse_opposite_branches_cancel():
 def test_fuse_is_additive_over_branch_sets():
     # fusing all three branches equals the element-wise sum of fusing the
     # 3x3 alone and the (1x1, identity) pair folded separately
-    rng = np.random.default_rng(12)
-    branches = make_branches(rng, 5)
+    branches = make_branches(random.Random(12), 5)
     total = fusion.fuse(branches, FULL)
     partial = fusion.fuse(branches, S3)
     k1, b1 = fusion.fold_bn(branches[1])
@@ -213,13 +242,11 @@ def test_fuse_rejects_a_repeated_kind(read_block, strategy):
 def test_fused_kernel_matches_branch_sum(strategy):
     # the core equivalence, checked against the scipy reference path on
     # both sides over varying channel counts and spatial sizes
-    rng = np.random.default_rng(100 + list(FusionStrategy).index(strategy))
+    rng = random.Random(100 + list(FusionStrategy).index(strategy))
     worst = 0.0
     for _ in range(100):
-        ch = int(rng.choice([1, 4, 16]))
-        size = int(rng.choice([5, 8, 16]))
-        branches = make_branches(rng, ch)
-        x = rng.standard_normal((ch, size, size))
+        ch = rng.choice([1, 4, 16])
+        branches, x = fusion.random_branches(rng, ch, rng.choice([5, 8, 16]))
         fused = fusion.fuse(branches, strategy)
         got = oracle_conv(x, fused.weights, fused.bias)
         want = sum(oracle_branch(x, b) for b in branches
@@ -259,15 +286,14 @@ def tensordot_conv(x, weight, bias=None):
 
 
 def tensordot_equivalence_suite(seed, trials):
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     worst = {}
     for strategy in FusionStrategy:
         err = 0.0
         for _ in range(trials):
-            ch = int(rng.choice(fusion.EQUIVALENCE_CHANNELS))
-            size = int(rng.choice(fusion.EQUIVALENCE_SIZES))
-            branches = fusion.random_branches(rng, ch)
-            x = rng.standard_normal((ch, size, size))
+            ch = rng.choice(fusion.EQUIVALENCE_CHANNELS)
+            size = rng.choice(fusion.EQUIVALENCE_SIZES)
+            branches, x = fusion.random_branches(rng, ch, size)
             fused = fusion.fuse(branches, strategy)
             got = tensordot_conv(x, fused.weights, fused.bias)
             by_kind = {b.kind: b for b in branches}
