@@ -183,12 +183,12 @@ def _config_and_plan(args):
     that --cut, --theta1 and --theta2 name (a strategy left out is the full
     structure), or without --cut the first row ``plan`` prints for the same
     selection (``simulate --strict``)."""
-    from .cost_model import evaluate_grid, evaluate_plan, ranked, row_plan
+    from .cost_model import evaluate_plan, grid_search
 
     config = load_config(args.config)
     setting = (config.device1, config.device2, config.link, config.penalties, config.lambda1)
     if args.cut is None:
-        return config, row_plan(ranked(evaluate_grid(config.model, *setting), args.strict)[0])
+        return config, grid_search(config.model, *setting, args.strict)
     return config, evaluate_plan(
         config.model, args.cut,
         parse_strategy(args.theta1 or FULL_STRUCTURE.value, "--theta1"),

@@ -194,10 +194,12 @@ def ranked(rows: list[tuple], strict: bool = False) -> list[tuple]:
 
 
 def grid_search(model: ModelProfile, d1: DeviceProfile, d2: DeviceProfile,
-                link: LinkProfile, table: AccuracyPenaltyTable, lambda1: float) -> PartitionPlan:
-    """Best plan over the full grid, infeasible candidates included (the
-    roofline rate cap already prices memory-bound segments)."""
-    return row_plan(ranked(evaluate_grid(model, d1, d2, link, table, lambda1))[0])
+                link: LinkProfile, table: AccuracyPenaltyTable, lambda1: float,
+                strict: bool = False) -> PartitionPlan:
+    """Best plan over the full grid: the first row ``plan`` prints under the
+    same ``strict``.  Without ``strict`` infeasible candidates are included
+    (the roofline rate cap already prices memory-bound segments)."""
+    return row_plan(ranked(evaluate_grid(model, d1, d2, link, table, lambda1), strict)[0])
 
 
 def _require_finite(plan: PartitionPlan):

@@ -183,12 +183,15 @@ def test_ranked_is_filter_then_sort_with_brute_force_winner(strict):
             with pytest.raises(NoFeasiblePlan, match="^every candidate violates an intensity "
                                                      "requirement$"):
                 cost_model.ranked(rows, strict)
+            with pytest.raises(NoFeasiblePlan):
+                cost_model.grid_search(model, d1, d2, link, table, lambda1, strict)
             raised += 1
             continue
         partial += len(kept) < len(rows)
         assert cost_model.ranked(rows, strict) == expected
         plan = cost_model.row_plan(expected[0])
         assert (plan.cut_index, plan.theta1, plan.theta2) == best, f"case {case}"
+        assert cost_model.grid_search(model, d1, d2, link, table, lambda1, strict) == plan
     if strict:
         # the draws that check the filter: some drop rows, some drop them all
         assert partial >= 3 and raised >= 1
