@@ -322,20 +322,32 @@ def _cmd_simulate(args):
 
 def read_plan_csv(path) -> tuple[dict, int]:
     """(winning row, candidate count) from a plan CSV, read row by row.  Only
-    the winner is kept: every later row is parsed, so a malformed one is
-    named, and counted."""
+    the winner is kept, and every later row is parsed and counted.  A row
+    must hold exactly the header's fields: one that does not is named by
+    its line, but for a short winner, which ``build_report`` names by its
+    first missing column."""
     # newline="" as csv asks: a quoted line break is part of its field, and
     # lines end only at \r and \n, so a name holding U+2028 reads back
     with _opened(path, newline="") as handle:
         try:
             rows = csv.DictReader(handle)
             winner = next(rows, None)
-            count = 1 + sum(1 for _ in rows)
+            if winner is None or any(col not in winner for col in PLAN_COLUMNS):
+                raise SchemaMismatch(
+                    f"{path} is not a plan table (expected columns {PLAN_COLUMNS})")
+            # DictReader keys the fields past the header's by None, and reads
+            # the ones a row lacks as None
+            count = 1
+            if None not in winner:
+                for count, row in enumerate(rows, 2):
+                    if None in row or None in row.values():
+                        break
+                else:
+                    return winner, count
         except csv.Error as exc:
             raise SchemaMismatch(f"{path}: {exc}") from None
-    if winner is None or any(col not in winner for col in PLAN_COLUMNS):
-        raise SchemaMismatch(f"{path} is not a plan table (expected columns {PLAN_COLUMNS})")
-    return winner, count
+    raise SchemaMismatch(f"{path}: line {rows.line_num} does not hold the header's "
+                         f"{len(rows.fieldnames)} fields")
 
 
 def _finite(text: str) -> float:
@@ -351,32 +363,30 @@ def _flag(text: str) -> bool:
     return text == "true"
 
 
+# how build_report reads each column of the winning row; a field a short
+# row lacks reads as None, which str.__str__, unlike str, refuses
+_PLAN_READERS = dict(zip(PLAN_COLUMNS, (str.__str__, int,
+                                        *[lambda name: parse_strategy(name).value] * 2,
+                                        *[_finite] * 6, _flag, _flag), strict=True))
+
+
 def build_report(plan_path, sim_path=None) -> dict:
     """Merge a plan table and a simulation report of its winner into one
     document; without ``sim_path`` the document is analytical only."""
     winner, candidates = read_plan_csv(plan_path)
-    model = winner["model"]
-
-    def field(column: str, parse):
+    plan = {}
+    for column, read in _PLAN_READERS.items():
         try:
-            return parse(winner[column])
+            plan[column] = read(winner[column])
         except (TypeError, ValueError, UnknownStrategyName):
             raise SchemaMismatch(f"{plan_path}: the winning row's {column} is "
                                  f"{winner[column]!r}") from None
+    model = plan.pop("model")
 
     document = {
         "schema_version": SCHEMA_VERSION,
         "model": model,
-        "plan": {
-            "cut": field("cut", int),
-            "theta1": field("theta1", parse_strategy).value,
-            "theta2": field("theta2", parse_strategy).value,
-            "t1": field("t1", _finite), "t2": field("t2", _finite),
-            "t3": field("t3", _finite), "t_total": field("t_total", _finite),
-            "dA": field("dA", _finite), "L": field("L", _finite),
-            "feasible1": field("feasible1", _flag),
-            "feasible2": field("feasible2", _flag),
-        },
+        "plan": plan,
         "candidates": candidates,
         "simulation": None,
         "analytical_only": True,
@@ -529,11 +539,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _regular_file(path: str | None) -> tuple[int, int] | None:
-    """(st_dev, st_ino) of the regular file that ``path`` names, None
-    standing for stdout; None for anything else: no file there yet, a
-    device such as ``/dev/null``, a pipe, or a stdout with no file behind
-    it."""
+def _file_identity(path: str | None) -> tuple[int, int] | str | None:
+    """What two outputs naming one file share, None standing for stdout: a
+    regular file's (st_dev, st_ino), so a hard link or a redirected
+    ``/dev/stdout`` shares it; a path's ``realpath`` while no file is there,
+    so a dangling symlink shares its target's; else None, which clashes with
+    nothing: ``/dev/null``, a pipe, or a stdout with no file behind it."""
+    if path is not None and not os.path.exists(path):
+        return os.path.realpath(path)
     try:
         st = os.stat(sys.stdout.fileno() if path is None else path)
     except (AttributeError, OSError, ValueError):
@@ -544,17 +557,9 @@ def _regular_file(path: str | None) -> tuple[int, int] | None:
 def _one_file(first: str | None, second: str | None) -> bool:
     """Whether an optional output ``first`` (None: not written) and the
     output ``second`` (None: stdout) name one file, which the second write
-    would overwrite.  Existing files are compared by device and inode, so a
-    hard link counts, and so does ``/dev/stdout`` when stdout is redirected
-    to the other path; paths not yet there by ``realpath``.  A file that is
-    not a regular file, such as ``/dev/null``, may take both."""
-    if first is None:
-        return False
-    ids = _regular_file(first), _regular_file(second)
-    if ids != (None, None):
-        return ids[0] == ids[1]
-    return second is not None and not os.path.exists(first) and (
-        os.path.realpath(first) == os.path.realpath(second))
+    would overwrite."""
+    identity = None if first is None else _file_identity(first)
+    return identity is not None and identity == _file_identity(second)
 
 
 def main(argv=None) -> int:

@@ -135,17 +135,9 @@ def _active_branches(branches: list[BranchSpec], strategy: FusionStrategy) -> li
 
 def fuse(branches: list[BranchSpec], strategy: FusionStrategy) -> Kernel3x3:
     """Sum the strategy's active branches into one 3x3 kernel + bias."""
-    active = _active_branches(branches, strategy)
-    out_ch, in_ch = active[0].out_channels, active[0].in_channels
-    weights = np.zeros((out_ch, in_ch, 3, 3))
-    bias = np.zeros(out_ch)
-    for branch in active:
-        kernel, b = fold_bn(branch)
-        if kernel.shape[2] == 1:
-            kernel = pad_1x1_to_3x3(kernel)
-        weights = weights + kernel
-        bias = bias + b
-    return Kernel3x3(weights=weights, bias=bias)
+    kernels, biases = zip(*map(fold_bn, _active_branches(branches, strategy)))
+    return Kernel3x3(weights=sum(pad_1x1_to_3x3(k) if k.shape[2] == 1 else k for k in kernels),
+                     bias=sum(biases))
 
 
 # ---------------------------------------------------------------------------
@@ -179,20 +171,11 @@ def batch_norm(x: np.ndarray, bn: BatchNorm) -> np.ndarray:
     return x * scale[:, None, None] + (bn.beta - bn.mean * scale)[:, None, None]
 
 
-def branch_forward(x: np.ndarray, branch: BranchSpec) -> np.ndarray:
-    if branch.kind is BranchKind.IDENTITY:
-        return batch_norm(x, branch.bn)
-    return batch_norm(conv2d(x, branch.weight), branch.bn)
-
-
 def block_forward(x: np.ndarray, branches: list[BranchSpec],
                   strategy: FusionStrategy) -> np.ndarray:
     """Multi-branch forward pass: sum of the active branches' outputs."""
-    total = None
-    for branch in _active_branches(branches, strategy):
-        y = branch_forward(x, branch)
-        total = y if total is None else total + y
-    return total
+    return sum(batch_norm(x if b.kind is BranchKind.IDENTITY else conv2d(x, b.weight), b.bn)
+               for b in _active_branches(branches, strategy))
 
 
 def max_rel_error(got: np.ndarray, want: np.ndarray) -> float:

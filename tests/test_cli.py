@@ -779,6 +779,33 @@ def test_report_names_a_malformed_winner_field(tmp_path, column, edit):
     assert result.stderr.count("\n") == 1
 
 
+def test_report_names_a_missing_model_under_a_reordered_header(tmp_path):
+    # with the model column last, a short winner lacks the model first
+    _, *rest = (GOLDEN / "paper_plan.csv").read_text().splitlines()[1].split(",")
+    plan_csv = tmp_path / "plan.csv"
+    plan_csv.write_text(f"{','.join(cli.PLAN_COLUMNS[1:])},model\n{','.join(rest)}\n")
+    result = codesign("report", "--plan", str(plan_csv))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == f"SchemaMismatch: {plan_csv}: the winning row's model is None\n"
+
+
+@pytest.mark.parametrize("edit, line", [
+    (lambda rows: rows + ["junk"], 210),                     # a short later row
+    (lambda rows: rows[:-1] + [rows[-1] + ",extra"], 209),   # a long later row
+    (lambda rows: [rows[0] + ",extra", *rows[1:]], 2),       # a long winner
+], ids=["short-row", "long-row", "long-winner"])
+def test_report_names_a_row_that_does_not_hold_the_headers_fields(tmp_path, edit, line):
+    header, *rows = (GOLDEN / "paper_plan.csv").read_text().splitlines()
+    plan_csv = tmp_path / "plan.csv"
+    plan_csv.write_text("\n".join([header, *edit(rows)]) + "\n")
+    result = codesign("report", "--plan", str(plan_csv))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"SchemaMismatch: {plan_csv}: line {line} does not hold the header's 12 fields\n")
+
+
 def test_report_names_an_oversized_plan_field(tmp_path):
     header, *rows = (GOLDEN / "paper_plan.csv").read_text().splitlines()
     plan_csv = tmp_path / "plan.csv"
@@ -924,6 +951,27 @@ def test_two_outputs_naming_one_file_is_usage_error(argv, message, tmp_path, mon
     assert cli.main(devnull) == 0
     assert list(tmp_path.iterdir()) == []
 
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--config", CONFIG, "--rate", "100", "--horizon", "1",
+      "--csv", "first", "--out", "second"], "simulate: --csv and --out name one file"),
+    (["plan", "--config", CONFIG, "--refine", "--trace-out", "first", "--out", "second"],
+     "plan: --trace-out and --out name one file"),
+], ids=["simulate", "plan"])
+@pytest.mark.parametrize("link, target", [("first", "second"), ("second", "first")])
+def test_an_output_through_a_dangling_symlink_to_the_other_is_usage_error(
+        argv, message, link, target, tmp_path, monkeypatch, capsys):
+    # the link does not resolve yet, but the first write would create its
+    # target, and the second write overwrite it
+    monkeypatch.chdir(tmp_path)
+    os.symlink(target, link)
+    with pytest.raises(SystemExit) as raised:
+        cli.main(argv)
+    assert raised.value.code == 2
+    output = capsys.readouterr()
+    assert output.out == ""
+    assert message in output.err
+    assert list(tmp_path.iterdir()) == [tmp_path / link]
 
 
 @pytest.mark.parametrize("argv", [

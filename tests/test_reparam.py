@@ -1,5 +1,7 @@
+import functools
 import hashlib
 import json
+import operator
 import random
 
 import numpy as np
@@ -184,6 +186,26 @@ def test_fuse_is_additive_over_branch_sets():
     rest_w = fusion.pad_1x1_to_3x3(k1) + fusion.pad_1x1_to_3x3(ki)
     assert np.allclose(total.weights, partial.weights + rest_w)
     assert np.allclose(total.bias, partial.bias + b1 + bi)
+
+
+@pytest.mark.parametrize("strategy", list(FusionStrategy), ids=lambda s: s.value)
+def test_fuse_and_block_forward_add_the_branches_in_order(strategy):
+    # fuse-check prints the worst errors themselves, and the tensordot suite
+    # below sums through these same two functions, so their order is pinned
+    # here: each is its terms added left to right in ACTIVE_BRANCHES order
+    branches, x = fusion.random_branches(random.Random(list(FusionStrategy).index(strategy)),
+                                         4, 5)
+    by_kind = {b.kind: b for b in branches}
+    active = [by_kind[kind] for kind in reparam.ACTIVE_BRANCHES[strategy]]
+    folded = [fusion.fold_bn(b) for b in active]
+    kernels = [fusion.pad_1x1_to_3x3(k) if k.shape[2] == 1 else k for k, _ in folded]
+    outputs = [fusion.batch_norm(x if b.weight is None else fusion.conv2d(x, b.weight), b.bn)
+               for b in active]
+    fused = fusion.fuse(branches, strategy)
+    assert np.array_equal(fused.weights, functools.reduce(operator.add, kernels))
+    assert np.array_equal(fused.bias, functools.reduce(operator.add, [b for _, b in folded]))
+    assert np.array_equal(fusion.block_forward(x, branches, strategy),
+                          functools.reduce(operator.add, outputs))
 
 
 def forward_on_ones(branches, strategy):
