@@ -1,6 +1,7 @@
 """Device, link, model and penalty-table descriptions.
 
-Everything downstream consumes only the types defined here and sums layer
+Everything downstream consumes only the types defined here and in
+``codesign.strategy`` (the fusion strategies, imported here), and sums layer
 loads only through ``running_load``.  All quantities are raw SI numbers:
 FLOPs, bytes, bytes/s, seconds.  Profiles are immutable after loading.
 
@@ -22,11 +23,9 @@ list of the two, terminal first), ``link``, ``model``, ``penalties`` and
 from __future__ import annotations
 
 import contextlib
-import json
 import math
 import os
 from collections import namedtuple
-from enum import Enum
 from itertools import accumulate
 
 from .errors import (
@@ -35,44 +34,8 @@ from .errors import (
     InvariantViolation,
     MissingField,
     NonPositiveQuantity,
-    UnknownStrategyName,
 )
-
-
-class FusionStrategy(Enum):
-    """Which branches of a re-parameterizable block stay active at inference.
-
-    Every block keeps its 3x3 convolution; the identity shortcut and the 1x1
-    convolution can each be retained or folded away.  Declaration order is
-    the canonical tie-break order used by the planner.
-    """
-
-    CONV3 = "conv3"
-    CONV3_SKIP = "conv3+skip"
-    CONV3_CONV1 = "conv3+conv1"
-    CONV3_SKIP_CONV1 = "conv3+skip+conv1"
-
-    # Members are singletons that compare by identity, so they hash by it
-    # too, skipping the Python-level Enum.__hash__ call of each per-layer
-    # table lookup: an in-process 224-layer ``plan`` took 16.7-17.6 ms with
-    # it and 17.2-18.4 ms without (6 of 6 alternating runs, CPython 3.11.7).
-    # No output iterates a set of strategies, so none depends on the hashes.
-    __hash__ = object.__hash__
-
-
-STRATEGY_RANK = {s: i for i, s in enumerate(FusionStrategy)}
-_BY_NAME = {s.value: s for s in FusionStrategy}
-
-# The structure with every branch retained; used as the canonical measure
-# for cut fractions and as the zero-penalty reference in penalty tables.
-FULL_STRUCTURE = FusionStrategy.CONV3_SKIP_CONV1
-
-
-def parse_strategy(name: str, where: str = "strategy") -> FusionStrategy:
-    try:
-        return _BY_NAME[name]
-    except (KeyError, TypeError):  # TypeError: an unhashable name
-        raise UnknownStrategyName(f"{where}: {name!r}") from None
+from .strategy import FULL_STRUCTURE, STRATEGY_RANK, FusionStrategy, parse_strategy  # noqa: F401
 
 
 class DeviceProfile(namedtuple("DeviceProfile", "name peak_compute mem_bandwidth utilization",
@@ -373,6 +336,8 @@ def _read_json(path, number=None) -> dict:
     """The JSON document at ``path``, in which no object repeats a key;
     ``number``, if given, parses each non-integer number and each NaN or
     Infinity constant."""
+    import json
+
     with _opened(path) as handle:
         text = handle.read()
 

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import math
@@ -12,9 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from codesign import cli, convergence, fusion
+from codesign import cli, commands, convergence, fusion
 from codesign.errors import InvalidConfig
 from codesign.profiles import FusionStrategy, load_device
+from codesign.strategy import FULL_STRUCTURE
 from conftest import FIXTURES, FULL
 
 CONFIG = str(FIXTURES / "paper.json")
@@ -166,7 +168,7 @@ def test_report_peak_rss_does_not_hold_the_rows_it_counts(tmp_path):
     small, big = (_peak_rss_mb("report", "--plan", str(plan), "--out", os.devnull)
                   for plan in (GOLDEN / "paper_plan.csv", large))
     assert big - small < 3.0
-    assert cli.build_report(large)["candidates"] == 70 * len(body)
+    assert commands.build_report(large)["candidates"] == 70 * len(body)
 
 
 def test_convergence_lab_peak_rss_does_not_grow_with_its_steps():
@@ -378,7 +380,7 @@ def test_plan_quotes_the_model_name_once(tmp_path):
     golden = (GOLDEN / "paper_plan.csv").read_text().splitlines(keepends=True)
     assert plan.read_text() == golden[0] + "".join(
         line.replace("repvgg-mini,", '"a,""b",', 1) for line in golden[1:])
-    assert cli.read_plan_csv(plan)[0]["model"] == 'a,"b'
+    assert commands.read_plan_csv(plan)[0]["model"] == 'a,"b'
 
 
 CR, NUL, SURROGATE = "a carriage return", "a NUL", "a lone surrogate"
@@ -407,7 +409,7 @@ def test_a_line_break_in_the_model_name_reads_back(tmp_path, capsys, key, name, 
     plan = tmp_path / "plan.csv"
     if refused is None:
         assert cli.main(["plan", "--config", config, "--out", str(plan)]) == 0
-        winner, count = cli.read_plan_csv(plan)
+        winner, count = commands.read_plan_csv(plan)
         assert (winner["model"], count) == (name, 13 * 16)
         return
     for command in ("plan", "roofline"):
@@ -482,7 +484,7 @@ def test_an_empty_output_path_is_a_path(tmp_path, monkeypatch, capsys, argv):
 
 
 def test_float_reprs_keep_the_sign_of_zero():
-    text = cli._FloatReprs()
+    text = commands._FloatReprs()
     assert [text[x] for x in (0.0, -0.0, 1.5, -0.0, 1.5)] == ["0.0", "-0.0", "1.5", "-0.0", "1.5"]
 
 
@@ -490,7 +492,7 @@ def test_csv_writes_each_float_as_its_repr():
     # every table but plan's hands its floats to csv.writer as they are
     values = [5e-324, 1e-320, -0.0, 0.1, 1e16, float(2**53 + 1), 1 / 3]
     table = io.StringIO()
-    cli._table(["x"], [[v] for v in values])(table)
+    commands._table(["x"], [[v] for v in values])(table)
     assert table.getvalue() == "x\n" + "".join(f"{v!r}\n" for v in values)
 
 
@@ -503,7 +505,7 @@ def test_zero_time_link_plans_simulates_and_reports(tmp_path):
     config.write_text(json.dumps(raw))
     plan_csv, sim_json = tmp_path / "plan.csv", tmp_path / "sim.json"
     assert codesign("plan", "--config", str(config), "--out", str(plan_csv)).returncode == 0
-    assert cli.read_plan_csv(plan_csv)[0]["t3"] == "0.0"
+    assert commands.read_plan_csv(plan_csv)[0]["t3"] == "0.0"
     for cut in (["--cut", "5"], []):    # the winner's simulation last, for report
         result = codesign("simulate", "--config", str(config), "--rate", "100",
                           "--horizon", "1", *cut, "--out", str(sim_json))
@@ -661,7 +663,7 @@ def _clear_blas_threads(monkeypatch):
 
 def test_lab_commands_ask_for_one_blas_thread(monkeypatch):
     _clear_blas_threads(monkeypatch)
-    cli._require_numpy("fuse-check")
+    commands._require_numpy("fuse-check")
     assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
     assert "GOTO_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ
 
@@ -672,7 +674,7 @@ def test_a_blas_thread_count_the_user_set_stands(monkeypatch, name, value):
     _clear_blas_threads(monkeypatch)
     monkeypatch.setenv(name, value)
     before = dict(os.environ)
-    cli._require_numpy("convergence-lab")
+    commands._require_numpy("convergence-lab")
     assert dict(os.environ) == before
 
 
@@ -736,7 +738,7 @@ def test_input_file_error_names_the_path_as_typed(tmp_path, monkeypatch, capsys,
     ("--sim", "[", "InvalidConfig: {}: Expecting value: line 1 column 2 (char 1)"),
     ("--sim", '{"throughput": NaN}', "SchemaMismatch: {}: NaN is not a finite number"),
     ("--plan", "x\n", "SchemaMismatch: {} is not a plan table (expected columns "
-                      f"{cli.PLAN_COLUMNS})"),
+                      f"{commands.PLAN_COLUMNS})"),
 ], ids=["config-not-json", "sim-not-json", "sim-nan", "plan-not-a-table"])
 def test_every_error_about_a_file_names_it_as_typed(tmp_path, monkeypatch, capsys, option,
                                                     document, message):
@@ -783,7 +785,7 @@ def test_report_names_a_missing_model_under_a_reordered_header(tmp_path):
     # with the model column last, a short winner lacks the model first
     _, *rest = (GOLDEN / "paper_plan.csv").read_text().splitlines()[1].split(",")
     plan_csv = tmp_path / "plan.csv"
-    plan_csv.write_text(f"{','.join(cli.PLAN_COLUMNS[1:])},model\n{','.join(rest)}\n")
+    plan_csv.write_text(f"{','.join(commands.PLAN_COLUMNS[1:])},model\n{','.join(rest)}\n")
     result = codesign("report", "--plan", str(plan_csv))
     assert result.returncode == 1
     assert result.stdout == ""
@@ -819,6 +821,21 @@ def test_report_names_an_oversized_plan_field(tmp_path):
         assert result.stdout == ""
         assert result.stderr.startswith(f"SchemaMismatch: {plan_csv}: field larger than")
         assert result.stderr.count("\n") == 1
+
+
+def test_the_parser_takes_the_strategies_from_their_one_definition():
+    parser = cli.build_parser()
+    [commands_action] = [action for action in parser._actions
+                         if isinstance(action, argparse._SubParsersAction)]
+    found = {}
+    for name, sub in commands_action.choices.items():
+        for action in sub._actions:
+            if action.dest.startswith("theta"):
+                assert action.choices == [s.value for s in FusionStrategy], (name, action.dest)
+                found.setdefault(name, []).append(action.dest)
+    assert found == {"roofline": ["theta"], "cost": ["theta1", "theta2"],
+                     "simulate": ["theta1", "theta2"]}
+    assert parser.parse_args(["roofline", "--config", CONFIG]).theta == FULL_STRUCTURE.value
 
 
 @pytest.mark.parametrize("flags", [["--theta1", "conv3"], ["--theta2", "conv3+skip"]])
@@ -972,6 +989,57 @@ def test_an_output_through_a_dangling_symlink_to_the_other_is_usage_error(
     assert output.out == ""
     assert message in output.err
     assert list(tmp_path.iterdir()) == [tmp_path / link]
+
+
+# the file each input option of a command reads
+INPUTS = {"--config": FIXTURES / "paper.json", "--plan": GOLDEN / "paper_plan.csv",
+          "--sim": GOLDEN / "paper_simulate.json"}
+
+
+# every output option of a command that reads a file, with each input option
+@pytest.mark.parametrize("argv, output, source", [
+    (["plan"], "--out", "--config"),
+    (["plan", "--refine"], "--trace-out", "--config"),
+    (["cost", "--cut", "5", "--theta1", "conv3", "--theta2", "conv3"], "--out", "--config"),
+    (["roofline"], "--out", "--config"),
+    (["simulate", "--rate", "100", "--horizon", "1"], "--out", "--config"),
+    (["simulate", "--rate", "100", "--horizon", "1"], "--csv", "--config"),
+    (["report", "--sim", str(INPUTS["--sim"])], "--out", "--plan"),
+    (["report", "--plan", str(INPUTS["--plan"])], "--out", "--sim"),
+], ids=["plan-out", "plan-trace-out", "cost-out", "roofline-out", "simulate-out",
+        "simulate-csv", "report-out-plan", "report-out-sim"])
+@pytest.mark.parametrize("naming", ["one-path", "hard-link", "symlink"])
+def test_an_output_naming_an_input_file_is_usage_error(argv, output, source, naming,
+                                                       tmp_path, monkeypatch, capsys):
+    # the write would replace the file the command reads
+    monkeypatch.chdir(tmp_path)
+    original = INPUTS[source].read_bytes()
+    Path("input").write_bytes(original)
+    target = "input" if naming == "one-path" else "output"
+    if naming == "hard-link":
+        os.link("input", target)
+    elif naming == "symlink":
+        os.symlink("input", target)
+    with pytest.raises(SystemExit) as raised:
+        cli.main([*argv, source, "input", output, target])
+    assert raised.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{argv[0]}: {output} and {source} name one file" in captured.err
+    assert Path("input").read_bytes() == original
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted({"input", target})
+
+
+def test_a_stdout_appending_to_the_config_is_usage_error(tmp_path):
+    config = tmp_path / "config.json"
+    original = INPUTS["--config"].read_bytes()
+    config.write_bytes(original)
+    with open(config, "a") as handle:
+        result = subprocess.run([sys.executable, "-m", "codesign", "plan", "--config",
+                                 str(config)], stdout=handle, stderr=subprocess.PIPE, text=True)
+    assert result.returncode == 2
+    assert "plan: stdout and --config name one file" in result.stderr
+    assert config.read_bytes() == original
 
 
 @pytest.mark.parametrize("argv", [

@@ -21,12 +21,12 @@ EXPORTS = {
     "errors": ["CodesignError"],
     "fusion": ["Kernel3x3", "fold_bn", "fuse", "pad_1x1_to_3x3"],
     "optimizer": ["refine_lambda"],
-    "profiles": ["AccuracyPenaltyTable", "Config", "DeviceProfile", "FusionStrategy",
-                 "LayerProfile", "LinkProfile", "ModelProfile", "load_config", "load_device",
-                 "total_load"],
+    "profiles": ["AccuracyPenaltyTable", "Config", "DeviceProfile", "LayerProfile",
+                 "LinkProfile", "ModelProfile", "load_config", "load_device", "total_load"],
     "reparam": ["strategy_costs"],
     "roofline": ["Bottleneck", "classify", "effective_rate", "machine_balance"],
     "simulator": ["SimConfig", "SimReport", "run"],
+    "strategy": ["FusionStrategy"],
 }
 
 
@@ -212,3 +212,37 @@ print("ok")
     result = _run(script)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "ok\n"
+
+
+PARSER_ONLY = ("codesign.profiles", "codesign.cost_model", "codesign.commands", "json", "csv")
+
+
+@pytest.mark.parametrize("argv, code, banned", [
+    (None, None, PARSER_ONLY),
+    (["--help"], 0, PARSER_ONLY),
+    (["plan"], 2, PARSER_ONLY),
+    (["convergence-lab", "--dim", "4", "--steps", "5"], 0, ("codesign.profiles", "json")),
+    (["fuse-check", "--trials", "2"], 0, ("json",)),
+    (["cost", "--config", str(FIXTURES / "paper.json"), "--cut", "5", "--theta1", "conv3",
+      "--theta2", "conv3+skip+conv1"], 0, ("csv",)),
+], ids=["import", "help", "usage-error", "convergence-lab", "fuse-check", "cost"])
+def test_the_parser_loads_no_command_and_a_command_only_what_it_runs(argv, code, banned):
+    # argparse picks the command before its body, and the formats and
+    # modules it runs, are imported: `--help` and usage errors compile none
+    # of them.  Only what the interpreter loaded before codesign is exempt.
+    script = f"""
+import contextlib, io, sys
+baseline = set(sys.modules)
+from codesign import cli
+code = None
+if {argv!r} is not None:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main({argv!r})
+        except SystemExit as exc:
+            code = exc.code
+print(code, [name for name in {banned!r} if name in sys.modules and name not in baseline])
+"""
+    result = _run(script)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"{code} []\n"
