@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.signal import correlate2d
 
 from codesign import convergence, cost_model, fusion, reparam, simulator
 from codesign.profiles import (
@@ -37,6 +36,7 @@ from conftest import (
     simple_link,
     zero_table,
 )
+from test_reparam import oracle_branch
 
 
 @contextmanager
@@ -78,25 +78,6 @@ def test_c1_roofline_matrix():
 
 # --- 2. fusion equivalence ---------------------------------------------------
 
-def _oracle_conv(x, weight, bias=None):
-    k = weight.shape[-1]
-    out = np.zeros((weight.shape[0], x.shape[1], x.shape[2]))
-    mode = "same" if k == 3 else "valid"
-    for o in range(weight.shape[0]):
-        for i in range(weight.shape[1]):
-            out[o] += correlate2d(x[i], weight[o, i], mode=mode)
-        if bias is not None:
-            out[o] += bias[o]
-    return out
-
-
-def _oracle_branch(x, branch):
-    bn = branch.bn
-    y = x if branch.kind is reparam.BranchKind.IDENTITY else _oracle_conv(x, branch.weight)
-    scale = bn.gamma / np.sqrt(bn.var + bn.eps)
-    return y * scale[:, None, None] + (bn.beta - bn.mean * scale)[:, None, None]
-
-
 def test_c2_fusion_equivalence():
     with criterion(2, "fused kernel == branch sum (4 x 100 trials)", 30.0):
         for idx, strategy in enumerate(FusionStrategy):
@@ -107,7 +88,7 @@ def test_c2_fusion_equivalence():
                 branches, x = fusion.random_branches(rng, ch, rng.choice([5, 8, 16]))
                 fused = fusion.fuse(branches, strategy)
                 got = fusion.conv2d(x, fused.weights, fused.bias)
-                want = sum(_oracle_branch(x, b) for b in branches
+                want = sum(oracle_branch(x, b) for b in branches
                            if b.kind in reparam.ACTIVE_BRANCHES[strategy])
                 worst = max(worst, fusion.max_rel_error(got, want))
             assert worst <= 1e-5, f"{strategy.value}: max rel error {worst}"

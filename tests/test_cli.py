@@ -23,9 +23,9 @@ CONFIG = str(FIXTURES / "paper.json")
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def codesign(*args, env=None, timeout=None):
+def codesign(*args, env=None, timeout=None, text=True):
     return subprocess.run([sys.executable, "-m", "codesign", *args],
-                          capture_output=True, text=True, env=env, timeout=timeout)
+                          capture_output=True, text=text, env=env, timeout=timeout)
 
 
 def test_plan_happy_path():
@@ -66,12 +66,18 @@ def test_outputs_are_byte_identical_across_runs():
     sim2 = codesign("simulate", "--config", CONFIG, "--rate", "100",
                     "--horizon", "20", "--seed", "3")
     assert sim1.stdout == sim2.stdout
+    # the mean is math.fsum's, correctly rounded: 3.10 and 3.11's sum
+    # printed 2.3296791956657037
+    long = codesign("simulate", "--config", CONFIG, "--rate", "20000", "--horizon", "5",
+                    "--seed", "3")
+    assert '"mean": 2.3296791956656926,' in long.stdout
 
 
 def test_roofline_csv():
-    result = codesign("roofline", "--config", CONFIG)
+    result = codesign("roofline", "--config", CONFIG, text=False)
     assert result.returncode == 0
-    lines = result.stdout.splitlines()
+    assert result.stdout == (GOLDEN / "paper_roofline.csv").read_bytes()
+    lines = result.stdout.decode().splitlines()
     assert lines[0] == "model,device,intensity,balance,class"
     assert len(lines) == 3  # two devices in the fixture
     assert lines[1].split(",")[1] == "jetson-nano"
@@ -80,8 +86,9 @@ def test_roofline_csv():
 
 def test_cost_json():
     result = codesign("cost", "--config", CONFIG, "--cut", "5",
-                      "--theta1", "conv3", "--theta2", "conv3+skip+conv1")
+                      "--theta1", "conv3", "--theta2", "conv3+skip+conv1", text=False)
     assert result.returncode == 0
+    assert result.stdout == (GOLDEN / "paper_cost.json").read_bytes()
     payload = json.loads(result.stdout)
     assert payload["schema_version"] == 1
     assert payload["t_total"] == pytest.approx(
@@ -272,6 +279,22 @@ def test_third_device_is_named(tmp_path, command):
     assert result.stderr == ("InvariantViolation: devices lists 3 devices; "
                              "a plan splits the model across exactly 2\n")
     assert result.stdout == ""
+
+
+PAPER = json.loads((FIXTURES / "paper.json").read_text())
+
+
+@pytest.mark.parametrize("command, document, message", [
+    ("plan", {"devices": []}, "MissingField: link"),
+    ("roofline", dict(PAPER, devices=PAPER["devices"][:1]),
+     "MissingField: devices (need at least a terminal and an edge device)"),
+], ids=["no-link", "one-device"])
+def test_a_config_missing_a_part_is_named(tmp_path, capsys, command, document, message):
+    # every key is read before the devices are counted
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(document))
+    assert cli.main([command, "--config", str(config)]) == 1
+    assert capsys.readouterr() == ("", message + "\n")
 
 
 def test_misspelt_key_is_named(tmp_path):
@@ -1089,13 +1112,15 @@ def test_plan_strict_and_refine_flags(tmp_path):
 
 
 def test_fuse_check_output():
-    result = codesign("fuse-check", "--seed", "9", "--trials", "5")
-    assert result.returncode == 0
-    lines = result.stdout.splitlines()
-    assert lines[0] == "strategy,trials,max_rel_error"
-    assert len(lines) == 5
-    for line in lines[1:]:
-        assert float(line.split(",")[2]) <= 1e-5
+    # over 300 seeds the worst error was 2.7e-15
+    for argv in (["--seed", "9", "--trials", "5"], ["--seed", "7"]):
+        result = codesign("fuse-check", *argv)
+        assert result.returncode == 0
+        lines = result.stdout.splitlines()
+        assert lines[0] == "strategy,trials,max_rel_error"
+        assert len(lines) == 5
+        for line in lines[1:]:
+            assert float(line.split(",")[2]) < 1e-9
 
 
 def test_convergence_lab_output():
@@ -1186,6 +1211,13 @@ def test_simulate_matches_golden_files(tmp_path):
     assert cli.main(["simulate", "--config", CONFIG, "--rate", "9000", "--horizon", "0.03",
                      "--csv", str(log), "--out", str(report)]) == 0
     assert report.read_bytes() == (GOLDEN / "paper_simulate.json").read_bytes()
+    assert log.read_bytes() == (GOLDEN / "paper_requests.csv").read_bytes()
+    # the winner named by its cut is the same simulation, here on stdout
+    log.unlink()
+    result = codesign("simulate", "--config", CONFIG, "--rate", "9000", "--horizon", "0.03",
+                      "--cut", "10", "--csv", str(log), text=False)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout == (GOLDEN / "paper_simulate.json").read_bytes()
     assert log.read_bytes() == (GOLDEN / "paper_requests.csv").read_bytes()
 
 
@@ -1296,9 +1328,13 @@ def test_write_that_fails_partway_leaves_no_file(tmp_path, argv):
     # past these the lab's memory, not its checks, would end the run
     ["convergence-lab", "--dim", "1025"],
     ["convergence-lab", "--steps", "100001"],
+    ["convergence-lab", "--dim", "100000"],
 ])
 def test_vacuous_counts_and_negative_seeds_are_usage_errors(argv):
     result = codesign(*argv)
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
-    assert f"argument {argv[-2]}: expected an integer >= " in result.stderr
+    expected = {"--trials": ">= 1", "--seed": ">= 0", "--steps": ">= 1 and <= 100000",
+                "--dim": ">= 2 and <= 1024"}[argv[-2]]
+    assert f"argument {argv[-2]}: expected an integer {expected}, got '{argv[-1]}'" in (
+        result.stderr)

@@ -207,7 +207,7 @@ def test_contraction_factor_is_the_larger_end_of_the_spectrum():
 def test_lab_seed_whose_gap_beat_the_old_bound():
     # on the numpy stream the lab once drew from, this seed's gap ratio was
     # ~0.637 per step, above the old factor 1 - eta*mu/2 ~ 0.619 but below
-    # the exact rho; CI still runs it
+    # the exact rho
     result, rows = lab_rows(seed=1028020543, dim=16, steps=200)
     assert result["violated_at"] is None
     assert all(within for *_, within in rows)
@@ -223,7 +223,7 @@ def test_lab_bound_holds_over_a_seed_range(dim):
 def test_lab_bound_holds_at_dim_2_over_a_seed_range():
     # On the numpy stream the lab once drew from, seed 189's gap near 2e-10,
     # measured as loss(w) - optimum, cancelled to noise that exceeded the
-    # bound by 1.1e-6 relative (violated_at=47); CI still runs it.
+    # bound by 1.1e-6 relative (violated_at=47).
     assert convergence.run_lab(189, 2, 200, drop)["violated_at"] is None
     violated = [seed for seed in range(300)
                 if convergence.run_lab(seed, 2, 200, drop)["violated_at"] is not None]
@@ -235,7 +235,7 @@ def test_lab_tightest_seed_of_its_dim_holds(seed, dim, step, below):
     # Over seeds 0-9999 these come closest to their bound: the smallest
     # margin (bound * (1 + 1e-9) - gap) / bound of a step above the noise
     # floor is 9.6e-10 (seed 7450, --dim 2, step 57: only the 1e-9 slack
-    # holds it) and 0.136 (seed 6048, --dim 16, step 1).  CI runs both.
+    # holds it) and 0.136 (seed 6048, --dim 16, step 1).
     result, rows = lab_rows(seed, dim, 200)
     assert result["violated_at"] is None
     assert all(within for *_, within in rows)

@@ -59,190 +59,80 @@ def test_import_codesign_loads_no_submodule():
     assert result.stdout.split() == ["['codesign']"]
 
 
-def _light_commands(tmp_path) -> list[list[str]]:
-    """Every command but fuse-check and convergence-lab, on paper.json."""
-    config = str(FIXTURES / "paper.json")
-    sim = GOLDEN / "paper_simulate.json"
-    return [
-        ["--help"],
-        ["report", "--plan", str(GOLDEN / "paper_plan.csv"), "--sim", str(sim)],
-        ["roofline", "--config", config],
-        ["cost", "--config", config, "--cut", "5", "--theta1", "conv3",
-         "--theta2", "conv3+skip+conv1"],
-        ["plan", "--config", config],
-        ["plan", "--refine", "--config", config, "--trace-out", str(tmp_path / "trace.csv")],
-        ["simulate", "--config", config, "--rate", "100", "--horizon", "1"],
-        ["simulate", "--config", config, "--rate", "100", "--horizon", "1", "--cut", "5"],
-    ]
+PAPER = str(FIXTURES / "paper.json")
+SIMULATE = ["simulate", "--config", PAPER, "--rate", "100", "--horizon", "1"]
+REPORT = ["report", "--plan", str(GOLDEN / "paper_plan.csv")]
 
+# What no light command loads: numpy and the fusion algebra, which only the
+# lab commands run; the descent, which only `plan --trace-out` reports; and
+# pathlib, numbers, dataclasses and inspect, which no command needs (the
+# last two cost ~10 ms of start-up; the records are namedtuples instead).
+LIGHT = ("numpy", "codesign.fusion", "codesign.optimizer", "pathlib", "numbers",
+         "dataclasses", "inspect")
+# argparse picks the command before its body, and the formats and modules
+# it runs, are imported: `--help` and usage errors compile none of them
+PARSER_ONLY = LIGHT + ("codesign.profiles", "codesign.cost_model", "codesign.commands",
+                       "json", "csv")
+# The lab commands draw from random.Random: numpy.random (nine extension
+# modules) and the secrets, hashlib and OpenSSL its bit generator loads
+# cost them ~6 MB of peak RSS.
+LAB = ("dataclasses", "numpy.random", "secrets", "json")
 
-def test_light_commands_do_not_import_numpy(tmp_path):
-    script = f"""
-import contextlib, io, sys
-from codesign import cli
-banned = ("numpy", "codesign.fusion")
-assert not [name for name in banned if name in sys.modules], "import codesign.cli"
-for argv in {_light_commands(tmp_path)!r}:
-    with contextlib.redirect_stdout(io.StringIO()):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    assert code == 0, (argv, code)
-    loaded = [name for name in banned if name in sys.modules]
-    assert not loaded, (argv, loaded)
-print("ok")
-"""
-    result = _run(script)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "ok\n"
-
-
-def test_light_commands_load_neither_pathlib_nor_numbers(tmp_path):
-    # no command needs either; run without site, whose .pth files may
-    # import pathlib themselves
-    src = str(Path(codesign.__file__).parent.parent)
-    script = f"""
-import contextlib, io, sys
-banned = ("pathlib", "numbers")
-assert not [name for name in banned if name in sys.modules], "python -S"
-from codesign import cli
-for argv in {_light_commands(tmp_path)!r}:
-    with contextlib.redirect_stdout(io.StringIO()):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    assert code == 0, (argv, code)
-    loaded = [name for name in banned if name in sys.modules]
-    assert not loaded, (argv, loaded)
-print("ok")
-"""
-    result = _run(script, "-S", env=dict(os.environ, PYTHONPATH=src))
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "ok\n"
-
-
-def test_the_cost_accounting_loads_neither_numpy_nor_pathlib_nor_numbers():
+# id: (a module to import, or the argv `cli.main` runs; its exit code, None
+# for an import; the modules it must not load; the modules it must load)
+LOADS = {
+    "import": ("codesign.cli", None, PARSER_ONLY, ()),
     # the layer constructors that fixtures and benchmark inputs are built
     # with are plain float arithmetic; the fusion algebra is in `fusion`
-    src = str(Path(codesign.__file__).parent.parent)
-    script = """
+    "reparam": ("codesign.reparam", None, ("numpy", "codesign.fusion", "pathlib", "numbers"),
+                ()),
+    "help": (["--help"], 0, PARSER_ONLY, ()),
+    "usage-error": (["plan"], 2, PARSER_ONLY, ()),
+    "plan": (["plan", "--config", PAPER], 0, LIGHT, ()),
+    "plan-trace": (["plan", "--refine", "--config", PAPER, "--trace-out", "{tmp}/trace.csv"], 0,
+                   tuple(name for name in LIGHT if name != "codesign.optimizer"),
+                   ("codesign.optimizer",)),
+    "cost": (["cost", "--config", PAPER, "--cut", "5", "--theta1", "conv3",
+              "--theta2", "conv3+skip+conv1"], 0, LIGHT + ("csv",), ()),
+    "roofline": (["roofline", "--config", PAPER], 0, LIGHT, ()),
+    "simulate": (SIMULATE, 0, LIGHT + ("csv",), ()),
+    "simulate-cut": ([*SIMULATE, "--cut", "5"], 0, LIGHT + ("csv",), ()),
+    "report": ([*REPORT, "--sim", str(GOLDEN / "paper_simulate.json")], 0, LIGHT, ()),
+    "report-analytical": (REPORT, 0, LIGHT, ()),
+    "convergence-lab": (["convergence-lab", "--dim", "4", "--steps", "5"], 0,
+                        LAB + ("codesign.profiles",), ("codesign.convergence",)),
+    "fuse-check": (["fuse-check", "--trials", "2"], 0, LAB, ("codesign.fusion",)),
+}
+
+LOAD_SCRIPT = """
 import sys
-banned = ("numpy", "pathlib", "numbers")
-assert not [name for name in banned if name in sys.modules], "python -S"
-import codesign.reparam
-print([name for name in banned + ("codesign.fusion",) if name in sys.modules])
-"""
-    result = _run(script, "-S", env=dict(os.environ, PYTHONPATH=src))
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
-
-
-def test_only_the_refine_trace_imports_the_optimizer(tmp_path):
-    # the grid is costed in cost_model; optimizer holds only the descent
-    # that `plan --trace-out` reports
-    config = str(FIXTURES / "paper.json")
-    commands = [
-        ["--help"],
-        ["plan", "--config", config],
-        ["simulate", "--config", config, "--rate", "100", "--horizon", "1"],
-        ["simulate", "--config", config, "--rate", "100", "--horizon", "1", "--cut", "5"],
-        ["cost", "--config", config, "--cut", "5", "--theta1", "conv3",
-         "--theta2", "conv3+skip+conv1"],
-        ["roofline", "--config", config],
-        ["report", "--plan", str(GOLDEN / "paper_plan.csv"),
-         "--sim", str(GOLDEN / "paper_simulate.json")],
-        ["plan", "--refine", "--config", config, "--trace-out", str(tmp_path / "trace.csv")],
-    ]
-    script = f"""
-import contextlib, io, sys
-from codesign import cli
-for argv in {commands!r}:
-    with contextlib.redirect_stdout(io.StringIO()):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    assert code == 0, (argv, code)
-    loaded = "codesign.optimizer" in sys.modules
-    assert loaded == ("--trace-out" in argv), (argv, loaded)
-print("ok")
-"""
-    result = _run(script)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "ok\n"
-
-
-def test_commands_do_not_import_dataclasses_or_inspect(tmp_path):
-    # both cost ~10 ms of start-up; the records are namedtuples instead.
-    # The lab commands draw from random.Random: numpy.random (nine extension
-    # modules) and the secrets, hashlib and OpenSSL its bit generator loads
-    # cost them ~6 MB of peak RSS.  Only what the interpreter loaded before
-    # codesign is exempt.
-    config = str(FIXTURES / "paper.json")
-    light = [
-        ["--help"],
-        ["plan", "--config", config],
-        ["plan", "--refine", "--config", config, "--trace-out", str(tmp_path / "trace.csv")],
-        ["cost", "--config", config, "--cut", "5", "--theta1", "conv3",
-         "--theta2", "conv3+skip+conv1"],
-        ["roofline", "--config", config],
-        ["report", "--plan", str(GOLDEN / "paper_plan.csv")],
-        ["simulate", "--config", config, "--rate", "100", "--horizon", "1"],
-    ]
-    numeric = [["fuse-check", "--trials", "2"],
-               ["convergence-lab", "--dim", "4", "--steps", "5"]]
-    script = f"""
-import contextlib, io, sys
-baseline = set(sys.modules)
-from codesign import cli
-for argv, banned in [(argv, ("dataclasses", "inspect")) for argv in {light!r}] + \\
-        [(argv, ("dataclasses", "numpy.random", "secrets")) for argv in {numeric!r}]:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    assert code == 0, (argv, code)
-    loaded = [name for name in banned if name in sys.modules and name not in baseline]
-    assert not loaded, (argv, loaded)
-print("ok")
-"""
-    result = _run(script)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "ok\n"
-
-
-PARSER_ONLY = ("codesign.profiles", "codesign.cost_model", "codesign.commands", "json", "csv")
-
-
-@pytest.mark.parametrize("argv, code, banned", [
-    (None, None, PARSER_ONLY),
-    (["--help"], 0, PARSER_ONLY),
-    (["plan"], 2, PARSER_ONLY),
-    (["convergence-lab", "--dim", "4", "--steps", "5"], 0, ("codesign.profiles", "json")),
-    (["fuse-check", "--trials", "2"], 0, ("json",)),
-    (["cost", "--config", str(FIXTURES / "paper.json"), "--cut", "5", "--theta1", "conv3",
-      "--theta2", "conv3+skip+conv1"], 0, ("csv",)),
-], ids=["import", "help", "usage-error", "convergence-lab", "fuse-check", "cost"])
-def test_the_parser_loads_no_command_and_a_command_only_what_it_runs(argv, code, banned):
-    # argparse picks the command before its body, and the formats and
-    # modules it runs, are imported: `--help` and usage errors compile none
-    # of them.  Only what the interpreter loaded before codesign is exempt.
-    script = f"""
-import contextlib, io, sys
-baseline = set(sys.modules)
-from codesign import cli
+run, banned, required = {run!r}, {banned!r}, {required!r}
+preloaded = [name for name in banned if name in sys.modules]
+assert not preloaded, ("loaded before codesign", preloaded)
 code = None
-if {argv!r} is not None:
+if isinstance(run, str):
+    __import__(run)
+else:
+    import contextlib, io
+    from codesign import cli
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            code = cli.main({argv!r})
+            code = cli.main(run)
         except SystemExit as exc:
             code = exc.code
-print(code, [name for name in {banned!r} if name in sys.modules and name not in baseline])
+print(code, [name for name in banned if name in sys.modules],
+      [name for name in required if name not in sys.modules])
 """
-    result = _run(script)
+
+
+@pytest.mark.parametrize("run, code, banned, required", LOADS.values(), ids=LOADS)
+def test_the_parser_loads_no_command_and_a_command_only_what_it_runs(tmp_path, run, code,
+                                                                    banned, required):
+    # `python -S`, with this process's sys.path: numpy is importable, but no
+    # site .pth file loads anything, so no banned module is exempt
+    if not isinstance(run, str):
+        run = [arg.format(tmp=tmp_path) for arg in run]
+    script = LOAD_SCRIPT.format(run=run, banned=banned, required=required)
+    result = _run(script, "-S", env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
     assert result.returncode == 0, result.stderr
-    assert result.stdout == f"{code} []\n"
+    assert result.stdout == f"{code} [] []\n"
