@@ -238,13 +238,12 @@ def main(argv=None) -> int:
         if args.command == "plan" and args.trace_out is not None and not args.refine:
             parser.error("plan: --trace-out needs --refine")
         out = "stdout" if args.out is None else "--out"
-        if args.command == "plan" and _one_file(args.trace_out, args.out):
-            parser.error(f"plan: --trace-out and {out} name one file")
-        if args.command == "simulate" and _one_file(args.csv, args.out):
-            parser.error(f"simulate: --csv and {out} name one file")
         given = vars(args)
         outputs = [(f"--{name.replace('_', '-')}", given[name])
                    for name in ("trace_out", "csv") if given.get(name) is not None]
+        for label, path in outputs:
+            if _one_file(path, args.out):
+                parser.error(f"{args.command}: {label} and {out} name one file")
         for label, path in [*outputs, (out, args.out)]:
             for source in ("config", "plan", "sim"):
                 if _one_file(given.get(source), path):

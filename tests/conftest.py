@@ -1,10 +1,20 @@
+"""What the tests share: the paper's inputs and goldens, the one way to run
+a command (``codesign`` as a process, ``run_main`` in this one), each
+command's smallest argv on those inputs, and the synthetic profiles.
+
+It imports no numpy: CI runs the numpy-free modules with a ``numpy`` that
+raises ``ImportError``."""
+
 from __future__ import annotations
 
+import contextlib
+import io
+import json
+import subprocess
+import sys
 from pathlib import Path
 
-import pytest
-
-from codesign import simulator
+from codesign import cli, simulator
 from codesign.profiles import (
     STRATEGY_RANK,
     AccuracyPenaltyTable,
@@ -13,27 +23,102 @@ from codesign.profiles import (
     LayerProfile,
     LinkProfile,
     ModelProfile,
+    load_device,
 )
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
+GOLDEN = Path(__file__).parent / "golden"
+CONFIG = str(FIXTURES / "paper.json")
+PLAN_CSV = str(GOLDEN / "paper_plan.csv")
+SIM_JSON = str(GOLDEN / "paper_simulate.json")
 
 S3 = FusionStrategy.CONV3
 S3_SKIP = FusionStrategy.CONV3_SKIP
 S3_1X1 = FusionStrategy.CONV3_CONV1
 FULL = FusionStrategy.CONV3_SKIP_CONV1
 
+# each command's smallest argv on the paper's inputs
+COMMANDS = {
+    "roofline": ["roofline", "--config", CONFIG],
+    "cost": ["cost", "--config", CONFIG, "--cut", "5", "--theta1", "conv3", "--theta2", "conv3"],
+    "plan": ["plan", "--config", CONFIG],
+    "fuse-check": ["fuse-check", "--trials", "2"],
+    "convergence-lab": ["convergence-lab", "--steps", "2"],
+    "simulate": ["simulate", "--config", CONFIG, "--rate", "100", "--horizon", "1"],
+    "report": ["report", "--plan", PLAN_CSV],
+}
 
-@pytest.fixture
-def fixtures_dir() -> Path:
-    return FIXTURES
+
+def argv_of(command: str, *changes: str) -> list[str]:
+    """``COMMANDS[command]`` changed by ``changes``, read as a command line:
+    an option the argv already holds takes the value after it, and every
+    other item is appended in order."""
+    argv, extra = list(COMMANDS[command]), []
+    items = iter(changes)
+    for item in items:
+        if item.startswith("--") and item in argv:
+            argv[argv.index(item) + 1] = next(items)
+        else:
+            extra.append(item)
+    return argv + extra
+
+
+def paper() -> dict:
+    """A fresh dict of ``fixtures/paper.json``, for a test to change."""
+    return json.loads(Path(CONFIG).read_text())
+
+
+def config_file(tmp_path: Path, *changes) -> str:
+    """paper.json with each (key path, value) of ``changes`` set, written to
+    ``config.json`` in ``tmp_path``."""
+    raw = paper()
+    for path, value in changes:
+        target = raw
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    return str(config)
+
+
+def codesign(*argv: str, **popen) -> subprocess.CompletedProcess:
+    """Run ``python -m codesign`` on ``argv`` to its end.  stdout and stderr
+    are captured as text unless ``popen`` says otherwise; its keywords
+    (``stdout``, ``stderr``, ``text``, ``env``, ``preexec_fn``, ``timeout``)
+    go to ``subprocess.run``."""
+    return subprocess.run([sys.executable, "-m", "codesign", *argv],
+                          **{"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "text": True,
+                             **popen})
+
+
+def run_main(*argv: str) -> tuple[int, str, str]:
+    """Run ``cli.main`` on ``argv`` in this process: its exit code, with
+    argparse's exits (``--help``, usage errors) read as theirs, and what it
+    wrote to stdout and to stderr."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def main_stdout(*argv: str) -> str:
+    """What ``run_main(*argv)`` wrote to stdout; it must exit 0 and write no
+    stderr."""
+    code, out, err = run_main(*argv)
+    assert (code, err) == (0, ""), argv
+    return out
 
 
 def nano() -> DeviceProfile:
-    return DeviceProfile("jetson-nano", 472e9, 25.6e9)
+    return load_device(FIXTURES / "jetson_nano.json")
 
 
 def nx() -> DeviceProfile:
-    return DeviceProfile("jetson-nx", 21e12, 51.2e9)
+    return load_device(FIXTURES / "jetson_nx.json")
 
 
 def uniform_layer(index: int, flops: float, data: float, activation: float) -> LayerProfile:

@@ -2,22 +2,17 @@
 subcommand run through ``cli.main`` exits 0, 1 or 2, raises nothing else,
 names its error on exit 1 and prints only finite numbers on exit 0."""
 
-import contextlib
-import io
 import math
 import re
 from pathlib import Path
 
 import pytest
 
-from codesign import cli
 from codesign.profiles import FusionStrategy
-from conftest import FIXTURES
+from conftest import CONFIG, PLAN_CSV, SIM_JSON, run_main
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
-
-GOLDEN = Path(__file__).parent / "golden"
 
 INTS = st.integers(-3, 4).map(str)
 # a dim the lab cannot allocate; no oversized --steps is drawn, because it
@@ -36,13 +31,13 @@ NAN_SIM = "nan-sim.json"    # a simulation report whose throughput is NaN
 OUTS = st.sampled_from(PATHS)
 
 
-def _inputs(real: Path, *others: str):
-    return st.sampled_from([str(real)] * len(PATHS) + PATHS + list(others))
+def _inputs(real: str, *others: str):
+    return st.sampled_from([real] * len(PATHS) + PATHS + list(others))
 
 
-CONFIGS = _inputs(FIXTURES / "paper.json")
-PLANS = _inputs(GOLDEN / "paper_plan.csv")
-SIMS = _inputs(GOLDEN / "paper_simulate.json", NAN_SIM)
+CONFIGS = _inputs(CONFIG)
+PLANS = _inputs(PLAN_CSV)
+SIMS = _inputs(SIM_JSON, NAN_SIM)
 
 FLAGS = {
     "roofline": {"--config": CONFIGS, "--out": OUTS, "--theta": STRATEGIES},
@@ -111,17 +106,12 @@ def test_any_argv_exits_0_1_or_2_with_a_named_error(workdir, command):
         out = workdir / "out"
         out.unlink(missing_ok=True)
         argv = _resolve(argv, workdir)
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:       # argparse: usage errors
-                code = exc.code
-        assert code in (0, 1, 2), (argv, code, stderr.getvalue())
+        code, stdout, stderr = run_main(*argv)
+        assert code in (0, 1, 2), (argv, code, stderr)
         if code == 1:
-            assert re.match(r"^[A-Za-z]+: ", stderr.getvalue()), (argv, stderr.getvalue())
+            assert re.match(r"^[A-Za-z]+: ", stderr), (argv, stderr)
         if code == 0:
-            _assert_finite(stdout.getvalue(), argv)
+            _assert_finite(stdout, argv)
             if out.is_file():
                 _assert_finite(out.read_text(), argv)
 

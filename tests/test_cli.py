@@ -17,19 +17,14 @@ from codesign import cli, commands, convergence, fusion
 from codesign.errors import InvalidConfig
 from codesign.profiles import FusionStrategy, load_device
 from codesign.strategy import FULL_STRUCTURE
-from conftest import FIXTURES, FULL
-
-CONFIG = str(FIXTURES / "paper.json")
-GOLDEN = Path(__file__).parent / "golden"
-
-
-def codesign(*args, env=None, timeout=None, text=True):
-    return subprocess.run([sys.executable, "-m", "codesign", *args],
-                          capture_output=True, text=text, env=env, timeout=timeout)
+from conftest import (
+    COMMANDS, CONFIG, FIXTURES, FULL, GOLDEN, PLAN_CSV, SIM_JSON, argv_of, codesign, config_file,
+    main_stdout, paper, run_main,
+)
 
 
 def test_plan_happy_path():
-    result = codesign("plan", "--config", CONFIG)
+    result = codesign(*COMMANDS["plan"])
     assert result.returncode == 0
     lines = result.stdout.splitlines()
     assert lines[0] == "model,cut,theta1,theta2,t1,t2,t3,t_total,dA,L,feasible1,feasible2"
@@ -48,33 +43,26 @@ def test_unknown_subcommand_is_usage_error():
 
 
 def test_domain_error_exit_code_and_name(tmp_path):
-    raw = json.loads((FIXTURES / "paper.json").read_text())
-    raw["link"]["bandwidth"] = -5.0
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(raw))
-    result = codesign("plan", "--config", str(bad))
+    result = codesign("plan", "--config", config_file(tmp_path, (["link", "bandwidth"], -5.0)))
     assert result.returncode == 1
     assert result.stderr.startswith("NonPositiveQuantity: link.bandwidth")
 
 
 def test_outputs_are_byte_identical_across_runs():
-    first = codesign("plan", "--config", CONFIG)
-    second = codesign("plan", "--config", CONFIG)
+    first = codesign(*COMMANDS["plan"])
+    second = codesign(*COMMANDS["plan"])
     assert first.stdout == second.stdout
-    sim1 = codesign("simulate", "--config", CONFIG, "--rate", "100",
-                    "--horizon", "20", "--seed", "3")
-    sim2 = codesign("simulate", "--config", CONFIG, "--rate", "100",
-                    "--horizon", "20", "--seed", "3")
+    sim1 = codesign(*argv_of("simulate", "--horizon", "20", "--seed", "3"))
+    sim2 = codesign(*argv_of("simulate", "--horizon", "20", "--seed", "3"))
     assert sim1.stdout == sim2.stdout
     # the mean is math.fsum's, correctly rounded: 3.10 and 3.11's sum
     # printed 2.3296791956657037
-    long = codesign("simulate", "--config", CONFIG, "--rate", "20000", "--horizon", "5",
-                    "--seed", "3")
+    long = codesign(*argv_of("simulate", "--rate", "20000", "--horizon", "5", "--seed", "3"))
     assert '"mean": 2.3296791956656926,' in long.stdout
 
 
 def test_roofline_csv():
-    result = codesign("roofline", "--config", CONFIG, text=False)
+    result = codesign(*COMMANDS["roofline"], text=False)
     assert result.returncode == 0
     assert result.stdout == (GOLDEN / "paper_roofline.csv").read_bytes()
     lines = result.stdout.decode().splitlines()
@@ -85,8 +73,7 @@ def test_roofline_csv():
 
 
 def test_cost_json():
-    result = codesign("cost", "--config", CONFIG, "--cut", "5",
-                      "--theta1", "conv3", "--theta2", "conv3+skip+conv1", text=False)
+    result = codesign(*argv_of("cost", "--theta2", "conv3+skip+conv1"), text=False)
     assert result.returncode == 0
     assert result.stdout == (GOLDEN / "paper_cost.json").read_bytes()
     payload = json.loads(result.stdout)
@@ -98,16 +85,15 @@ def test_cost_json():
 
 
 def test_cost_rejects_bad_cut():
-    result = codesign("cost", "--config", CONFIG, "--cut", "99",
-                      "--theta1", "conv3", "--theta2", "conv3")
+    result = codesign(*argv_of("cost", "--cut", "99"))
     assert result.returncode == 1
     assert result.stderr.startswith("DegenerateSplit")
 
 
 def test_simulate_json_and_csv(tmp_path):
     log = tmp_path / "requests.csv"
-    result = codesign("simulate", "--config", CONFIG, "--rate", "200",
-                      "--horizon", "10", "--seed", "1", "--csv", str(log))
+    result = codesign(*argv_of("simulate", "--rate", "200", "--horizon", "10", "--seed", "1",
+                               "--csv", str(log)))
     assert result.returncode == 0
     payload = json.loads(result.stdout)
     assert payload["schema_version"] == 1
@@ -118,15 +104,13 @@ def test_simulate_json_and_csv(tmp_path):
 
 
 def test_simulate_rejects_infinite_horizon():
-    result = codesign("simulate", "--config", CONFIG, "--rate", "100",
-                      "--horizon", "inf", timeout=60)
+    result = codesign(*argv_of("simulate", "--horizon", "inf"), timeout=60)
     assert result.returncode == 1
     assert result.stderr.startswith("InvariantViolation:")
 
 
 def test_simulate_rejects_unbounded_arrival_count():
-    result = codesign("simulate", "--config", CONFIG, "--rate", "1e20",
-                      "--horizon", "1", timeout=60)
+    result = codesign(*argv_of("simulate", "--rate", "1e20"), timeout=60)
     assert result.returncode == 1
     assert result.stderr.startswith("InvariantViolation: arrival_rate * horizon")
 
@@ -157,8 +141,8 @@ def test_simulate_csv_peak_rss_grows_as_an_unlogged_run_does(tmp_path):
     # 2e4 and 2e5 expected arrivals on paper.json's winner, which keeps up:
     # an unlogged run grows 8.0 MB, a run that kept its log grew 75.8 MB
     def growth(*extra):
-        small, large = (_peak_rss_mb("simulate", "--config", CONFIG, "--rate", "2000",
-                                     "--horizon", horizon, "--out", os.devnull, *extra)
+        small, large = (_peak_rss_mb(*argv_of("simulate", "--rate", "2000", "--horizon", horizon,
+                                              "--out", os.devnull, *extra))
                         for horizon in ("10", "100"))
         return large - small
 
@@ -173,7 +157,7 @@ def test_report_peak_rss_does_not_hold_the_rows_it_counts(tmp_path):
     large = tmp_path / "plan.csv"
     large.write_text(header + "".join(body) * 70)
     small, big = (_peak_rss_mb("report", "--plan", str(plan), "--out", os.devnull)
-                  for plan in (GOLDEN / "paper_plan.csv", large))
+                  for plan in (PLAN_CSV, large))
     assert big - small < 3.0
     assert commands.build_report(large)["candidates"] == 70 * len(body)
 
@@ -191,8 +175,8 @@ def test_simulate_csv_past_the_old_log_bound_then_unwritable_out(tmp_path):
     # once refused at; at rho ~3300 all but ~300 stay queued, so the run
     # is short.  The log is written, then --out fails and takes it with it.
     log = tmp_path / "requests.csv"
-    result = codesign("simulate", "--config", CONFIG, "--rate", "1e7", "--horizon", "0.1000001",
-                      "--csv", str(log), "--out", str(tmp_path), timeout=60)
+    result = codesign(*argv_of("simulate", "--rate", "1e7", "--horizon", "0.1000001",
+                               "--csv", str(log), "--out", str(tmp_path)), timeout=60)
     assert result.returncode == 1
     assert result.stdout == ""
     assert result.stderr == f"UnwritableOutput: {tmp_path}: Is a directory\n"
@@ -214,8 +198,7 @@ def test_simulate_interrupted_inside_the_run_leaves_no_log(tmp_path, monkeypatch
     monkeypatch.setattr(simulator, "RequestRecord", Record)
     log = tmp_path / "requests.csv"
     with pytest.raises(KeyboardInterrupt):
-        cli.main(["simulate", "--config", CONFIG, "--rate", "100", "--horizon", "10",
-                  "--csv", str(log)])
+        run_main(*argv_of("simulate", "--horizon", "10", "--csv", str(log)))
     assert len(made) == 100
     assert not log.exists()
 
@@ -230,19 +213,6 @@ def test_emit_removes_its_files_and_passes_other_exceptions_on(tmp_path):
     with pytest.raises(KeyboardInterrupt):
         cli._emit((str(first), "done\n"), (str(second), interrupted))
     assert not first.exists() and not second.exists()
-
-
-def _config_with(tmp_path, *changes):
-    """paper.json with each (key path, value) of ``changes`` set."""
-    raw = json.loads((FIXTURES / "paper.json").read_text())
-    for path, value in changes:
-        target = raw
-        for key in path[:-1]:
-            target = target[key]
-        target[path[-1]] = value
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(raw))
-    return str(config)
 
 
 NAN, INF = float("nan"), float("inf")
@@ -261,7 +231,7 @@ NAN, INF = float("nan"), float("inf")
     (["penalties", "3"], {"conv3": 1.0}, "penalties"),
 ])
 def test_bad_config_value_is_named(tmp_path, path, value, named):
-    result = codesign("plan", "--config", _config_with(tmp_path, (path, value)))
+    result = codesign("plan", "--config", config_file(tmp_path, (path, value)))
     assert result.returncode == 1
     assert result.stderr.startswith(f"InvalidConfig: {named} ")
     assert result.stdout == ""
@@ -273,7 +243,7 @@ def test_third_device_is_named(tmp_path, command):
     # device and roofline would print a row for it, so the config is refused
     devices = [json.loads((FIXTURES / f"jetson_{name}.json").read_text())
                for name in ("nano", "nx", "tx2")]
-    config = _config_with(tmp_path, (["devices"], devices))
+    config = config_file(tmp_path, (["devices"], devices))
     result = codesign(command, "--config", config)
     assert result.returncode == 1
     assert result.stderr == ("InvariantViolation: devices lists 3 devices; "
@@ -281,28 +251,23 @@ def test_third_device_is_named(tmp_path, command):
     assert result.stdout == ""
 
 
-PAPER = json.loads((FIXTURES / "paper.json").read_text())
-
-
 @pytest.mark.parametrize("command, document, message", [
     ("plan", {"devices": []}, "MissingField: link"),
-    ("roofline", dict(PAPER, devices=PAPER["devices"][:1]),
+    ("roofline", dict(paper(), devices=paper()["devices"][:1]),
      "MissingField: devices (need at least a terminal and an edge device)"),
 ], ids=["no-link", "one-device"])
-def test_a_config_missing_a_part_is_named(tmp_path, capsys, command, document, message):
+def test_a_config_missing_a_part_is_named(tmp_path, command, document, message):
     # every key is read before the devices are counted
     config = tmp_path / "config.json"
     config.write_text(json.dumps(document))
-    assert cli.main([command, "--config", str(config)]) == 1
-    assert capsys.readouterr() == ("", message + "\n")
+    assert run_main(command, "--config", str(config)) == (1, "", message + "\n")
 
 
 def test_misspelt_key_is_named(tmp_path):
     # each would fall back to its default (1.0 and 0.0) if it were ignored
-    config = _config_with(tmp_path, (["devices", 0, "utilisation"], 0.25),
-                          (["link", "fixed_latancy"], 0.5))
-    result = codesign("cost", "--config", config, "--cut", "5", "--theta1", "conv3",
-                      "--theta2", "conv3")
+    config = config_file(tmp_path, (["devices", 0, "utilisation"], 0.25),
+                         (["link", "fixed_latancy"], 0.5))
+    result = codesign(*argv_of("cost", "--config", config))
     assert result.returncode == 1
     assert result.stderr == "InvalidConfig: devices[0].utilisation is not a config key\n"
     assert result.stdout == ""
@@ -315,14 +280,11 @@ def test_misspelt_key_is_named(tmp_path):
     # utilization * peak_compute underflows to a rate of 0
     ([(["devices", 0, "peak_compute"], 5e-324), (["devices", 0, "utilization"], 0.5)], "t1"),
 ])
-@pytest.mark.parametrize("command", [
-    ["plan"],
-    ["cost", "--cut", "3", "--theta1", "conv3", "--theta2", "conv3"],
-    ["simulate", "--rate", "10", "--horizon", "1"],
-])
+# each row: a command and the changes argv_of makes to its argv
+@pytest.mark.parametrize("command", [["plan"], ["cost"], ["simulate"]])
 def test_overflowing_cost_is_named(tmp_path, changes, quantity, command):
-    config = _config_with(tmp_path, *changes)
-    result = codesign(*command, "--config", config)
+    config = config_file(tmp_path, *changes)
+    result = codesign(*argv_of(*command, "--config", config))
     assert result.returncode == 1
     assert result.stdout == ""
     # one line: the named error, and no numpy overflow warning
@@ -340,11 +302,10 @@ def _every_layer_cost(*keys, value=1e308):
 def test_overflowed_intensity_is_named_alike_by_every_command(tmp_path):
     # every FLOP and byte sum of two or more layers is inf, so the segment
     # intensities are inf/inf
-    config = _config_with(tmp_path, *_every_layer_cost("flops_by_strategy",
-                                                       "bytes_by_strategy"))
-    for command in (["plan"], ["cost", "--cut", "1", "--theta1", "conv3", "--theta2", "conv3"],
-                    ["simulate", "--rate", "10", "--horizon", "1"]):
-        result = codesign(*command, "--config", config)
+    config = config_file(tmp_path, *_every_layer_cost("flops_by_strategy",
+                                                      "bytes_by_strategy"))
+    for command in (["plan"], ["cost", "--cut", "1"], ["simulate"]):
+        result = codesign(*argv_of(*command, "--config", config))
         assert result.returncode == 1
         assert result.stdout == ""
         assert result.stderr.startswith(
@@ -354,7 +315,7 @@ def test_overflowed_intensity_is_named_alike_by_every_command(tmp_path):
 def _two_layers(flops, data):
     """paper.json's first two layers, not fusible, at ``flops`` FLOPs and
     ``data`` bytes each under every strategy."""
-    layers = json.loads((FIXTURES / "paper.json").read_text())["model"]["layers"][:2]
+    layers = paper()["model"]["layers"][:2]
     return [(["model", "layers"], [
         dict(layer, fusible=False,
              flops_by_strategy=dict.fromkeys(layer["flops_by_strategy"], flops),
@@ -367,15 +328,13 @@ def _two_layers(flops, data):
     (1e6, 1e308, "lambda_m", "byte"),
 ])
 @pytest.mark.parametrize("command", [
-    ["plan"],
-    ["cost", "--cut", "1", "--theta1", "conv3", "--theta2", "conv3"],
-    ["cost", "--cut", "1", "--theta1", "conv3", "--theta2", "conv3+skip+conv1"],
+    ["plan"], ["cost", "--cut", "1"], ["cost", "--cut", "1", "--theta2", "conv3+skip+conv1"],
 ])
 def test_overflowing_split_is_named(tmp_path, flops, data, split, unit, command):
     # each sum is finite but head + tail is inf, so c1 / (c1 + c2) would
     # print 0.0 for a split of 0.5, and an accuracy loss from one side only
-    config = _config_with(tmp_path, *_two_layers(flops, data))
-    result = codesign(*command, "--config", config)
+    config = config_file(tmp_path, *_two_layers(flops, data))
+    result = codesign(*argv_of(*command, "--config", config))
     assert result.returncode == 1
     assert result.stdout == ""
     assert result.stderr == (f"InvariantViolation: {split} divides by an inf {unit} total at "
@@ -389,7 +348,7 @@ def test_overflowing_split_is_named(tmp_path, flops, data, split, unit, command)
      "balance"),
 ])
 def test_roofline_overflow_is_named(tmp_path, changes, quantity):
-    result = codesign("roofline", "--config", _config_with(tmp_path, *changes))
+    result = codesign("roofline", "--config", config_file(tmp_path, *changes))
     assert result.returncode == 1
     assert result.stdout == ""
     assert result.stderr.startswith(f"InvariantViolation: {quantity} is inf on jetson-nano; ")
@@ -397,10 +356,10 @@ def test_roofline_overflow_is_named(tmp_path, changes, quantity):
 
 
 def test_plan_quotes_the_model_name_once(tmp_path):
-    config = _config_with(tmp_path, (["model", "name"], 'a,"b'))
+    config = config_file(tmp_path, (["model", "name"], 'a,"b'))
     plan = tmp_path / "plan.csv"
     assert codesign("plan", "--config", config, "--out", str(plan)).returncode == 0
-    golden = (GOLDEN / "paper_plan.csv").read_text().splitlines(keepends=True)
+    golden = Path(PLAN_CSV).read_text().splitlines(keepends=True)
     assert plan.read_text() == golden[0] + "".join(
         line.replace("repvgg-mini,", '"a,""b",', 1) for line in golden[1:])
     assert commands.read_plan_csv(plan)[0]["model"] == 'a,"b'
@@ -423,21 +382,21 @@ CR, NUL, SURROGATE = "a carriage return", "a NUL", "a lone surrogate"
      f"devices[0].name must not contain {SURROGATE}"),
 ], ids=["crlf", "lf", "line-separator", "form-feed", "cr", "device-cr", "nul", "device-nul",
         "surrogate", "device-surrogate"])
-def test_a_line_break_in_the_model_name_reads_back(tmp_path, capsys, key, name, refused):
+def test_a_line_break_in_the_model_name_reads_back(tmp_path, key, name, refused):
     # csv quotes the name, and the table is read with newline="", so only
     # an unquoted \r or \n ends a row.  csv.writer quotes a lone \r on
     # Python 3.13 only and cannot write a NUL on 3.10, and UTF-8 cannot
     # encode a lone surrogate, so a name holding one is refused at load.
-    config = _config_with(tmp_path, (key, name))
+    config = config_file(tmp_path, (key, name))
     plan = tmp_path / "plan.csv"
     if refused is None:
-        assert cli.main(["plan", "--config", config, "--out", str(plan)]) == 0
+        assert run_main("plan", "--config", config, "--out", str(plan)) == (0, "", "")
         winner, count = commands.read_plan_csv(plan)
         assert (winner["model"], count) == (name, 13 * 16)
         return
     for command in ("plan", "roofline"):
-        assert cli.main([command, "--config", config, "--out", str(plan)]) == 1
-        assert capsys.readouterr() == ("", f"InvalidConfig: {refused}\n")
+        assert run_main(command, "--config", config, "--out", str(plan)) == (
+            1, "", f"InvalidConfig: {refused}\n")
         assert not plan.exists()
 
 
@@ -447,7 +406,7 @@ C_LOCALE = dict(os.environ, PYTHONCOERCECLOCALE="0", LC_ALL="C", PYTHONUTF8="0")
 
 @pytest.mark.parametrize("ensure_ascii", [False, True], ids=["utf-8", "escaped"])
 def test_every_file_and_stdout_is_utf8_in_any_locale(tmp_path, ensure_ascii):
-    raw = json.loads(Path(CONFIG).read_text())
+    raw = paper()
     raw["model"]["name"] = "repvgg-mini-\u00e9"
     config = tmp_path / "config.json"
     config.write_text(json.dumps(raw, ensure_ascii=ensure_ascii), encoding="utf-8")
@@ -459,50 +418,43 @@ def test_every_file_and_stdout_is_utf8_in_any_locale(tmp_path, ensure_ascii):
     plan = tmp_path / "plan.csv"
     for env in (None, C_LOCALE):
         for command, golden in (("plan", "paper_plan.csv"), ("roofline", "paper_roofline.csv")):
-            result = subprocess.run([sys.executable, "-m", "codesign", command, "--config",
-                                     str(config)], capture_output=True, env=env)
+            result = codesign(command, "--config", str(config), env=env, text=False)
             assert (result.returncode, result.stderr, result.stdout) == (0, b"", expected(golden))
-        result = subprocess.run([sys.executable, "-m", "codesign", "plan", "--config",
-                                 str(config), "--out", str(plan)], capture_output=True, env=env)
+        result = codesign("plan", "--config", str(config), "--out", str(plan), env=env, text=False)
         assert (result.returncode, result.stderr, result.stdout) == (0, b"", b"")
         assert plan.read_bytes() == expected("paper_plan.csv")
 
 
 def test_stderr_is_utf8_in_any_locale(tmp_path):
-    raw = json.loads(Path(CONFIG).read_text())
-    raw["model"]["name"] = "repvgg-mini-\u00e9"
-    config, plan = tmp_path / "config.json", tmp_path / "plan.csv"
-    config.write_text(json.dumps(raw), encoding="utf-8")
-    assert cli.main(["plan", "--config", str(config), "--out", str(plan)]) == 0
+    config = config_file(tmp_path, (["model", "name"], "repvgg-mini-\u00e9"))
+    plan = tmp_path / "plan.csv"
+    assert run_main("plan", "--config", config, "--out", str(plan)) == (0, "", "")
     for env in (None, C_LOCALE):
-        result = subprocess.run([sys.executable, "-m", "codesign", "report", "--plan", str(plan),
-                                 "--sim", str(GOLDEN / "paper_simulate.json")],
-                                capture_output=True, env=env)
+        result = codesign("report", "--plan", str(plan), "--sim", SIM_JSON, env=env, text=False)
         assert (result.returncode, result.stdout) == (1, b"")
         assert result.stderr == ("SchemaMismatch: plan is for model 'repvgg-mini-\u00e9' but "
                                  "simulation is for 'repvgg-mini'\n").encode()
 
 
-# each command writing an output to the empty path, which names no file
-EMPTY_PATHS = {
-    "plan --out": ["plan", "--config", CONFIG, "--out", ""],
-    "plan --trace-out": ["plan", "--refine", "--config", CONFIG, "--trace-out", ""],
-    "simulate --csv": ["simulate", "--config", CONFIG, "--rate", "100", "--horizon", "1",
-                       "--csv", ""],
-    "simulate --out": ["simulate", "--config", CONFIG, "--rate", "100", "--horizon", "1",
-                       "--out", ""],
-    "roofline --out": ["roofline", "--config", CONFIG, "--out", ""],
-    "cost --out": ["cost", "--config", CONFIG, "--cut", "5", "--theta1", "conv3",
-                   "--theta2", "conv3", "--out", ""],
-    "report --out": ["report", "--plan", str(GOLDEN / "paper_plan.csv"), "--out", ""],
-}
+# every output option of a command that reads a file, by "command option":
+# the command and any flag the option needs, as argv_of reads them
+OUTPUTS = {"plan --out": ["plan"], "plan --trace-out": ["plan", "--refine"],
+           "simulate --csv": ["simulate"], "simulate --out": ["simulate"],
+           "roofline --out": ["roofline"], "cost --out": ["cost"], "report --out": ["report"]}
 
 
-@pytest.mark.parametrize("argv", EMPTY_PATHS.values(), ids=EMPTY_PATHS)
-def test_an_empty_output_path_is_a_path(tmp_path, monkeypatch, capsys, argv):
+def _writing(output: str, path: str, *changes: str) -> list[str]:
+    """The argv of ``OUTPUTS[output]`` writing that output to ``path``, then
+    changed by ``changes`` as ``argv_of`` reads them."""
+    return argv_of(*OUTPUTS[output], output.split()[1], path, *changes)
+
+
+@pytest.mark.parametrize("output", OUTPUTS)
+def test_an_empty_output_path_is_a_path(tmp_path, monkeypatch, output):
+    # the empty path names no file
     monkeypatch.chdir(tmp_path)
-    assert cli.main(argv) == 1
-    assert capsys.readouterr() == ("", "UnwritableOutput: : No such file or directory\n")
+    assert run_main(*_writing(output, "")) == (
+        1, "", "UnwritableOutput: : No such file or directory\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -521,17 +473,13 @@ def test_csv_writes_each_float_as_its_repr():
 
 def test_zero_time_link_plans_simulates_and_reports(tmp_path):
     # zero-byte activations cost the link nothing: its stage takes no time
-    raw = json.loads((FIXTURES / "paper.json").read_text())
-    for layer in raw["model"]["layers"]:
-        layer["output_activation_bytes"] = 0.0
-    config = tmp_path / "zero_link.json"
-    config.write_text(json.dumps(raw))
+    config = config_file(tmp_path, *[(["model", "layers", i, "output_activation_bytes"], 0.0)
+                                     for i in range(14)])
     plan_csv, sim_json = tmp_path / "plan.csv", tmp_path / "sim.json"
-    assert codesign("plan", "--config", str(config), "--out", str(plan_csv)).returncode == 0
+    assert codesign("plan", "--config", config, "--out", str(plan_csv)).returncode == 0
     assert commands.read_plan_csv(plan_csv)[0]["t3"] == "0.0"
     for cut in (["--cut", "5"], []):    # the winner's simulation last, for report
-        result = codesign("simulate", "--config", str(config), "--rate", "100",
-                          "--horizon", "1", *cut, "--out", str(sim_json))
+        result = codesign(*argv_of("simulate", "--config", config, *cut, "--out", str(sim_json)))
         assert result.returncode == 0, result.stderr
         assert json.loads(sim_json.read_text())["service_times"]["t3"] == 0.0
     result = codesign("report", "--plan", str(plan_csv), "--sim", str(sim_json))
@@ -542,9 +490,9 @@ def test_zero_time_link_plans_simulates_and_reports(tmp_path):
 def test_report_merges_plan_and_sim(tmp_path):
     plan_csv = tmp_path / "plan.csv"
     sim_json = tmp_path / "sim.json"
-    assert codesign("plan", "--config", CONFIG, "--out", str(plan_csv)).returncode == 0
-    assert codesign("simulate", "--config", CONFIG, "--rate", "100", "--horizon", "20",
-                    "--seed", "2", "--out", str(sim_json)).returncode == 0
+    assert codesign(*argv_of("plan", "--out", str(plan_csv))).returncode == 0
+    assert codesign(*argv_of("simulate", "--horizon", "20", "--seed", "2",
+                             "--out", str(sim_json))).returncode == 0
     result = codesign("report", "--plan", str(plan_csv), "--sim", str(sim_json))
     assert result.returncode == 0
     doc = json.loads(result.stdout)
@@ -556,7 +504,7 @@ def test_report_merges_plan_and_sim(tmp_path):
 
 def test_report_without_sim_is_analytical_only(tmp_path):
     plan_csv = tmp_path / "plan.csv"
-    codesign("plan", "--config", CONFIG, "--out", str(plan_csv))
+    codesign(*argv_of("plan", "--out", str(plan_csv)))
     result = codesign("report", "--plan", str(plan_csv))
     doc = json.loads(result.stdout)
     assert doc["analytical_only"] is True
@@ -567,7 +515,7 @@ def test_report_rejects_an_empty_sim(tmp_path):
     # leaving out --sim is the one way to ask for an analytical-only report
     empty = tmp_path / "sim.json"
     empty.write_text("{}")
-    result = codesign("report", "--plan", str(GOLDEN / "paper_plan.csv"), "--sim", str(empty))
+    result = codesign(*argv_of("report", "--sim", str(empty)))
     assert result.returncode == 1
     assert result.stdout == ""
     assert result.stderr == f"SchemaMismatch: {empty} is not a simulation report\n"
@@ -575,45 +523,38 @@ def test_report_rejects_an_empty_sim(tmp_path):
 
 def test_report_model_mismatch(tmp_path):
     plan_csv = tmp_path / "plan.csv"
-    codesign("plan", "--config", CONFIG, "--out", str(plan_csv))
+    codesign(*argv_of("plan", "--out", str(plan_csv)))
     sim_json = tmp_path / "sim.json"
-    sim = json.loads((GOLDEN / "paper_simulate.json").read_text())
+    sim = json.loads(Path(SIM_JSON).read_text())
     sim_json.write_text(json.dumps(dict(sim, model="someone-else")))
     result = codesign("report", "--plan", str(plan_csv), "--sim", str(sim_json))
     assert result.returncode == 1
     assert result.stderr.startswith("SchemaMismatch: plan is for model 'repvgg-mini'")
 
 
-def test_report_rejects_a_simulation_of_another_plan(tmp_path, capsys):
+def test_report_rejects_a_simulation_of_another_plan(tmp_path):
     # paper.json's winner is cut 10 with the full structure on both sides
     sim_json = tmp_path / "sim.json"
-    assert cli.main(["simulate", "--config", CONFIG, "--rate", "100", "--horizon", "1",
-                     "--cut", "3", "--theta1", "conv3", "--out", str(sim_json)]) == 0
-    assert cli.main(["report", "--plan", str(GOLDEN / "paper_plan.csv"),
-                     "--sim", str(sim_json)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        f"SchemaMismatch: {sim_json}: simulation is of plan "
+    assert run_main(*argv_of("simulate", "--cut", "3", "--theta1", "conv3",
+                             "--out", str(sim_json))) == (0, "", "")
+    assert run_main(*argv_of("report", "--sim", str(sim_json))) == (
+        1, "", f"SchemaMismatch: {sim_json}: simulation is of plan "
         '{"cut": 3, "theta1": "conv3", "theta2": "conv3+skip+conv1"} but the winning plan is '
         '{"cut": 10, "theta1": "conv3+skip+conv1", "theta2": "conv3+skip+conv1"}\n')
 
 
-def test_report_rejects_a_simulation_without_its_plan(tmp_path, capsys):
-    sim = json.loads((GOLDEN / "paper_simulate.json").read_text())
+def test_report_rejects_a_simulation_without_its_plan(tmp_path):
+    sim = json.loads(Path(SIM_JSON).read_text())
     del sim["plan"]
     sim_json = tmp_path / "sim.json"
     sim_json.write_text(json.dumps(sim))
-    assert cli.main(["report", "--plan", str(GOLDEN / "paper_plan.csv"),
-                     "--sim", str(sim_json)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"SchemaMismatch: {sim_json} is not a simulation report\n"
+    assert run_main(*argv_of("report", "--sim", str(sim_json))) == (
+        1, "", f"SchemaMismatch: {sim_json} is not a simulation report\n")
 
 
 def test_report_rejects_sim_that_is_not_an_object(tmp_path):
     plan_csv = tmp_path / "plan.csv"
-    codesign("plan", "--config", CONFIG, "--out", str(plan_csv))
+    codesign(*argv_of("plan", "--out", str(plan_csv)))
     sim_json = tmp_path / "sim.json"
     sim_json.write_text("5")
     result = codesign("report", "--plan", str(plan_csv), "--sim", str(sim_json))
@@ -622,47 +563,37 @@ def test_report_rejects_sim_that_is_not_an_object(tmp_path):
 
 
 @pytest.mark.parametrize("document", ["0", "null", "[]", '""', "false"])
-def test_report_rejects_falsy_sim_that_is_not_an_object(tmp_path, capsys, document):
+def test_report_rejects_falsy_sim_that_is_not_an_object(tmp_path, document):
     sim_json = tmp_path / "sim.json"
     sim_json.write_text(document)
-    assert cli.main(["report", "--plan", str(GOLDEN / "paper_plan.csv"),
-                     "--sim", str(sim_json)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"SchemaMismatch: {sim_json} is not a simulation report\n"
+    assert run_main(*argv_of("report", "--sim", str(sim_json))) == (
+        1, "", f"SchemaMismatch: {sim_json} is not a simulation report\n")
 
 
 @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400"])
-def test_report_rejects_a_sim_number_that_is_not_finite(tmp_path, capsys, number):
+def test_report_rejects_a_sim_number_that_is_not_finite(tmp_path, number):
     # json reads each of these (1e400 as inf), but printed back none is a
     # finite number
     sim_json = tmp_path / "sim.json"
     sim_json.write_text(f'{{"model": "repvgg-mini", "throughput": {number}}}')
-    assert cli.main(["report", "--plan", str(GOLDEN / "paper_plan.csv"),
-                     "--sim", str(sim_json)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"SchemaMismatch: {sim_json}: {number} is not a finite number\n"
+    assert run_main(*argv_of("report", "--sim", str(sim_json))) == (
+        1, "", f"SchemaMismatch: {sim_json}: {number} is not a finite number\n")
 
 
-@pytest.mark.parametrize("argv, source, key", [
-    (["plan", "--config"], FIXTURES / "paper.json", "lambda1"),
-    (["report", "--plan", str(GOLDEN / "paper_plan.csv"), "--sim"],
-     GOLDEN / "paper_simulate.json", "horizon"),
+@pytest.mark.parametrize("command, option, source, key", [
+    ("plan", "--config", CONFIG, "lambda1"), ("report", "--sim", SIM_JSON, "horizon"),
 ], ids=["config", "sim"])
-def test_a_repeated_key_is_named(tmp_path, capsys, argv, source, key):
+def test_a_repeated_key_is_named(tmp_path, command, option, source, key):
     # json keeps the last of a repeated key, so the first value would be
     # dropped as silently as a misspelt key's
     path = tmp_path / "dup.json"
-    path.write_text(source.read_text().replace(f'"{key}": ', f'"{key}": 5.0, "{key}": ', 1))
-    assert cli.main([*argv, str(path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"InvalidConfig: {path}: duplicate key '{key}'\n"
+    path.write_text(Path(source).read_text().replace(f'"{key}": ', f'"{key}": 5.0, "{key}": ', 1))
+    assert run_main(*argv_of(command, option, str(path))) == (
+        1, "", f"InvalidConfig: {path}: duplicate key '{key}'\n")
 
 
-@pytest.mark.parametrize("argv", [["fuse-check", "--trials", "2"],
-                                  ["convergence-lab", "--steps", "2"]], ids=lambda a: a[0])
+@pytest.mark.parametrize("argv", [COMMANDS["fuse-check"], COMMANDS["convergence-lab"]],
+                         ids=lambda a: a[0])
 def test_a_missing_numpy_is_named(tmp_path, argv):
     shadow = tmp_path / "shadow" / "numpy"
     shadow.mkdir(parents=True)
@@ -703,39 +634,32 @@ def test_a_blas_thread_count_the_user_set_stands(monkeypatch, name, value):
 
 NOT_UTF8 = b"\xff\xfe{"
 
-# every command that reads a file, ending with the option that names it
-INPUT_FILE_COMMANDS = [
-    ["plan", "--config"],
-    ["cost", "--cut", "3", "--theta1", "conv3", "--theta2", "conv3", "--config"],
-    ["simulate", "--rate", "10", "--horizon", "1", "--config"],
-    ["roofline", "--config"],
-    ["report", "--plan", str(GOLDEN / "paper_plan.csv"), "--sim"],
-    ["report", "--plan"],
-]
+# every command that reads a file, with the option that names it
+INPUT_FILE_COMMANDS = [("plan", "--config"), ("cost", "--config"), ("simulate", "--config"),
+                       ("roofline", "--config"), ("report", "--sim"), ("report", "--plan")]
 
 
 @pytest.mark.parametrize("command", INPUT_FILE_COMMANDS)
 def test_undecodable_input_file_is_named(tmp_path, command):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(NOT_UTF8)
-    result = codesign(*command, str(bad))
+    result = codesign(*argv_of(*command, str(bad)))
     assert result.returncode == 1
     assert result.stdout == ""
     assert result.stderr.startswith(f"InvalidConfig: {bad}: 'utf-8' codec can't decode")
     assert result.stderr.count("\n") == 1
 
 
-def test_report_names_a_plan_that_stops_decoding_after_its_first_read(tmp_path, capsys):
+def test_report_names_a_plan_that_stops_decoding_after_its_first_read(tmp_path):
     # the table is decoded as its rows are read: a bad byte in its last row,
     # past the first read of the file, is named as one in its first is
     header, *body = (GOLDEN / "paper_plan.csv").read_bytes().splitlines(keepends=True)
     plan = tmp_path / "plan.csv"
     plan.write_bytes(header + b"".join(body) * 70 + NOT_UTF8 + b"\n")
-    assert cli.main(["report", "--plan", str(plan)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
+    code, out, err = run_main("report", "--plan", str(plan))
+    assert (code, out) == (1, "")
     assert re.fullmatch(f"InvalidConfig: {re.escape(str(plan))}: 'utf-8' codec can't decode "
-                        f"byte 0xff in position [0-9]+: invalid start byte\n", captured.err)
+                        f"byte 0xff in position [0-9]+: invalid start byte\n", err)
 
 
 @pytest.mark.parametrize("command", INPUT_FILE_COMMANDS,
@@ -744,16 +668,14 @@ def test_report_names_a_plan_that_stops_decoding_after_its_first_read(tmp_path, 
     (None, "No such file or directory"),
     (NOT_UTF8, "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
 ], ids=["missing", "undecodable"])
-def test_input_file_error_names_the_path_as_typed(tmp_path, monkeypatch, capsys, command,
-                                                  content, reason):
+def test_input_file_error_names_the_path_as_typed(tmp_path, monkeypatch, command, content,
+                                                  reason):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "inputs").mkdir()
     if content is not None:
         (tmp_path / "inputs" / "file.json").write_bytes(content)
-    assert cli.main([*command, "./inputs//file.json"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"InvalidConfig: ./inputs//file.json: {reason}\n"
+    assert run_main(*argv_of(*command, "./inputs//file.json")) == (
+        1, "", f"InvalidConfig: ./inputs//file.json: {reason}\n")
 
 
 @pytest.mark.parametrize("option, document, message", [
@@ -763,18 +685,14 @@ def test_input_file_error_names_the_path_as_typed(tmp_path, monkeypatch, capsys,
     ("--plan", "x\n", "SchemaMismatch: {} is not a plan table (expected columns "
                       f"{commands.PLAN_COLUMNS})"),
 ], ids=["config-not-json", "sim-not-json", "sim-nan", "plan-not-a-table"])
-def test_every_error_about_a_file_names_it_as_typed(tmp_path, monkeypatch, capsys, option,
-                                                    document, message):
+def test_every_error_about_a_file_names_it_as_typed(tmp_path, monkeypatch, option, document,
+                                                    message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "inputs").mkdir()
     (tmp_path / "inputs" / "file.json").write_text(document)
-    command = {"--config": ["plan", "--config"],
-               "--sim": ["report", "--plan", str(GOLDEN / "paper_plan.csv"), "--sim"],
-               "--plan": ["report", "--plan"]}[option]
-    assert cli.main([*command, "./inputs//file.json"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == message.format("./inputs//file.json") + "\n"
+    command = "plan" if option == "--config" else "report"
+    assert run_main(*argv_of(command, option, "./inputs//file.json")) == (
+        1, "", message.format("./inputs//file.json") + "\n")
 
 
 def test_undecodable_device_file_is_named(tmp_path):
@@ -858,29 +776,26 @@ def test_the_parser_takes_the_strategies_from_their_one_definition():
                 found.setdefault(name, []).append(action.dest)
     assert found == {"roofline": ["theta"], "cost": ["theta1", "theta2"],
                      "simulate": ["theta1", "theta2"]}
-    assert parser.parse_args(["roofline", "--config", CONFIG]).theta == FULL_STRUCTURE.value
+    assert parser.parse_args(COMMANDS["roofline"]).theta == FULL_STRUCTURE.value
 
 
 @pytest.mark.parametrize("flags", [["--theta1", "conv3"], ["--theta2", "conv3+skip"]])
 def test_simulate_strategy_without_cut_is_usage_error(flags):
-    result = codesign("simulate", "--config", CONFIG, "--rate", "10", "--horizon", "1",
-                      *flags)
+    result = codesign(*COMMANDS["simulate"], *flags)
     assert result.returncode == 2
     assert result.stdout == ""
     assert "--theta1 and --theta2 need --cut" in result.stderr
 
 
 def test_simulate_cut_defaults_to_full_structure():
-    result = codesign("simulate", "--config", CONFIG, "--rate", "10", "--horizon", "1",
-                      "--cut", "3", "--theta1", "conv3")
+    result = codesign(*argv_of("simulate", "--cut", "3", "--theta1", "conv3"))
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout)["plan"] == {
         "cut": 3, "theta1": "conv3", "theta2": "conv3+skip+conv1"}
 
 
 def test_simulate_strict_with_cut_is_usage_error():
-    result = codesign("simulate", "--config", CONFIG, "--rate", "10", "--horizon", "1",
-                      "--strict", "--cut", "3")
+    result = codesign(*argv_of("simulate", "--strict", "--cut", "3"))
     assert result.returncode == 2
     assert result.stdout == ""
     assert "simulate: --strict chooses among the grid's candidates; --cut names one" in (
@@ -889,8 +804,7 @@ def test_simulate_strict_with_cut_is_usage_error():
 
 def test_simulate_strict_fails_where_plan_strict_does():
     # no candidate on paper.json is feasible on both devices
-    result = codesign("simulate", "--config", CONFIG, "--rate", "10", "--horizon", "1",
-                      "--strict")
+    result = codesign(*argv_of("simulate", "--strict"))
     assert result.returncode == 1
     assert result.stdout == ""
     assert result.stderr == "NoFeasiblePlan: every candidate violates an intensity requirement\n"
@@ -904,7 +818,7 @@ def paper_variant(index: int) -> dict:
     plan feasible on both devices, and in 390 of them it is not the
     unrestricted winner."""
     rng = random.Random(0)
-    raw = json.loads((FIXTURES / "paper.json").read_text())
+    raw = paper()
 
     def log_uniform(lo, hi):
         return math.exp(rng.uniform(math.log(lo), math.log(hi)))
@@ -921,41 +835,36 @@ def paper_variant(index: int) -> dict:
 # the first five variants whose strict winner differs from the unrestricted
 # one: in the cut, and in three of them in a strategy too
 @pytest.mark.parametrize("index", [0, 13, 17, 27, 61])
-def test_strict_plan_then_strict_simulate_then_report(tmp_path, capsys, index):
+def test_strict_plan_then_strict_simulate_then_report(tmp_path, index):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(paper_variant(index)))
     plan, sim, loose = tmp_path / "plan.csv", tmp_path / "sim.json", tmp_path / "loose.json"
-    run = ["simulate", "--config", str(config), "--rate", "100", "--horizon", "1"]
-    assert cli.main(["plan", "--strict", "--config", str(config), "--out", str(plan)]) == 0
-    assert cli.main([*run, "--strict", "--out", str(sim)]) == 0
-    assert cli.main([*run, "--out", str(loose)]) == 0
+    assert run_main("plan", "--strict", "--config", str(config), "--out", str(plan)) == (0, "", "")
+    for strict, out in ((["--strict"], sim), ([], loose)):
+        assert run_main(*argv_of("simulate", "--config", str(config), *strict,
+                                 "--out", str(out))) == (0, "", "")
     assert json.loads(sim.read_text())["plan"] != json.loads(loose.read_text())["plan"]
-    assert cli.main(["report", "--plan", str(plan), "--sim", str(sim)]) == 0
-    assert json.loads(capsys.readouterr().out)["analytical_only"] is False
+    report = main_stdout("report", "--plan", str(plan), "--sim", str(sim))
+    assert json.loads(report)["analytical_only"] is False
     # the unrestricted winner is another plan, which report names
-    assert cli.main(["report", "--plan", str(plan), "--sim", str(loose)]) == 1
-    assert capsys.readouterr().err.startswith(f"SchemaMismatch: {loose}: simulation is of plan")
+    code, out, err = run_main("report", "--plan", str(plan), "--sim", str(loose))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"SchemaMismatch: {loose}: simulation is of plan")
 
 
-def _main_json(capsys, *argv):
-    assert cli.main(list(argv)) == 0, capsys.readouterr().err
-    return json.loads(capsys.readouterr().out)
-
-
-def test_simulate_cut_runs_the_candidate_cost_prices(capsys):
+def test_simulate_cut_runs_the_candidate_cost_prices():
     # every candidate of paper.json, under each way to name it: a strategy
     # left out is the full structure
     names = [s.value for s in FusionStrategy]
     for cut in range(1, 14):
         for theta1 in names:
             for theta2 in names:
-                cost = _main_json(capsys, "cost", "--config", CONFIG, "--cut", str(cut),
-                                  "--theta1", theta1, "--theta2", theta2)
+                cost = json.loads(main_stdout(*argv_of("cost", "--cut", str(cut),
+                                                       "--theta1", theta1, "--theta2", theta2)))
                 ways1 = [["--theta1", theta1]] + [[]] * (theta1 == FULL.value)
                 ways2 = [["--theta2", theta2]] + [[]] * (theta2 == FULL.value)
                 for flags in (a + b for a in ways1 for b in ways2):
-                    sim = _main_json(capsys, "simulate", "--config", CONFIG, "--rate", "10",
-                                     "--horizon", "0.5", "--cut", str(cut), *flags)
+                    sim = json.loads(main_stdout(*argv_of("simulate", "--cut", str(cut), *flags)))
                     assert sim["plan"] == {"cut": cut, "theta1": theta1, "theta2": theta2}
                     assert sim["service_times"] == {"t1": cost["t1"], "t3": cost["t3"],
                                                     "t2": cost["t2"]}
@@ -963,7 +872,7 @@ def test_simulate_cut_runs_the_candidate_cost_prices(capsys):
 
 def test_trace_out_without_refine_is_usage_error(tmp_path):
     trace = tmp_path / "trace.csv"
-    result = codesign("plan", "--config", CONFIG, "--trace-out", str(trace))
+    result = codesign(*argv_of("plan", "--trace-out", str(trace)))
     assert result.returncode == 2
     assert result.stdout == ""
     assert "--trace-out needs --refine" in result.stderr
@@ -971,103 +880,86 @@ def test_trace_out_without_refine_is_usage_error(tmp_path):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["simulate", "--config", CONFIG, "--rate", "100", "--horizon", "1",
-      "--csv", "same.json", "--out", "same.json"], "simulate: --csv and --out name one file"),
-    (["plan", "--config", CONFIG, "--refine", "--trace-out", "same.csv", "--out", "./same.csv"],
+    (argv_of("simulate", "--csv", "same.json", "--out", "same.json"),
+     "simulate: --csv and --out name one file"),
+    (argv_of("plan", "--refine", "--trace-out", "same.csv", "--out", "./same.csv"),
      "plan: --trace-out and --out name one file"),
 ], ids=["simulate", "plan"])
-def test_two_outputs_naming_one_file_is_usage_error(argv, message, tmp_path, monkeypatch,
-                                                    capsys):
+def test_two_outputs_naming_one_file_is_usage_error(argv, message, tmp_path, monkeypatch):
     # the second output would overwrite the first; a device may take both
     monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit) as raised:
-        cli.main(argv)
-    assert raised.value.code == 2
-    output = capsys.readouterr()
-    assert output.out == ""
-    assert message in output.err
+    code, out, err = run_main(*argv)
+    assert (code, out) == (2, "")
+    assert message in err
     assert list(tmp_path.iterdir()) == []
     devnull = [os.devnull if arg.endswith(("same.json", "same.csv")) else arg for arg in argv]
-    assert cli.main(devnull) == 0
+    assert run_main(*devnull) == (0, "", "")
     assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["simulate", "--config", CONFIG, "--rate", "100", "--horizon", "1",
-      "--csv", "first", "--out", "second"], "simulate: --csv and --out name one file"),
-    (["plan", "--config", CONFIG, "--refine", "--trace-out", "first", "--out", "second"],
+    (argv_of("simulate", "--csv", "first", "--out", "second"),
+     "simulate: --csv and --out name one file"),
+    (argv_of("plan", "--refine", "--trace-out", "first", "--out", "second"),
      "plan: --trace-out and --out name one file"),
 ], ids=["simulate", "plan"])
 @pytest.mark.parametrize("link, target", [("first", "second"), ("second", "first")])
 def test_an_output_through_a_dangling_symlink_to_the_other_is_usage_error(
-        argv, message, link, target, tmp_path, monkeypatch, capsys):
+        argv, message, link, target, tmp_path, monkeypatch):
     # the link does not resolve yet, but the first write would create its
     # target, and the second write overwrite it
     monkeypatch.chdir(tmp_path)
     os.symlink(target, link)
-    with pytest.raises(SystemExit) as raised:
-        cli.main(argv)
-    assert raised.value.code == 2
-    output = capsys.readouterr()
-    assert output.out == ""
-    assert message in output.err
+    code, out, err = run_main(*argv)
+    assert (code, out) == (2, "")
+    assert message in err
     assert list(tmp_path.iterdir()) == [tmp_path / link]
 
 
 # the file each input option of a command reads
-INPUTS = {"--config": FIXTURES / "paper.json", "--plan": GOLDEN / "paper_plan.csv",
-          "--sim": GOLDEN / "paper_simulate.json"}
+INPUTS = {"--config": CONFIG, "--plan": PLAN_CSV, "--sim": SIM_JSON}
 
 
 # every output option of a command that reads a file, with each input option
-@pytest.mark.parametrize("argv, output, source", [
-    (["plan"], "--out", "--config"),
-    (["plan", "--refine"], "--trace-out", "--config"),
-    (["cost", "--cut", "5", "--theta1", "conv3", "--theta2", "conv3"], "--out", "--config"),
-    (["roofline"], "--out", "--config"),
-    (["simulate", "--rate", "100", "--horizon", "1"], "--out", "--config"),
-    (["simulate", "--rate", "100", "--horizon", "1"], "--csv", "--config"),
-    (["report", "--sim", str(INPUTS["--sim"])], "--out", "--plan"),
-    (["report", "--plan", str(INPUTS["--plan"])], "--out", "--sim"),
+@pytest.mark.parametrize("output, source", [
+    ("plan --out", "--config"), ("plan --trace-out", "--config"), ("cost --out", "--config"),
+    ("roofline --out", "--config"), ("simulate --out", "--config"),
+    ("simulate --csv", "--config"), ("report --out", "--plan"), ("report --out", "--sim"),
 ], ids=["plan-out", "plan-trace-out", "cost-out", "roofline-out", "simulate-out",
         "simulate-csv", "report-out-plan", "report-out-sim"])
 @pytest.mark.parametrize("naming", ["one-path", "hard-link", "symlink"])
-def test_an_output_naming_an_input_file_is_usage_error(argv, output, source, naming,
-                                                       tmp_path, monkeypatch, capsys):
+def test_an_output_naming_an_input_file_is_usage_error(output, source, naming, tmp_path,
+                                                       monkeypatch):
     # the write would replace the file the command reads
     monkeypatch.chdir(tmp_path)
-    original = INPUTS[source].read_bytes()
+    original = Path(INPUTS[source]).read_bytes()
     Path("input").write_bytes(original)
     target = "input" if naming == "one-path" else "output"
     if naming == "hard-link":
         os.link("input", target)
     elif naming == "symlink":
         os.symlink("input", target)
-    with pytest.raises(SystemExit) as raised:
-        cli.main([*argv, source, "input", output, target])
-    assert raised.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"{argv[0]}: {output} and {source} name one file" in captured.err
+    command, option = output.split()
+    code, out, err = run_main(*argv_of(*OUTPUTS[output], source, "input", option, target))
+    assert (code, out) == (2, "")
+    assert f"{command}: {option} and {source} name one file" in err
     assert Path("input").read_bytes() == original
     assert sorted(path.name for path in tmp_path.iterdir()) == sorted({"input", target})
 
 
 def test_a_stdout_appending_to_the_config_is_usage_error(tmp_path):
     config = tmp_path / "config.json"
-    original = INPUTS["--config"].read_bytes()
+    original = Path(CONFIG).read_bytes()
     config.write_bytes(original)
     with open(config, "a") as handle:
-        result = subprocess.run([sys.executable, "-m", "codesign", "plan", "--config",
-                                 str(config)], stdout=handle, stderr=subprocess.PIPE, text=True)
+        result = codesign("plan", "--config", str(config), stdout=handle)
     assert result.returncode == 2
     assert "plan: stdout and --config name one file" in result.stderr
     assert config.read_bytes() == original
 
 
 @pytest.mark.parametrize("argv", [
-    ["simulate", "--config", CONFIG, "--rate", "100", "--horizon", "1", "--csv"],
-    ["plan", "--config", CONFIG, "--refine", "--trace-out"],
+    [*COMMANDS["simulate"], "--csv"], [*COMMANDS["plan"], "--refine", "--trace-out"],
 ], ids=["simulate", "plan"])
 def test_an_output_naming_the_redirected_stdout_is_usage_error(argv, tmp_path):
     # the command's stdout would overwrite the output before it, however
@@ -1078,8 +970,7 @@ def test_an_output_naming_the_redirected_stdout_is_usage_error(argv, tmp_path):
     os.link(stdout, link)
     for path in ("/dev/stdout", str(stdout), str(link)):
         with open(stdout, "w") as handle:
-            result = subprocess.run([sys.executable, "-m", "codesign", *argv, path],
-                                    stdout=handle, stderr=subprocess.PIPE, text=True)
+            result = codesign(*argv, path, stdout=handle)
         assert result.returncode == 2, path
         assert f"{argv[0]}: {argv[-1]} and stdout name one file" in result.stderr
         assert stdout.read_text() == ""
@@ -1090,23 +981,22 @@ def test_an_output_naming_the_redirected_stdout_is_usage_error(argv, tmp_path):
     assert stdout.read_text() == ""
     # without the option, stdout alone is written
     with open(stdout, "w") as handle:
-        assert subprocess.run([sys.executable, "-m", "codesign", *argv[:-1]],
-                              stdout=handle).returncode == 0
+        assert codesign(*argv[:-1], stdout=handle).returncode == 0
     assert stdout.read_text() != ""
     # a stdout that is not a regular file may take both: a pipe, /dev/null
     assert codesign(*argv, "/dev/stdout").returncode == 0
     with open(os.devnull, "w") as handle:
-        assert subprocess.run([sys.executable, "-m", "codesign", *argv, "/dev/stdout"],
-                              stdout=handle).returncode == 0
+        assert codesign(*argv, "/dev/stdout", stdout=handle).returncode == 0
+
 
 def test_plan_strict_and_refine_flags(tmp_path):
     trace = tmp_path / "trace.csv"
-    result = codesign("plan", "--config", CONFIG, "--refine", "--trace-out", str(trace))
+    result = codesign(*argv_of("plan", "--refine", "--trace-out", str(trace)))
     assert result.returncode == 0
     assert trace.read_text().splitlines()[0] == "iteration,lambda,t_total"
     # strict mode on this fixture: the nx-side segment never reaches its
     # balance point, so everything is filtered out
-    result = codesign("plan", "--config", CONFIG, "--strict")
+    result = codesign(*argv_of("plan", "--strict"))
     assert result.returncode == 1
     assert result.stderr.startswith("NoFeasiblePlan")
 
@@ -1155,13 +1045,13 @@ def test_convergence_lab_prints_measured_gaps():
 @pytest.mark.parametrize("seed", [0, 5, 189])
 def test_fuse_check_and_lab_tables_print_the_reprs_of_their_results(tmp_path, seed):
     fuse, lab = tmp_path / "fuse.csv", tmp_path / "lab.csv"
-    assert cli.main(["fuse-check", "--seed", str(seed), "--trials", "7",
-                     "--out", str(fuse)]) == 0
+    assert run_main("fuse-check", "--seed", str(seed), "--trials", "7",
+                    "--out", str(fuse)) == (0, "", "")
     worst = fusion.run_equivalence_suite(seed, trials=7)
     assert fuse.read_text() == "strategy,trials,max_rel_error\n" + "".join(
         f"{strategy.value},7,{repr(err)}\n" for strategy, err in worst.items())
-    assert cli.main(["convergence-lab", "--seed", str(seed), "--dim", "8", "--steps", "40",
-                     "--out", str(lab)]) == 0
+    assert run_main("convergence-lab", "--seed", str(seed), "--dim", "8", "--steps", "40",
+                    "--out", str(lab))[:2] == (0, "")
     rows = []
     convergence.run_lab(seed, 8, 40, rows.append)
     assert lab.read_text() == "step,gap,bound,ratio,within_bound\n" + "".join(
@@ -1170,17 +1060,16 @@ def test_fuse_check_and_lab_tables_print_the_reprs_of_their_results(tmp_path, se
 
 
 def test_plan_and_trace_match_golden_files(tmp_path):
-    # golden files written by the per-candidate scalar planner, which the
-    # vectorized grid and the prefix-sum refinement replaced
+    # golden files written by the per-candidate scalar planner
     plan, trace = tmp_path / "plan.csv", tmp_path / "trace.csv"
-    assert cli.main(["plan", "--config", CONFIG, "--refine", "--trace-out", str(trace),
-                     "--out", str(plan)]) == 0
+    assert run_main(*argv_of("plan", "--refine", "--trace-out", str(trace),
+                             "--out", str(plan))) == (0, "", "")
     assert plan.read_bytes() == (GOLDEN / "paper_plan.csv").read_bytes()
     assert trace.read_bytes() == (GOLDEN / "paper_trace.csv").read_bytes()
 
 
 def test_trace_env_var_prints_stages_and_leaves_stdout_alone(tmp_path):
-    argv = ["plan", "--config", CONFIG, "--refine", "--trace-out", str(tmp_path / "trace.csv")]
+    argv = argv_of("plan", "--refine", "--trace-out", str(tmp_path / "trace.csv"))
     plain = codesign(*argv)
     traced = codesign(*argv, env=dict(os.environ, CODESIGN_TRACE="1"))
     assert plain.returncode == traced.returncode == 0
@@ -1195,8 +1084,7 @@ def test_trace_env_var_prints_stages_and_leaves_stdout_alone(tmp_path):
 def test_refine_without_trace_out_skips_the_descent():
     # the descent only yields its trace, so with nowhere to write it, it
     # does not run and the table is the plain plan's
-    traced = codesign("plan", "--config", CONFIG, "--refine",
-                      env=dict(os.environ, CODESIGN_TRACE="1"))
+    traced = codesign(*argv_of("plan", "--refine"), env=dict(os.environ, CODESIGN_TRACE="1"))
     assert traced.returncode == 0
     assert traced.stdout == (GOLDEN / "paper_plan.csv").read_text()
     lines = [json.loads(line) for line in traced.stderr.splitlines()]
@@ -1208,14 +1096,15 @@ def test_simulate_matches_golden_files(tmp_path):
     # body replaced; at rho ~3 the backlog grows, and requests are clipped
     # at both the warmup and the horizon
     report, log = tmp_path / "sim.json", tmp_path / "requests.csv"
-    assert cli.main(["simulate", "--config", CONFIG, "--rate", "9000", "--horizon", "0.03",
-                     "--csv", str(log), "--out", str(report)]) == 0
+    golden = ["--rate", "9000", "--horizon", "0.03"]
+    assert run_main(*argv_of("simulate", *golden, "--csv", str(log),
+                             "--out", str(report))) == (0, "", "")
     assert report.read_bytes() == (GOLDEN / "paper_simulate.json").read_bytes()
     assert log.read_bytes() == (GOLDEN / "paper_requests.csv").read_bytes()
     # the winner named by its cut is the same simulation, here on stdout
     log.unlink()
-    result = codesign("simulate", "--config", CONFIG, "--rate", "9000", "--horizon", "0.03",
-                      "--cut", "10", "--csv", str(log), text=False)
+    result = codesign(*argv_of("simulate", *golden, "--cut", "10", "--csv", str(log)),
+                      text=False)
     assert (result.returncode, result.stderr) == (0, b"")
     assert result.stdout == (GOLDEN / "paper_simulate.json").read_bytes()
     assert log.read_bytes() == (GOLDEN / "paper_requests.csv").read_bytes()
@@ -1223,8 +1112,7 @@ def test_simulate_matches_golden_files(tmp_path):
 
 def test_report_matches_golden_file(tmp_path):
     merged = tmp_path / "report.json"
-    assert cli.main(["report", "--plan", str(GOLDEN / "paper_plan.csv"),
-                     "--sim", str(GOLDEN / "paper_simulate.json"), "--out", str(merged)]) == 0
+    assert run_main(*argv_of("report", "--sim", SIM_JSON, "--out", str(merged))) == (0, "", "")
     assert merged.read_bytes() == (GOLDEN / "paper_report.json").read_bytes()
 
 
@@ -1247,41 +1135,29 @@ def test_help_documents_flags(command, flags):
         assert flag in result.stdout
 
 
-UNWRITABLE_OUTPUTS = {
-    "plan --out": ["plan", "--config", CONFIG, "--out", "/nonexistent/x.csv"],
-    "plan --trace-out": ["plan", "--refine", "--config", CONFIG,
-                         "--trace-out", "/nonexistent/t.csv"],
-    "simulate --csv": ["simulate", "--config", CONFIG, "--rate", "100", "--horizon", "1",
-                       "--csv", "{dir}"],
-    "roofline --out": ["roofline", "--config", CONFIG, "--out", "{dir}"],
-    "cost --out": ["cost", "--config", CONFIG, "--cut", "5", "--theta1", "conv3",
-                   "--theta2", "conv3", "--out", "{dir}"],
-    "report --out": ["report", "--plan", str(GOLDEN / "paper_plan.csv"), "--out", "{dir}"],
-}
+# outputs, each with a path it cannot be written to: a file in a missing
+# directory, or a directory
+UNWRITABLE_OUTPUTS = {"plan --out": "/nonexistent/x.csv",
+                      "plan --trace-out": "/nonexistent/t.csv", "simulate --csv": "{dir}",
+                      "roofline --out": "{dir}", "cost --out": "{dir}", "report --out": "{dir}"}
 
 
-@pytest.mark.parametrize("argv", UNWRITABLE_OUTPUTS.values(), ids=UNWRITABLE_OUTPUTS)
-def test_unwritable_output_is_named(tmp_path, argv):
-    result = codesign(*[arg.format(dir=tmp_path) for arg in argv])
+@pytest.mark.parametrize("output, path", UNWRITABLE_OUTPUTS.items(), ids=UNWRITABLE_OUTPUTS)
+def test_unwritable_output_is_named(tmp_path, output, path):
+    result = codesign(*_writing(output, path.format(dir=tmp_path)))
     assert result.returncode == 1
     assert "Traceback" not in result.stderr
     assert re.match(r"^[A-Za-z]+: ", result.stderr)
     assert result.stderr.startswith("UnwritableOutput: ")
 
 
-# commands that write two files, the second path a directory
-PARTIAL_OUTPUTS = {
-    "plan --trace-out --out": ["plan", "--refine", "--config", CONFIG,
-                               "--trace-out", "{first}", "--out", "{dir}"],
-    "simulate --csv --out": ["simulate", "--config", CONFIG, "--rate", "100", "--horizon", "1",
-                             "--csv", "{first}", "--out", "{dir}"],
-}
-
-
-@pytest.mark.parametrize("argv", PARTIAL_OUTPUTS.values(), ids=PARTIAL_OUTPUTS)
-def test_failed_second_write_leaves_no_first_file(tmp_path, argv):
+# commands that write two files: the first output, before --out
+@pytest.mark.parametrize("output", ["plan --trace-out", "simulate --csv"],
+                         ids=lambda output: f"{output} --out")
+def test_failed_second_write_leaves_no_first_file(tmp_path, output):
+    # the second path is a directory
     first = tmp_path / "first.csv"
-    result = codesign(*[arg.format(first=first, dir=tmp_path) for arg in argv])
+    result = codesign(*_writing(output, str(first), "--out", str(tmp_path)))
     assert result.returncode == 1
     assert re.match(r"^[A-Za-z]+: ", result.stderr)
     assert result.stderr.startswith(f"UnwritableOutput: {tmp_path}: ")
@@ -1294,20 +1170,15 @@ def _limit_file_size():
                        (4096, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
 
 
-# commands whose one output file outgrows a 4096-byte file size limit
-OVERSIZED_OUTPUTS = {
-    "plan --out": ["plan", "--config", CONFIG, "--out", "{file}"],
-    "simulate --csv": ["simulate", "--config", CONFIG, "--rate", "9000", "--horizon", "0.03",
-                       "--csv", "{file}"],
-}
+# commands whose one output file outgrows a 4096-byte file size limit: the
+# request log is the golden simulation's, 8868 bytes
+OVERSIZED_OUTPUTS = {"plan --out": [], "simulate --csv": ["--rate", "9000", "--horizon", "0.03"]}
 
 
-@pytest.mark.parametrize("argv", OVERSIZED_OUTPUTS.values(), ids=OVERSIZED_OUTPUTS)
-def test_write_that_fails_partway_leaves_no_file(tmp_path, argv):
+@pytest.mark.parametrize("output, changes", OVERSIZED_OUTPUTS.items(), ids=OVERSIZED_OUTPUTS)
+def test_write_that_fails_partway_leaves_no_file(tmp_path, output, changes):
     big = tmp_path / "big.csv"
-    result = subprocess.run([sys.executable, "-m", "codesign",
-                             *[arg.format(file=big) for arg in argv]],
-                            capture_output=True, text=True, preexec_fn=_limit_file_size)
+    result = codesign(*_writing(output, str(big), *changes), preexec_fn=_limit_file_size)
     assert result.returncode == 1
     assert result.stderr == f"UnwritableOutput: {big}: File too large\n"
     assert result.stdout == ""
@@ -1324,7 +1195,7 @@ def test_write_that_fails_partway_leaves_no_file(tmp_path, argv):
     ["convergence-lab", "--dim", "-1"],
     ["convergence-lab", "--dim", "1"],
     # random.Random seeds with abs(), so -1 would silently run as seed 1
-    ["simulate", "--config", CONFIG, "--rate", "100", "--horizon", "1", "--seed", "-1"],
+    [*COMMANDS["simulate"], "--seed", "-1"],
     # past these the lab's memory, not its checks, would end the run
     ["convergence-lab", "--dim", "1025"],
     ["convergence-lab", "--steps", "100001"],

@@ -2,8 +2,6 @@
 either loads into a Config whose numbers are all finite and which plans to
 finite costs, or raises a domain error."""
 
-import copy
-import json
 import math
 import warnings
 
@@ -12,12 +10,10 @@ import pytest
 from codesign.cost_model import COST_FIELDS, ROW_FIELDS, evaluate_grid
 from codesign.errors import CodesignError
 from codesign.profiles import Config, config_from_dict, config_to_dict
-from conftest import FIXTURES
+from conftest import paper
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
-
-PAPER = json.loads((FIXTURES / "paper.json").read_text())
 
 
 def _children(node):
@@ -42,7 +38,7 @@ def _leaves(node):
         yield from _leaves(child)
 
 
-PATHS = list(_paths(PAPER))
+PATHS = list(_paths(paper()))
 KEYS = sorted({key for path in PATHS for key in path if isinstance(key, str)})
 
 # Arbitrary JSON, including NaN, Infinity, bools, huge integers and strings;
@@ -63,7 +59,7 @@ JSON = st.recursive(
 @hypothesis.example(path=("devices", 0, "peak_compute"), value=1e-320)
 @hypothesis.example(path=("lambda1",), value=1e308)
 def test_fuzzed_config_loads_finite_or_raises_domain_error(path, value):
-    raw = copy.deepcopy(PAPER)
+    raw = paper()
     if path:
         parent = raw
         for key in path[:-1]:

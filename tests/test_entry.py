@@ -5,24 +5,18 @@ stdout that cannot be written; a stderr that is closed or full changes
 neither stdout nor the exit code.  ``cli.main`` leaves the collector as it
 found it."""
 
-import contextlib
 import gc
-import io
 import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from codesign import cli
 from codesign.profiles import ModelProfile, config_to_dict, load_config
 from codesign.reparam import rep_block_layer
-from conftest import FIXTURES
-
-CONFIG = str(FIXTURES / "paper.json")
-GOLDEN = Path(__file__).parent / "golden"
+from conftest import COMMANDS, CONFIG, GOLDEN, SIM_JSON, argv_of, codesign, config_file, run_main
 
 # `python -m codesign` with a probe that records, in the file PROBE_OUT
 # names, whether the collector is on before the entry runs and while
@@ -50,14 +44,6 @@ runpy.run_module("codesign", run_name="__main__", alter_sys=True)
 """
 
 
-def _bad_config(tmp_path) -> str:
-    raw = json.loads(Path(CONFIG).read_text())
-    raw["link"]["bandwidth"] = -5.0
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(raw))
-    return str(bad)
-
-
 def _env(**changes) -> dict:
     env = dict(os.environ, COLUMNS="80")
     for key, value in changes.items():
@@ -68,9 +54,10 @@ def _env(**changes) -> dict:
     return env
 
 
+# "{bad}" is a config whose link bandwidth is negative
 EXIT_PATHS = {
-    "plan": (["plan", "--config", CONFIG], 0),
-    "domain error": (["plan", "--config", "{bad}"], 1),
+    "plan": (COMMANDS["plan"], 0),
+    "domain error": (argv_of("plan", "--config", "{bad}"), 1),
     "usage error": (["plan"], 2),
     "--help": (["--help"], 0),
 }
@@ -79,10 +66,10 @@ EXIT_PATHS = {
 @pytest.mark.parametrize("argv, code", EXIT_PATHS.values(), ids=EXIT_PATHS)
 def test_entry_runs_collector_off_and_skips_teardown_on_every_exit_path(tmp_path, monkeypatch,
                                                                          argv, code):
-    argv = [arg.format(bad=_bad_config(tmp_path)) for arg in argv]
+    bad = config_file(tmp_path, (["link", "bandwidth"], -5.0))
+    argv = [arg.format(bad=bad) for arg in argv]
     probe = tmp_path / "probe.txt"
-    plain = subprocess.run([sys.executable, "-m", "codesign", *argv],
-                           capture_output=True, env=_env())
+    plain = codesign(*argv, env=_env(), text=False)
     probed = subprocess.run([sys.executable, "-c", PROBE, *argv],
                             capture_output=True, env=_env(PROBE_OUT=str(probe)))
     assert plain.returncode == probed.returncode == code
@@ -104,16 +91,11 @@ def test_entry_runs_collector_off_and_skips_teardown_on_every_exit_path(tmp_path
 
 
 def test_main_leaves_the_collector_as_it_was(tmp_path):
-    argvs = [["plan", "--config", CONFIG], ["plan", "--config", _bad_config(tmp_path)],
-             ["plan"], ["--help"]]
+    bad = config_file(tmp_path, (["link", "bandwidth"], -5.0))
+    argvs = [COMMANDS["plan"], argv_of("plan", "--config", bad), ["plan"], ["--help"]]
     enabled, frozen = gc.isenabled(), gc.get_freeze_count()
     for argv in argvs:
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
-            try:
-                cli.main(argv)
-            except SystemExit:
-                pass
+        run_main(*argv)
         assert gc.isenabled() == enabled, argv
         assert gc.get_freeze_count() == frozen, argv
 
@@ -133,8 +115,8 @@ WORK_SIZES = {
     "fuse-check": lambda tmp: [["fuse-check", "--trials", n] for n in ("2", "50")],
     "convergence-lab": lambda tmp: [["convergence-lab", "--steps", n] for n in ("10", "2000")],
     "simulate --csv": lambda tmp: [
-        ["simulate", "--config", CONFIG, "--rate", "2000", "--horizon", h,
-         "--csv", str(tmp / "requests.csv")] for h in ("0.05", "5")],
+        argv_of("simulate", "--rate", "2000", "--horizon", h, "--csv", str(tmp / "requests.csv"))
+        for h in ("0.05", "5")],
     "plan": lambda tmp: [["plan", "--refine", "--config", _rep_config(tmp, depth),
                           "--trace-out", str(tmp / "trace.csv")] for depth in (56, 224)],
 }
@@ -147,9 +129,7 @@ def test_cyclic_garbage_does_not_grow_with_work(tmp_path, sizes):
     small, large = sizes(tmp_path)
 
     def garbage(argv) -> int:
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
-            assert cli.main(argv) == 0, argv
+        assert run_main(*argv)[0] == 0, argv
         return gc.collect()
 
     enabled = gc.isenabled()
@@ -179,8 +159,8 @@ def _assert_named_stdout_error(result, reason="No space left on device"):
 @needs_dev_full
 @pytest.mark.parametrize("unbuffered", BUFFERING.values(), ids=BUFFERING)
 @pytest.mark.parametrize("argv", [
-    ["roofline", "--config", CONFIG],
-    ["plan", "--config", CONFIG],
+    COMMANDS["roofline"],
+    COMMANDS["plan"],
     ["--help"],
     ["plan", "--help"],
     # a table written row by row, which passes the 8 KB buffer partway
@@ -188,8 +168,7 @@ def _assert_named_stdout_error(result, reason="No space left on device"):
 ])
 def test_full_stdout_is_named(argv, unbuffered):
     with open("/dev/full", "wb") as full:
-        result = subprocess.run([sys.executable, "-m", "codesign", *argv], stdout=full,
-                                stderr=subprocess.PIPE, env=_env(PYTHONUNBUFFERED=unbuffered))
+        result = codesign(*argv, stdout=full, env=_env(PYTHONUNBUFFERED=unbuffered), text=False)
     _assert_named_stdout_error(result)
 
 
@@ -198,8 +177,7 @@ def test_help_that_stays_in_the_buffer_is_named():
     # the help goes through ``cli._emit``, whose flush fails here; argparse's
     # own write would drop the error
     with open("/dev/full", "wb") as full:
-        result = subprocess.run([sys.executable, "-m", "codesign", "--help"], stdout=full,
-                                stderr=subprocess.PIPE, env=_env(PYTHONUNBUFFERED=None))
+        result = codesign("--help", stdout=full, env=_env(PYTHONUNBUFFERED=None), text=False)
     _assert_named_stdout_error(result)
 
 
@@ -210,9 +188,8 @@ def test_broken_pipe_is_named(tmp_path, unbuffered):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        result = subprocess.run([sys.executable, "-m", "codesign", "plan", "--config", config],
-                                stdout=write_end, stderr=subprocess.PIPE,
-                                env=_env(PYTHONUNBUFFERED=unbuffered))
+        result = codesign("plan", "--config", config, stdout=write_end,
+                          env=_env(PYTHONUNBUFFERED=unbuffered), text=False)
     finally:
         os.close(write_end)
     _assert_named_stdout_error(result, "Broken pipe")
@@ -223,10 +200,8 @@ def test_broken_pipe_is_named(tmp_path, unbuffered):
 def test_failed_stdout_removes_the_files_already_written(tmp_path, unbuffered):
     log = tmp_path / "requests.csv"
     with open("/dev/full", "wb") as full:
-        result = subprocess.run(
-            [sys.executable, "-m", "codesign", "simulate", "--config", CONFIG, "--rate", "100",
-             "--horizon", "1", "--csv", str(log)],
-            stdout=full, stderr=subprocess.PIPE, env=_env(PYTHONUNBUFFERED=unbuffered))
+        result = codesign(*argv_of("simulate", "--csv", str(log)), stdout=full,
+                          env=_env(PYTHONUNBUFFERED=unbuffered), text=False)
     _assert_named_stdout_error(result)
     assert not log.exists()
 
@@ -237,11 +212,10 @@ def _close_stdout():
 
 # commands that write stdout; the simulate --csv log goes with the failure
 STDOUT_WRITERS = {
-    "plan": ["plan", "--config", CONFIG],
-    "roofline": ["roofline", "--config", CONFIG],
-    "simulate --csv": ["simulate", "--config", CONFIG, "--rate", "100", "--horizon", "1",
-                       "--csv", "{dir}/requests.csv"],
-    "report": ["report", "--plan", str(GOLDEN / "paper_plan.csv")],
+    "plan": COMMANDS["plan"],
+    "roofline": COMMANDS["roofline"],
+    "simulate --csv": argv_of("simulate", "--csv", "{dir}/requests.csv"),
+    "report": COMMANDS["report"],
     "--help": ["--help"],
 }
 
@@ -249,24 +223,21 @@ STDOUT_WRITERS = {
 @pytest.mark.parametrize("argv", STDOUT_WRITERS.values(), ids=STDOUT_WRITERS)
 def test_closed_stdout_is_named(tmp_path, argv):
     # as `codesign ... >&-`: the process starts without a stdout
-    result = subprocess.run([sys.executable, "-m", "codesign",
-                             *[arg.format(dir=tmp_path) for arg in argv]],
-                            stderr=subprocess.PIPE, preexec_fn=_close_stdout, env=_env())
+    result = codesign(*[arg.format(dir=tmp_path) for arg in argv], preexec_fn=_close_stdout,
+                      env=_env(), text=False)
     assert result.returncode == 1
     assert result.stderr == b"UnwritableOutput: <stdout>: Bad file descriptor\n"
     assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv, golden", [
-    (["plan", "--config", CONFIG, "--out", "{out}"], "paper_plan.csv"),
-    (["report", "--plan", str(GOLDEN / "paper_plan.csv"), "--sim",
-      str(GOLDEN / "paper_simulate.json"), "--out", "{out}"], "paper_report.json"),
+    (argv_of("plan", "--out", "{out}"), "paper_plan.csv"),
+    (argv_of("report", "--sim", SIM_JSON, "--out", "{out}"), "paper_report.json"),
 ], ids=["plan", "report"])
 def test_closed_stdout_is_not_needed_by_out(tmp_path, argv, golden):
     out = tmp_path / "out"
-    result = subprocess.run([sys.executable, "-m", "codesign",
-                             *[arg.format(out=out) for arg in argv]],
-                            stderr=subprocess.PIPE, preexec_fn=_close_stdout, env=_env())
+    result = codesign(*[arg.format(out=out) for arg in argv], preexec_fn=_close_stdout,
+                      env=_env(), text=False)
     assert (result.returncode, result.stderr) == (0, b"")
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
@@ -282,9 +253,8 @@ def _close_stderr():
 def test_closed_stderr_is_not_needed_by_out(tmp_path):
     # as `codesign plan --out ... 2>&-`: the process starts without a stderr
     out = tmp_path / "plan.csv"
-    result = subprocess.run([sys.executable, "-m", "codesign", "plan", "--config", CONFIG,
-                             "--out", str(out)], stdout=subprocess.PIPE,
-                            preexec_fn=_close_stderr, env=_env())
+    result = codesign(*argv_of("plan", "--out", str(out)), preexec_fn=_close_stderr, env=_env(),
+                      text=False)
     assert (result.returncode, result.stdout) == (0, b"")
     assert out.read_bytes() == (GOLDEN / "paper_plan.csv").read_bytes()
 
@@ -292,21 +262,17 @@ def test_closed_stderr_is_not_needed_by_out(tmp_path):
 # (argv, environment changes, exit code, stdout: a golden file, "" for none,
 # or None for what the command prints with stderr open)
 WITHOUT_STDERR = {
-    "plan traced": (["plan", "--config", CONFIG], {"CODESIGN_TRACE": "1"}, 0, "paper_plan.csv"),
-    "missing config": (["plan", "--config", "missing.json"], {}, 1, ""),
+    "plan traced": (COMMANDS["plan"], {"CODESIGN_TRACE": "1"}, 0, "paper_plan.csv"),
+    "missing config": (argv_of("plan", "--config", "missing.json"), {}, 1, ""),
     "usage error": (["plan"], {}, 2, ""),
-    "convergence-lab": (["convergence-lab", "--steps", "40"], {}, 0, None),
+    "convergence-lab": (COMMANDS["convergence-lab"], {}, 0, None),
 }
-
-
-def _run(argv, changes, **stderr):
-    return subprocess.run([sys.executable, "-m", "codesign", *argv], stdout=subprocess.PIPE,
-                          env=_env(**changes), **stderr)
 
 
 def _assert_stdout_and_code_unchanged(result, argv, changes, code, stdout):
     if stdout is None:
-        stdout = _run(argv, changes, stderr=subprocess.DEVNULL).stdout
+        stdout = codesign(*argv, stderr=subprocess.DEVNULL, env=_env(**changes),
+                          text=False).stdout
         assert stdout.startswith(b"step,gap,bound,ratio,within_bound\n")
     else:
         stdout = (GOLDEN / stdout).read_bytes() if stdout else b""
@@ -317,7 +283,7 @@ def _assert_stdout_and_code_unchanged(result, argv, changes, code, stdout):
                          ids=WITHOUT_STDERR)
 def test_closed_stderr_changes_no_stdout_or_exit_code(argv, changes, code, stdout):
     # diagnostics go nowhere, not to stdout
-    result = _run(argv, changes, preexec_fn=_close_stderr)
+    result = codesign(*argv, preexec_fn=_close_stderr, env=_env(**changes), text=False)
     _assert_stdout_and_code_unchanged(result, argv, changes, code, stdout)
 
 
@@ -326,5 +292,5 @@ def test_closed_stderr_changes_no_stdout_or_exit_code(argv, changes, code, stdou
                          ids=WITHOUT_STDERR)
 def test_full_stderr_changes_no_stdout_or_exit_code(argv, changes, code, stdout):
     with open("/dev/full", "wb") as full:
-        result = _run(argv, changes, stderr=full)
+        result = codesign(*argv, stderr=full, env=_env(**changes), text=False)
     _assert_stdout_and_code_unchanged(result, argv, changes, code, stdout)

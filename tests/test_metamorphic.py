@@ -31,11 +31,10 @@ import random
 
 import pytest
 
-from codesign import cli
 from codesign.cost_model import ROW_FIELDS, evaluate_grid
 from codesign.profiles import Config, ModelProfile, config_to_dict, load_config, load_device
 from codesign.reparam import plain_conv_layer, rep_block_layer
-from conftest import FIXTURES
+from conftest import CONFIG, FIXTURES, argv_of, main_stdout
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -43,7 +42,6 @@ st = hypothesis.strategies
 K_RANGE = (-300, 300)
 TIMES = ("lagrangian", "t_total", "t1", "t2", "t3")
 TIME_COLUMNS = [ROW_FIELDS.index(name) for name in TIMES]
-PAPER = load_config(FIXTURES / "paper.json")
 
 
 def rep_stack(seed: int, blocks: int) -> Config:
@@ -61,15 +59,16 @@ def rep_stack(seed: int, blocks: int) -> Config:
     layers.append(plain_conv_layer(len(layers), 2 * width, 4 * width, 1, 1, kernel=8,
                                    in_height=8, in_width=8))
     boards = rng.sample(["jetson_nano", "jetson_tx1", "jetson_tx2", "jetson_nx"], 2)
+    paper = load_config(CONFIG)
     d1, d2 = (load_device(FIXTURES / f"{board}.json")._replace(
         utilization=rng.uniform(0.5, 1.0)) for board in boards)
-    link = PAPER.link._replace(bandwidth=10 ** rng.uniform(6, 9),
+    link = paper.link._replace(bandwidth=10 ** rng.uniform(6, 9),
                                fixed_latency=rng.uniform(0.0, 1e-3))
     return Config(d1, d2, link, ModelProfile(f"rep-stack-{seed}", tuple(layers)),
-                  PAPER.penalties, 10 ** rng.uniform(-5, -2))
+                  paper.penalties, 10 ** rng.uniform(-5, -2))
 
 
-CONFIGS = [PAPER, rep_stack(1, 10), rep_stack(2, 30), rep_stack(3, 52)]
+CONFIGS = [load_config(CONFIG), rep_stack(1, 10), rep_stack(2, 30), rep_stack(3, 52)]
 
 
 def grid(config: Config) -> list[tuple]:
@@ -115,7 +114,7 @@ def test_the_configs_stay_in_the_range_the_scaling_needs(config):
 
 @hypothesis.settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @hypothesis.given(config=st.sampled_from(CONFIGS), k=st.integers(*K_RANGE))
-@hypothesis.example(config=PAPER, k=K_RANGE[0])
+@hypothesis.example(config=CONFIGS[0], k=K_RANGE[0])
 @hypothesis.example(config=CONFIGS[-1], k=K_RANGE[1])
 def test_scaling_by_a_power_of_two_divides_every_time_exactly(config, k):
     base, rows = grid(config), grid(scaled(config, k))
@@ -125,11 +124,6 @@ def test_scaling_by_a_power_of_two_divides_every_time_exactly(config, k):
         for i in TIME_COLUMNS:
             expected[i] = math.ldexp(old[i], -k)
         assert new == tuple(expected)
-
-
-def _run(capsys, *argv) -> str:
-    assert cli.main(list(argv)) == 0, capsys.readouterr().err
-    return capsys.readouterr().out
 
 
 def _write(path, config: Config) -> str:
@@ -153,17 +147,18 @@ OUTPUT_TIMES = ("t1", "t2", "t3", "t_total", "L")
 
 
 @pytest.mark.parametrize("k", [K_RANGE[0], -20, 1, 30, K_RANGE[1]])
-@pytest.mark.parametrize("config", [PAPER, CONFIGS[2]], ids=lambda config: config.model.name)
-def test_scaling_holds_through_plan_cost_and_simulate(tmp_path, capsys, config, k):
+@pytest.mark.parametrize("config", [CONFIGS[0], CONFIGS[2]], ids=lambda config: config.model.name)
+def test_scaling_holds_through_plan_cost_and_simulate(tmp_path, config, k):
     paths = _write(tmp_path / "base.json", config), _write(tmp_path / "scaled.json",
                                                             scaled(config, k))
 
-    base, other = (_plan_rows(_run(capsys, "plan", "--config", path)) for path in paths)
+    base, other = (_plan_rows(main_stdout("plan", "--config", path)) for path in paths)
     assert other == [{key: repr(math.ldexp(float(value), -k)) if key in OUTPUT_TIMES else value
                       for key, value in row.items()} for row in base]
 
-    cut = ["--cut", "3", "--theta1", "conv3", "--theta2", "conv3+skip"]
-    base, other = (json.loads(_run(capsys, "cost", "--config", path, *cut)) for path in paths)
+    cut = ["--cut", "3", "--theta2", "conv3+skip"]
+    base, other = (json.loads(main_stdout(*argv_of("cost", "--config", path, *cut)))
+                   for path in paths)
     assert other == {key: _times(value, -k) if key in OUTPUT_TIMES else value
                      for key, value in base.items()}
 
@@ -171,9 +166,9 @@ def test_scaling_holds_through_plan_cost_and_simulate(tmp_path, capsys, config, 
     # draws, each inter-arrival time divided by 2^k
     exponents = {"service_times": -k, "response_time": -k, "horizon": -k,
                  "arrival_rate": k, "throughput": k}
-    base, other = (json.loads(_run(capsys, "simulate", "--config", path, "--seed", "4",
-                                   "--rate", repr(math.ldexp(5000.0, j)),
-                                   "--horizon", repr(math.ldexp(0.05, -j))))
+    base, other = (json.loads(main_stdout(*argv_of("simulate", "--config", path, "--seed", "4",
+                                                   "--rate", repr(math.ldexp(5000.0, j)),
+                                                   "--horizon", repr(math.ldexp(0.05, -j)))))
                    for path, j in zip(paths, (0, k)))
     assert base["arrivals"] > 100
     assert other == {key: _times(value, exponents[key]) if key in exponents else value
@@ -192,22 +187,22 @@ def test_halving_utilization_is_halving_both_roofs(config, device, halvings):
     assert grid(derated) == grid(slower)
 
 
-@pytest.mark.parametrize("config", [PAPER, CONFIGS[1]], ids=lambda config: config.model.name)
-def test_renaming_changes_no_number(tmp_path, capsys, config):
+@pytest.mark.parametrize("config", CONFIGS[:2], ids=lambda config: config.model.name)
+def test_renaming_changes_no_number(tmp_path, config):
     names = (config.model.name, config.device1.name, config.device2.name)
     renamed = config._replace(model=config.model._replace(name="renamed-model"),
                               device1=config.device1._replace(name="renamed-terminal"),
                               device2=config.device2._replace(name="renamed-edge"))
     assert grid(renamed) == grid(config)
-    commands = (["plan"], ["roofline"], ["cost", "--cut", "2", "--theta1", "conv3",
-                                         "--theta2", "conv3"],
+    commands = (["plan"], ["roofline"], ["cost", "--cut", "2"],
                 ["simulate", "--rate", "2000", "--horizon", "0.1"])
-    for argv in commands:
-        base = _run(capsys, *argv, "--config", _write(tmp_path / "base.json", config))
-        other = _run(capsys, *argv, "--config", _write(tmp_path / "renamed.json", renamed))
+    for command in commands:
+        base = main_stdout(*argv_of(*command, "--config", _write(tmp_path / "base.json", config)))
+        other = main_stdout(*argv_of(*command, "--config",
+                                     _write(tmp_path / "renamed.json", renamed)))
         for old, new in zip(names, ("renamed-model", "renamed-terminal", "renamed-edge")):
             other = other.replace(new, old)
-        assert other == base, argv[0]
+        assert other == base, command[0]
 
 
 def _winner(config: Config) -> float:

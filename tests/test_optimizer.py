@@ -16,7 +16,7 @@ from codesign.profiles import (
 )
 
 from conftest import (
-    FIXTURES,
+    CONFIG,
     FULL,
     S3,
     S3_1X1,
@@ -228,7 +228,9 @@ def assert_grid_agrees_with_scalar(model, d1, d2, link, table, lambda1):
     assert cost_model.grid_search(model, d1, d2, link, table, lambda1) == best
 
 
-def test_vectorized_grid_matches_scalar_on_random_models():
+def random_grid_cases():
+    """24 seeded (model, d1, d2, link, table, lambda1) cases of 2-40 layers;
+    every third model's costs are scaled by a non-integer factor."""
     rng = np.random.default_rng(63)
     for case in range(24):
         model = random_model(rng, int(rng.integers(2, 41)))
@@ -237,11 +239,15 @@ def test_vectorized_grid_matches_scalar_on_random_models():
         d1, d2 = random_device(rng, "a"), random_device(rng, "b")
         link = simple_link(float(rng.uniform(1e6, 1e9)), float(rng.choice([0.0, 1e-3])))
         table = random_table(rng) if case % 2 else zero_table()
-        assert_grid_agrees_with_scalar(model, d1, d2, link, table,
-                                       float(rng.choice([0.0, 0.01, 1.0])))
+        yield model, d1, d2, link, table, float(rng.choice([0.0, 0.01, 1.0]))
 
 
-def test_vectorized_grid_matches_scalar_under_ties():
+def test_grid_rows_equal_evaluate_plan_on_random_models():
+    for case in random_grid_cases():
+        assert_grid_agrees_with_scalar(*case)
+
+
+def test_grid_rows_equal_evaluate_plan_under_ties():
     rng = np.random.default_rng(64)
     d = DeviceProfile("d", 1e12, 1e10)
     for n_layers in (2, 3, 7, 12):
@@ -251,8 +257,8 @@ def test_vectorized_grid_matches_scalar_under_ties():
             assert_grid_agrees_with_scalar(model, d, d, simple_link(), random_table(rng), 0.01)
 
 
-def test_vectorized_grid_matches_scalar_on_paper_config():
-    config = load_config(FIXTURES / "paper.json")
+def test_grid_rows_equal_evaluate_plan_on_paper_config():
+    config = load_config(CONFIG)
     assert_grid_agrees_with_scalar(config.model, config.device1, config.device2,
                                    config.link, config.penalties, config.lambda1)
 
@@ -302,21 +308,8 @@ def numpy_sweep(model, d1, d2, link, table, lambda1):
             for name, value in columns.items()}
 
 
-def random_grid_cases():
-    """The 24 cases of test_vectorized_grid_matches_scalar_on_random_models."""
-    rng = np.random.default_rng(63)
-    for case in range(24):
-        model = random_model(rng, int(rng.integers(2, 41)))
-        if case % 3 == 2:
-            model = scaled_model(model, float(rng.uniform(0.1, 3.0)))
-        d1, d2 = random_device(rng, "a"), random_device(rng, "b")
-        link = simple_link(float(rng.uniform(1e6, 1e9)), float(rng.choice([0.0, 1e-3])))
-        table = random_table(rng) if case % 2 else zero_table()
-        yield model, d1, d2, link, table, float(rng.choice([0.0, 0.01, 1.0]))
-
-
 def sweep_cases():
-    config = load_config(FIXTURES / "paper.json")
+    config = load_config(CONFIG)
     yield (config.model, config.device1, config.device2, config.link, config.penalties,
            config.lambda1)
     yield from random_grid_cases()
@@ -336,7 +329,7 @@ def test_sweep_bit_identical_to_numpy_sweep():
 
 
 def test_grid_columns_and_rows_agree():
-    config = load_config(FIXTURES / "paper.json")
+    config = load_config(CONFIG)
     rows = sorted(cost_model.evaluate_grid(config.model, config.device1, config.device2,
                                            config.link, config.penalties, config.lambda1))
     assert len(rows) == 13 * 16
@@ -479,7 +472,7 @@ def rep_stack(n_layers, seed):
 @pytest.mark.parametrize("case", ["paper", "rep224"])
 def test_refine_trace_bit_identical_to_reference(case):
     if case == "paper":
-        config = load_config(FIXTURES / "paper.json")
+        config = load_config(CONFIG)
         model, d1, d2, link = config.model, config.device1, config.device2, config.link
         table, lambda1 = config.penalties, config.lambda1
     else:

@@ -4,14 +4,11 @@ commands that never need numpy never load it."""
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import codesign
-from conftest import FIXTURES
-
-GOLDEN = Path(__file__).parent / "golden"
+from conftest import COMMANDS, SIM_JSON, argv_of
 
 # Names `codesign/__init__.py` once re-exported, with the submodule that
 # defines each; they are imported from that submodule now.
@@ -59,10 +56,6 @@ def test_import_codesign_loads_no_submodule():
     assert result.stdout.split() == ["['codesign']"]
 
 
-PAPER = str(FIXTURES / "paper.json")
-SIMULATE = ["simulate", "--config", PAPER, "--rate", "100", "--horizon", "1"]
-REPORT = ["report", "--plan", str(GOLDEN / "paper_plan.csv")]
-
 # What no light command loads: numpy and the fusion algebra, which only the
 # lab commands run; the descent, which only `plan --trace-out` reports; and
 # pathlib, numbers, dataclasses and inspect, which no command needs (the
@@ -88,20 +81,19 @@ LOADS = {
                 ()),
     "help": (["--help"], 0, PARSER_ONLY, ()),
     "usage-error": (["plan"], 2, PARSER_ONLY, ()),
-    "plan": (["plan", "--config", PAPER], 0, LIGHT, ()),
-    "plan-trace": (["plan", "--refine", "--config", PAPER, "--trace-out", "{tmp}/trace.csv"], 0,
+    "plan": (COMMANDS["plan"], 0, LIGHT, ()),
+    "plan-trace": (argv_of("plan", "--refine", "--trace-out", "{tmp}/trace.csv"), 0,
                    tuple(name for name in LIGHT if name != "codesign.optimizer"),
                    ("codesign.optimizer",)),
-    "cost": (["cost", "--config", PAPER, "--cut", "5", "--theta1", "conv3",
-              "--theta2", "conv3+skip+conv1"], 0, LIGHT + ("csv",), ()),
-    "roofline": (["roofline", "--config", PAPER], 0, LIGHT, ()),
-    "simulate": (SIMULATE, 0, LIGHT + ("csv",), ()),
-    "simulate-cut": ([*SIMULATE, "--cut", "5"], 0, LIGHT + ("csv",), ()),
-    "report": ([*REPORT, "--sim", str(GOLDEN / "paper_simulate.json")], 0, LIGHT, ()),
-    "report-analytical": (REPORT, 0, LIGHT, ()),
-    "convergence-lab": (["convergence-lab", "--dim", "4", "--steps", "5"], 0,
-                        LAB + ("codesign.profiles",), ("codesign.convergence",)),
-    "fuse-check": (["fuse-check", "--trials", "2"], 0, LAB, ("codesign.fusion",)),
+    "cost": (COMMANDS["cost"], 0, LIGHT + ("csv",), ()),
+    "roofline": (COMMANDS["roofline"], 0, LIGHT, ()),
+    "simulate": (COMMANDS["simulate"], 0, LIGHT + ("csv",), ()),
+    "simulate-cut": (argv_of("simulate", "--cut", "5"), 0, LIGHT + ("csv",), ()),
+    "report": (argv_of("report", "--sim", SIM_JSON), 0, LIGHT, ()),
+    "report-analytical": (COMMANDS["report"], 0, LIGHT, ()),
+    "convergence-lab": (COMMANDS["convergence-lab"], 0, LAB + ("codesign.profiles",),
+                        ("codesign.convergence",)),
+    "fuse-check": (COMMANDS["fuse-check"], 0, LAB, ("codesign.fusion",)),
 }
 
 LOAD_SCRIPT = """

@@ -29,7 +29,7 @@ from codesign.profiles import (
     total_load,
 )
 
-from conftest import FULL, S3, FIXTURES, random_model, uniform_model
+from conftest import CONFIG, FULL, S3, FIXTURES, config_file, paper, random_model, uniform_model
 
 
 def test_load_device_nano():
@@ -46,27 +46,19 @@ def test_load_device_nx():
 
 
 def test_zero_bandwidth_rejected(tmp_path):
-    raw = json.loads((FIXTURES / "paper.json").read_text())
-    raw["link"]["bandwidth"] = 0
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(raw))
     with pytest.raises(NonPositiveQuantity) as err:
-        load_config(bad)
+        load_config(config_file(tmp_path, (["link", "bandwidth"], 0)))
     assert "link.bandwidth" in str(err.value)
 
 
 def test_negative_device_compute_names_key(tmp_path):
-    raw = json.loads((FIXTURES / "paper.json").read_text())
-    raw["devices"][1]["peak_compute"] = -1
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(raw))
     with pytest.raises(NonPositiveQuantity) as err:
-        load_config(bad)
+        load_config(config_file(tmp_path, (["devices", 1, "peak_compute"], -1)))
     assert "devices[1].peak_compute" in str(err.value)
 
 
 def test_missing_field_named(tmp_path):
-    raw = json.loads((FIXTURES / "paper.json").read_text())
+    raw = paper()
     del raw["model"]["layers"][2]["output_activation_bytes"]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(raw))
@@ -76,7 +68,7 @@ def test_missing_field_named(tmp_path):
 
 
 def test_unknown_strategy_named(tmp_path):
-    raw = json.loads((FIXTURES / "paper.json").read_text())
+    raw = paper()
     layer = raw["model"]["layers"][0]
     layer["flops_by_strategy"]["conv5"] = layer["flops_by_strategy"].pop("conv3")
     bad = tmp_path / "bad.json"
@@ -87,12 +79,8 @@ def test_unknown_strategy_named(tmp_path):
 
 
 def test_penalty_table_must_zero_full_structure(tmp_path):
-    raw = json.loads((FIXTURES / "paper.json").read_text())
-    raw["penalties"]["1"]["conv3+skip+conv1"] = 0.5
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(raw))
     with pytest.raises(InvariantViolation):
-        load_config(bad)
+        load_config(config_file(tmp_path, (["penalties", "1", "conv3+skip+conv1"], 0.5)))
 
 
 def test_fusible_flops_must_be_monotone():
@@ -158,13 +146,13 @@ def test_fusible_layers_monotone_in_branch_count():
 
 
 def test_config_round_trip():
-    config = load_config(FIXTURES / "paper.json")
+    config = load_config(CONFIG)
     again = config_from_dict(json.loads(json.dumps(config_to_dict(config))))
     assert again == config
 
 
 def test_config_device_accessors():
-    config = load_config(FIXTURES / "paper.json")
+    config = load_config(CONFIG)
     assert config.device1.name == "jetson-nano"
     assert config.device2.name == "jetson-nx"
     assert config.lambda1 >= 0
@@ -175,7 +163,7 @@ def test_config_device_accessors():
     (3, InvariantViolation, "devices lists 3 devices; a plan splits the model across exactly 2"),
 ], ids=["one", "three"])
 def test_config_needs_exactly_two_devices(devices, error, message):
-    raw = json.loads((FIXTURES / "paper.json").read_text())
+    raw = paper()
     raw["devices"] = [raw["devices"][0]] * devices
     with pytest.raises(error) as err:
         config_from_dict(raw)
@@ -184,7 +172,7 @@ def test_config_needs_exactly_two_devices(devices, error, message):
 
 @pytest.mark.parametrize("keys", [("1", "2", "3"), ("1", "3")], ids=["extra", "renamed"])
 def test_penalties_need_exactly_sub_models_1_and_2(keys):
-    raw = json.loads((FIXTURES / "paper.json").read_text())
+    raw = paper()
     table = raw["penalties"]["2"]
     raw["penalties"] = {key: table for key in keys}
     with pytest.raises(InvalidConfig) as err:
@@ -193,11 +181,8 @@ def test_penalties_need_exactly_sub_models_1_and_2(keys):
 
 
 def test_an_integer_beyond_the_float_range_is_not_a_finite_number(tmp_path):
-    raw = json.loads((FIXTURES / "paper.json").read_text())
-    raw["devices"][0]["peak_compute"] = 10 ** 399
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(raw))
-    assert '"peak_compute": 1' + "0" * 399 + "," in bad.read_text()
+    bad = config_file(tmp_path, (["devices", 0, "peak_compute"], 10 ** 399))
+    assert '"peak_compute": 1' + "0" * 399 + "," in Path(bad).read_text()
     with pytest.raises(InvalidConfig) as err:
         load_config(bad)
     assert str(err.value) == "devices[0].peak_compute must be a finite number"
@@ -233,7 +218,7 @@ MISSPELT = [
 
 @pytest.mark.parametrize("path, key, named", MISSPELT, ids=[named for *_, named in MISSPELT])
 def test_key_the_schema_does_not_name_is_rejected(path, key, named):
-    raw = json.loads((FIXTURES / "paper.json").read_text())
+    raw = paper()
     target = raw
     for step in path:
         target = target[step]
@@ -244,7 +229,7 @@ def test_key_the_schema_does_not_name_is_rejected(path, key, named):
 
 
 def test_first_unknown_key_in_document_order_is_named():
-    raw = json.loads((FIXTURES / "paper.json").read_text())
+    raw = paper()
     raw["link"] = {"zeta": 1.0, "bandwidth": 1e6, "alpha": 1.0}
     with pytest.raises(InvalidConfig) as err:
         config_from_dict(raw)
@@ -252,7 +237,7 @@ def test_first_unknown_key_in_document_order_is_named():
 
 
 def test_unknown_key_does_not_hide_an_error_in_its_object():
-    raw = json.loads((FIXTURES / "paper.json").read_text())
+    raw = paper()
     raw["link"] = {"bandwidth": 0.0, "fixed_latancy": 0.5}
     with pytest.raises(NonPositiveQuantity) as err:
         config_from_dict(raw)
@@ -260,7 +245,7 @@ def test_unknown_key_does_not_hide_an_error_in_its_object():
 
 
 def test_a_key_left_out_takes_its_record_default():
-    raw = json.loads((FIXTURES / "paper.json").read_text())
+    raw = paper()
     del raw["devices"][0]["utilization"]
     del raw["link"]["fixed_latency"]
     config = config_from_dict(raw)
@@ -270,7 +255,7 @@ def test_a_key_left_out_takes_its_record_default():
 
 def test_a_repeated_config_key_is_named(tmp_path):
     # json keeps the last of a repeated key: 5.0 would be dropped unseen
-    text = (FIXTURES / "paper.json").read_text()
+    text = Path(CONFIG).read_text()
     path = tmp_path / "dup.json"
     path.write_text(text.replace('"lambda1": 0.01', '"lambda1": 5.0, "lambda1": 0.01'))
     with pytest.raises(InvalidConfig) as err:
@@ -279,7 +264,7 @@ def test_a_repeated_config_key_is_named(tmp_path):
 
 
 def test_a_repeated_key_in_a_layer_is_named(tmp_path):
-    text = (FIXTURES / "paper.json").read_text()
+    text = Path(CONFIG).read_text()
     path = tmp_path / "dup.json"
     path.write_text(text.replace('"fusible": true', '"fusible": true, "fusible": false', 1))
     with pytest.raises(InvalidConfig) as err:

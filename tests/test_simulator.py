@@ -13,7 +13,7 @@ from codesign.cost_model import grid_search
 from codesign.profiles import load_config
 from codesign.simulator import RequestRecord, SimConfig, SimReport
 
-from conftest import FIXTURES, saturated_throughput
+from conftest import CONFIG, saturated_throughput
 
 
 def test_light_traffic_matches_arrival_rate():
@@ -100,7 +100,7 @@ def test_slower_stage_never_raises_saturated_throughput():
 
 
 # (device 1, link, device 2) seconds: each stage as the bottleneck, a tie,
-# and the link-dominated pipeline of test_validate_link_dominated
+# and the link-dominated pipeline of test_saturated_throughput_is_the_bottleneck_rate
 SATURATED_TIMES = [(0.05, 0.01, 0.02), (0.0137, 0.0291, 0.0083), (0.02, 0.01, 0.04),
                    (0.03, 0.03, 0.03), (0.041, 0.041, 0.007), (0.02, 2e6 / 12.5e6, 0.04)]
 
@@ -150,28 +150,17 @@ def test_littles_law_at_stable_load():
         assert in_system == pytest.approx(predicted, rel=0.03)
 
 
-def test_validate_against_model_bottleneck():
-    analytic, simulated, rel_err = saturated_throughput(
-        (0.02, 0.01, 0.04), target_completions=4000, seed=0)
-    assert analytic == pytest.approx(25.0)
+@pytest.mark.parametrize("times, completions, seed, rate", [
+    ((0.02, 0.01, 0.04), 4000, 0, 25.0),
+    ((0.03, 0.03, 0.03), 4000, 1, 1.0 / 0.03),
+    # a 2 MB embedding over a 12.5e6 B/s link: 0.16 s transfer dominates
+    ((0.02, 2e6 / 12.5e6, 0.04), 3000, 2, 12.5e6 / 2e6),
+], ids=["bottleneck", "symmetric", "link-dominated"])
+def test_saturated_throughput_is_the_bottleneck_rate(times, completions, seed, rate):
+    analytic, simulated, rel_err = saturated_throughput(times, completions, seed)
+    assert analytic == pytest.approx(rate)
     assert rel_err < 0.05
     assert simulated == pytest.approx(analytic, rel=0.05)
-
-
-def test_validate_symmetric_pipeline():
-    analytic, simulated, rel_err = saturated_throughput(
-        (0.03, 0.03, 0.03), target_completions=4000, seed=1)
-    assert analytic == pytest.approx(1.0 / 0.03)
-    assert rel_err < 0.05
-
-
-def test_validate_link_dominated():
-    # a 2 MB embedding over a 12.5e6 B/s link: 0.16 s transfer dominates
-    t3 = 2e6 / 12.5e6
-    analytic, simulated, rel_err = saturated_throughput(
-        (0.02, t3, 0.04), target_completions=3000, seed=2)
-    assert analytic == pytest.approx(1.0 / t3)
-    assert rel_err < 0.05
 
 
 def test_record_timestamps_are_ordered():
@@ -339,7 +328,7 @@ def reference_minmax_run(config: SimConfig) -> tuple[SimReport, list[RequestReco
 
 
 def _paper_winner_times():
-    config = load_config(FIXTURES / "paper.json")
+    config = load_config(CONFIG)
     cost = grid_search(config.model, config.device1, config.device2, config.link,
                        config.penalties, config.lambda1).cost
     return (cost.t1, cost.t3, cost.t2)
