@@ -278,6 +278,13 @@ def read_plan_csv(path) -> tuple[dict, int]:
             if winner is None or any(col not in winner for col in PLAN_COLUMNS):
                 raise SchemaMismatch(
                     f"{path} is not a plan table (expected columns {PLAN_COLUMNS})")
+            # DictReader keeps a repeated column's last field, as json keeps
+            # a repeated key's last value
+            seen = set()
+            for name in rows.fieldnames:
+                if name in seen:
+                    raise SchemaMismatch(f"{path}: the header repeats column {name!r}")
+                seen.add(name)
             # DictReader keys the fields past the header's by None, and reads
             # the ones a row lacks as None
             count = 1

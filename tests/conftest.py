@@ -2,6 +2,13 @@
 a command (``codesign`` as a process, ``run_main`` in this one), each
 command's smallest argv on those inputs, and the synthetic profiles.
 
+A test runs a command in this process by default: ``run_main`` returns
+its exit code, stdout and stderr, and the files it writes are read from
+disk.  It starts a process only where what it checks lies outside
+``cli.main``: the process entry ``cli.run`` itself, two interpreters
+compared, a hang bounded by a timeout, the locale, an environment read at
+import, the stdout file descriptor, or a resource limit.
+
 It imports no numpy: CI runs the numpy-free modules with a ``numpy`` that
 raises ``ImportError``."""
 
@@ -86,7 +93,8 @@ def codesign(*argv: str, **popen) -> subprocess.CompletedProcess:
     """Run ``python -m codesign`` on ``argv`` to its end.  stdout and stderr
     are captured as text unless ``popen`` says otherwise; its keywords
     (``stdout``, ``stderr``, ``text``, ``env``, ``preexec_fn``, ``timeout``)
-    go to ``subprocess.run``."""
+    go to ``subprocess.run``.  Only for a check that needs the process (see
+    the module docstring); anything else calls ``run_main``."""
     return subprocess.run([sys.executable, "-m", "codesign", *argv],
                           **{"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "text": True,
                              **popen})

@@ -23,49 +23,27 @@ from conftest import (
 )
 
 
-def test_plan_happy_path():
-    result = codesign(*COMMANDS["plan"])
-    assert result.returncode == 0
-    lines = result.stdout.splitlines()
-    assert lines[0] == "model,cut,theta1,theta2,t1,t2,t3,t_total,dA,L,feasible1,feasible2"
-    assert len(lines) == 1 + 13 * 16  # 13 interior boundaries x 16 strategy pairs
-    assert lines[1].startswith("repvgg-mini,")
-
-
-def test_plan_missing_config_is_usage_error():
-    result = codesign("plan")
-    assert result.returncode == 2
-
-
 def test_unknown_subcommand_is_usage_error():
-    result = codesign("frobnicate")
-    assert result.returncode == 2
-
-
-def test_domain_error_exit_code_and_name(tmp_path):
-    result = codesign("plan", "--config", config_file(tmp_path, (["link", "bandwidth"], -5.0)))
-    assert result.returncode == 1
-    assert result.stderr.startswith("NonPositiveQuantity: link.bandwidth")
+    assert run_main("frobnicate")[0] == 2
 
 
 def test_outputs_are_byte_identical_across_runs():
-    first = codesign(*COMMANDS["plan"])
-    second = codesign(*COMMANDS["plan"])
-    assert first.stdout == second.stdout
-    sim1 = codesign(*argv_of("simulate", "--horizon", "20", "--seed", "3"))
-    sim2 = codesign(*argv_of("simulate", "--horizon", "20", "--seed", "3"))
-    assert sim1.stdout == sim2.stdout
+    # two interpreters, each with its own hash seed
+    for argv in (COMMANDS["plan"], argv_of("simulate", "--horizon", "20", "--seed", "3")):
+        first, second = (codesign(*argv, env=dict(os.environ, PYTHONHASHSEED=seed))
+                         for seed in ("0", "1"))
+        assert first.returncode == second.returncode == 0
+        assert first.stdout == second.stdout
     # the mean is math.fsum's, correctly rounded: 3.10 and 3.11's sum
     # printed 2.3296791956657037
-    long = codesign(*argv_of("simulate", "--rate", "20000", "--horizon", "5", "--seed", "3"))
-    assert '"mean": 2.3296791956656926,' in long.stdout
+    long = main_stdout(*argv_of("simulate", "--rate", "20000", "--horizon", "5", "--seed", "3"))
+    assert '"mean": 2.3296791956656926,' in long
 
 
 def test_roofline_csv():
-    result = codesign(*COMMANDS["roofline"], text=False)
-    assert result.returncode == 0
-    assert result.stdout == (GOLDEN / "paper_roofline.csv").read_bytes()
-    lines = result.stdout.decode().splitlines()
+    result = main_stdout(*COMMANDS["roofline"])
+    assert result.encode() == (GOLDEN / "paper_roofline.csv").read_bytes()
+    lines = result.splitlines()
     assert lines[0] == "model,device,intensity,balance,class"
     assert len(lines) == 3  # two devices in the fixture
     assert lines[1].split(",")[1] == "jetson-nano"
@@ -73,10 +51,9 @@ def test_roofline_csv():
 
 
 def test_cost_json():
-    result = codesign(*argv_of("cost", "--theta2", "conv3+skip+conv1"), text=False)
-    assert result.returncode == 0
-    assert result.stdout == (GOLDEN / "paper_cost.json").read_bytes()
-    payload = json.loads(result.stdout)
+    result = main_stdout(*argv_of("cost", "--theta2", "conv3+skip+conv1"))
+    assert result.encode() == (GOLDEN / "paper_cost.json").read_bytes()
+    payload = json.loads(result)
     assert payload["schema_version"] == 1
     assert payload["t_total"] == pytest.approx(
         payload["t1"] + payload["t2"] + payload["t3"])
@@ -85,22 +62,9 @@ def test_cost_json():
 
 
 def test_cost_rejects_bad_cut():
-    result = codesign(*argv_of("cost", "--cut", "99"))
-    assert result.returncode == 1
-    assert result.stderr.startswith("DegenerateSplit")
-
-
-def test_simulate_json_and_csv(tmp_path):
-    log = tmp_path / "requests.csv"
-    result = codesign(*argv_of("simulate", "--rate", "200", "--horizon", "10", "--seed", "1",
-                               "--csv", str(log)))
-    assert result.returncode == 0
-    payload = json.loads(result.stdout)
-    assert payload["schema_version"] == 1
-    assert payload["model"] == "repvgg-mini"
-    assert payload["completed"] > 0
-    header = log.read_text().splitlines()[0]
-    assert header == "id,arrival,start1,end1,end_link,end2"
+    code, out, err = run_main(*argv_of("cost", "--cut", "99"))
+    assert code == 1
+    assert err.startswith("DegenerateSplit")
 
 
 def test_simulate_rejects_infinite_horizon():
@@ -231,10 +195,9 @@ NAN, INF = float("nan"), float("inf")
     (["penalties", "3"], {"conv3": 1.0}, "penalties"),
 ])
 def test_bad_config_value_is_named(tmp_path, path, value, named):
-    result = codesign("plan", "--config", config_file(tmp_path, (path, value)))
-    assert result.returncode == 1
-    assert result.stderr.startswith(f"InvalidConfig: {named} ")
-    assert result.stdout == ""
+    code, out, err = run_main("plan", "--config", config_file(tmp_path, (path, value)))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"InvalidConfig: {named} ")
 
 
 @pytest.mark.parametrize("command", ["plan", "roofline"])
@@ -244,11 +207,9 @@ def test_third_device_is_named(tmp_path, command):
     devices = [json.loads((FIXTURES / f"jetson_{name}.json").read_text())
                for name in ("nano", "nx", "tx2")]
     config = config_file(tmp_path, (["devices"], devices))
-    result = codesign(command, "--config", config)
-    assert result.returncode == 1
-    assert result.stderr == ("InvariantViolation: devices lists 3 devices; "
-                             "a plan splits the model across exactly 2\n")
-    assert result.stdout == ""
+    assert run_main(command, "--config", config) == (
+        1, "", "InvariantViolation: devices lists 3 devices; "
+        "a plan splits the model across exactly 2\n")
 
 
 @pytest.mark.parametrize("command, document, message", [
@@ -267,10 +228,8 @@ def test_misspelt_key_is_named(tmp_path):
     # each would fall back to its default (1.0 and 0.0) if it were ignored
     config = config_file(tmp_path, (["devices", 0, "utilisation"], 0.25),
                          (["link", "fixed_latancy"], 0.5))
-    result = codesign(*argv_of("cost", "--config", config))
-    assert result.returncode == 1
-    assert result.stderr == "InvalidConfig: devices[0].utilisation is not a config key\n"
-    assert result.stdout == ""
+    assert run_main(*argv_of("cost", "--config", config)) == (
+        1, "", "InvalidConfig: devices[0].utilisation is not a config key\n")
 
 
 @pytest.mark.parametrize("changes, quantity", [
@@ -284,12 +243,11 @@ def test_misspelt_key_is_named(tmp_path):
 @pytest.mark.parametrize("command", [["plan"], ["cost"], ["simulate"]])
 def test_overflowing_cost_is_named(tmp_path, changes, quantity, command):
     config = config_file(tmp_path, *changes)
-    result = codesign(*argv_of(*command, "--config", config))
-    assert result.returncode == 1
-    assert result.stdout == ""
-    # one line: the named error, and no numpy overflow warning
-    assert result.stderr.startswith(f"InvariantViolation: {quantity} is inf at cut ")
-    assert result.stderr.count("\n") == 1
+    code, out, err = run_main(*argv_of(*command, "--config", config))
+    assert (code, out) == (1, "")
+    # one line: the named error (a numpy overflow warning fails the test)
+    assert err.startswith(f"InvariantViolation: {quantity} is inf at cut ")
+    assert err.count("\n") == 1
 
 
 def _every_layer_cost(*keys, value=1e308):
@@ -305,10 +263,9 @@ def test_overflowed_intensity_is_named_alike_by_every_command(tmp_path):
     config = config_file(tmp_path, *_every_layer_cost("flops_by_strategy",
                                                       "bytes_by_strategy"))
     for command in (["plan"], ["cost", "--cut", "1"], ["simulate"]):
-        result = codesign(*argv_of(*command, "--config", config))
-        assert result.returncode == 1
-        assert result.stdout == ""
-        assert result.stderr.startswith(
+        code, out, err = run_main(*argv_of(*command, "--config", config))
+        assert (code, out) == (1, "")
+        assert err.startswith(
             "InvariantViolation: t2 is inf at cut 1, theta1 conv3, theta2 conv3; ")
 
 
@@ -334,11 +291,9 @@ def test_overflowing_split_is_named(tmp_path, flops, data, split, unit, command)
     # each sum is finite but head + tail is inf, so c1 / (c1 + c2) would
     # print 0.0 for a split of 0.5, and an accuracy loss from one side only
     config = config_file(tmp_path, *_two_layers(flops, data))
-    result = codesign(*argv_of(*command, "--config", config))
-    assert result.returncode == 1
-    assert result.stdout == ""
-    assert result.stderr == (f"InvariantViolation: {split} divides by an inf {unit} total at "
-                             "cut 1; the config's magnitudes overflow float arithmetic\n")
+    assert run_main(*argv_of(*command, "--config", config)) == (
+        1, "", f"InvariantViolation: {split} divides by an inf {unit} total at "
+        "cut 1; the config's magnitudes overflow float arithmetic\n")
 
 
 @pytest.mark.parametrize("changes, quantity", [
@@ -348,17 +303,16 @@ def test_overflowing_split_is_named(tmp_path, flops, data, split, unit, command)
      "balance"),
 ])
 def test_roofline_overflow_is_named(tmp_path, changes, quantity):
-    result = codesign("roofline", "--config", config_file(tmp_path, *changes))
-    assert result.returncode == 1
-    assert result.stdout == ""
-    assert result.stderr.startswith(f"InvariantViolation: {quantity} is inf on jetson-nano; ")
-    assert result.stderr.count("\n") == 1
+    code, out, err = run_main("roofline", "--config", config_file(tmp_path, *changes))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"InvariantViolation: {quantity} is inf on jetson-nano; ")
+    assert err.count("\n") == 1
 
 
 def test_plan_quotes_the_model_name_once(tmp_path):
     config = config_file(tmp_path, (["model", "name"], 'a,"b'))
     plan = tmp_path / "plan.csv"
-    assert codesign("plan", "--config", config, "--out", str(plan)).returncode == 0
+    assert run_main("plan", "--config", config, "--out", str(plan)) == (0, "", "")
     golden = Path(PLAN_CSV).read_text().splitlines(keepends=True)
     assert plan.read_text() == golden[0] + "".join(
         line.replace("repvgg-mini,", '"a,""b",', 1) for line in golden[1:])
@@ -476,37 +430,20 @@ def test_zero_time_link_plans_simulates_and_reports(tmp_path):
     config = config_file(tmp_path, *[(["model", "layers", i, "output_activation_bytes"], 0.0)
                                      for i in range(14)])
     plan_csv, sim_json = tmp_path / "plan.csv", tmp_path / "sim.json"
-    assert codesign("plan", "--config", config, "--out", str(plan_csv)).returncode == 0
+    assert run_main("plan", "--config", config, "--out", str(plan_csv)) == (0, "", "")
     assert commands.read_plan_csv(plan_csv)[0]["t3"] == "0.0"
     for cut in (["--cut", "5"], []):    # the winner's simulation last, for report
-        result = codesign(*argv_of("simulate", "--config", config, *cut, "--out", str(sim_json)))
-        assert result.returncode == 0, result.stderr
+        assert run_main(*argv_of("simulate", "--config", config, *cut,
+                                 "--out", str(sim_json))) == (0, "", "")
         assert json.loads(sim_json.read_text())["service_times"]["t3"] == 0.0
-    result = codesign("report", "--plan", str(plan_csv), "--sim", str(sim_json))
-    assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout)["simulation"]["completed"] > 0
-
-
-def test_report_merges_plan_and_sim(tmp_path):
-    plan_csv = tmp_path / "plan.csv"
-    sim_json = tmp_path / "sim.json"
-    assert codesign(*argv_of("plan", "--out", str(plan_csv))).returncode == 0
-    assert codesign(*argv_of("simulate", "--horizon", "20", "--seed", "2",
-                             "--out", str(sim_json))).returncode == 0
-    result = codesign("report", "--plan", str(plan_csv), "--sim", str(sim_json))
-    assert result.returncode == 0
-    doc = json.loads(result.stdout)
-    assert doc["schema_version"] == 1
-    assert doc["model"] == "repvgg-mini"
-    assert doc["analytical_only"] is False
-    assert doc["simulation"]["throughput"] > 0
+    report = main_stdout("report", "--plan", str(plan_csv), "--sim", str(sim_json))
+    assert json.loads(report)["simulation"]["completed"] > 0
 
 
 def test_report_without_sim_is_analytical_only(tmp_path):
     plan_csv = tmp_path / "plan.csv"
-    codesign(*argv_of("plan", "--out", str(plan_csv)))
-    result = codesign("report", "--plan", str(plan_csv))
-    doc = json.loads(result.stdout)
+    run_main(*argv_of("plan", "--out", str(plan_csv)))
+    doc = json.loads(run_main("report", "--plan", str(plan_csv))[1])
     assert doc["analytical_only"] is True
     assert doc["simulation"] is None
 
@@ -515,21 +452,19 @@ def test_report_rejects_an_empty_sim(tmp_path):
     # leaving out --sim is the one way to ask for an analytical-only report
     empty = tmp_path / "sim.json"
     empty.write_text("{}")
-    result = codesign(*argv_of("report", "--sim", str(empty)))
-    assert result.returncode == 1
-    assert result.stdout == ""
-    assert result.stderr == f"SchemaMismatch: {empty} is not a simulation report\n"
+    assert run_main(*argv_of("report", "--sim", str(empty))) == (
+        1, "", f"SchemaMismatch: {empty} is not a simulation report\n")
 
 
 def test_report_model_mismatch(tmp_path):
     plan_csv = tmp_path / "plan.csv"
-    codesign(*argv_of("plan", "--out", str(plan_csv)))
+    run_main(*argv_of("plan", "--out", str(plan_csv)))
     sim_json = tmp_path / "sim.json"
     sim = json.loads(Path(SIM_JSON).read_text())
     sim_json.write_text(json.dumps(dict(sim, model="someone-else")))
-    result = codesign("report", "--plan", str(plan_csv), "--sim", str(sim_json))
-    assert result.returncode == 1
-    assert result.stderr.startswith("SchemaMismatch: plan is for model 'repvgg-mini'")
+    code, out, err = run_main("report", "--plan", str(plan_csv), "--sim", str(sim_json))
+    assert code == 1
+    assert err.startswith("SchemaMismatch: plan is for model 'repvgg-mini'")
 
 
 def test_report_rejects_a_simulation_of_another_plan(tmp_path):
@@ -554,12 +489,12 @@ def test_report_rejects_a_simulation_without_its_plan(tmp_path):
 
 def test_report_rejects_sim_that_is_not_an_object(tmp_path):
     plan_csv = tmp_path / "plan.csv"
-    codesign(*argv_of("plan", "--out", str(plan_csv)))
+    run_main(*argv_of("plan", "--out", str(plan_csv)))
     sim_json = tmp_path / "sim.json"
     sim_json.write_text("5")
-    result = codesign("report", "--plan", str(plan_csv), "--sim", str(sim_json))
-    assert result.returncode == 1
-    assert result.stderr.startswith("SchemaMismatch")
+    code, out, err = run_main("report", "--plan", str(plan_csv), "--sim", str(sim_json))
+    assert code == 1
+    assert err.startswith("SchemaMismatch")
 
 
 @pytest.mark.parametrize("document", ["0", "null", "[]", '""', "false"])
@@ -643,11 +578,10 @@ INPUT_FILE_COMMANDS = [("plan", "--config"), ("cost", "--config"), ("simulate", 
 def test_undecodable_input_file_is_named(tmp_path, command):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(NOT_UTF8)
-    result = codesign(*argv_of(*command, str(bad)))
-    assert result.returncode == 1
-    assert result.stdout == ""
-    assert result.stderr.startswith(f"InvalidConfig: {bad}: 'utf-8' codec can't decode")
-    assert result.stderr.count("\n") == 1
+    code, out, err = run_main(*argv_of(*command, str(bad)))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"InvalidConfig: {bad}: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1
 
 
 def test_report_names_a_plan_that_stops_decoding_after_its_first_read(tmp_path):
@@ -715,11 +649,10 @@ def test_report_names_a_malformed_winner_field(tmp_path, column, edit):
     header, winner, *rest = (GOLDEN / "paper_plan.csv").read_text().splitlines()
     plan_csv = tmp_path / "plan.csv"
     plan_csv.write_text("\n".join([header, ",".join(edit(winner.split(","))), *rest]) + "\n")
-    result = codesign("report", "--plan", str(plan_csv))
-    assert result.returncode == 1
-    assert result.stdout == ""
-    assert result.stderr.startswith(f"SchemaMismatch: {plan_csv}: the winning row's {column} is ")
-    assert result.stderr.count("\n") == 1
+    code, out, err = run_main("report", "--plan", str(plan_csv))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"SchemaMismatch: {plan_csv}: the winning row's {column} is ")
+    assert err.count("\n") == 1
 
 
 def test_report_names_a_missing_model_under_a_reordered_header(tmp_path):
@@ -727,10 +660,22 @@ def test_report_names_a_missing_model_under_a_reordered_header(tmp_path):
     _, *rest = (GOLDEN / "paper_plan.csv").read_text().splitlines()[1].split(",")
     plan_csv = tmp_path / "plan.csv"
     plan_csv.write_text(f"{','.join(commands.PLAN_COLUMNS[1:])},model\n{','.join(rest)}\n")
-    result = codesign("report", "--plan", str(plan_csv))
-    assert result.returncode == 1
-    assert result.stdout == ""
-    assert result.stderr == f"SchemaMismatch: {plan_csv}: the winning row's model is None\n"
+    assert run_main("report", "--plan", str(plan_csv)) == (
+        1, "", f"SchemaMismatch: {plan_csv}: the winning row's model is None\n")
+
+
+@pytest.mark.parametrize("columns, fields, column", [
+    (",cut", ",99", "cut"), (",extra,extra", ",1,2", "extra"),
+], ids=["plan-column", "extra-column"])
+def test_report_names_a_repeated_plan_column(tmp_path, columns, fields, column):
+    # csv.DictReader keys each row by the header, so a repeated column's
+    # last field would stand for the first, as a repeated JSON key's would
+    header, *rows = (GOLDEN / "paper_plan.csv").read_text().splitlines()
+    plan_csv = tmp_path / "plan.csv"
+    plan_csv.write_text("\n".join([header + columns, *(row + fields for row in rows)]) + "\n")
+    for sim in ([], ["--sim", SIM_JSON]):
+        assert run_main("report", "--plan", str(plan_csv), *sim) == (
+            1, "", f"SchemaMismatch: {plan_csv}: the header repeats column '{column}'\n")
 
 
 @pytest.mark.parametrize("edit, line", [
@@ -742,11 +687,8 @@ def test_report_names_a_row_that_does_not_hold_the_headers_fields(tmp_path, edit
     header, *rows = (GOLDEN / "paper_plan.csv").read_text().splitlines()
     plan_csv = tmp_path / "plan.csv"
     plan_csv.write_text("\n".join([header, *edit(rows)]) + "\n")
-    result = codesign("report", "--plan", str(plan_csv))
-    assert result.returncode == 1
-    assert result.stdout == ""
-    assert result.stderr == (
-        f"SchemaMismatch: {plan_csv}: line {line} does not hold the header's 12 fields\n")
+    assert run_main("report", "--plan", str(plan_csv)) == (
+        1, "", f"SchemaMismatch: {plan_csv}: line {line} does not hold the header's 12 fields\n")
 
 
 def test_report_names_an_oversized_plan_field(tmp_path):
@@ -757,11 +699,10 @@ def test_report_names_an_oversized_plan_field(tmp_path):
         oversized = rows.copy()
         oversized[row] = ",".join([model, *rows[row].split(",")[1:]])
         plan_csv.write_text("\n".join([header, *oversized]) + "\n")
-        result = codesign("report", "--plan", str(plan_csv))
-        assert result.returncode == 1
-        assert result.stdout == ""
-        assert result.stderr.startswith(f"SchemaMismatch: {plan_csv}: field larger than")
-        assert result.stderr.count("\n") == 1
+        code, out, err = run_main("report", "--plan", str(plan_csv))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"SchemaMismatch: {plan_csv}: field larger than")
+        assert err.count("\n") == 1
 
 
 def test_the_parser_takes_the_strategies_from_their_one_definition():
@@ -781,33 +722,27 @@ def test_the_parser_takes_the_strategies_from_their_one_definition():
 
 @pytest.mark.parametrize("flags", [["--theta1", "conv3"], ["--theta2", "conv3+skip"]])
 def test_simulate_strategy_without_cut_is_usage_error(flags):
-    result = codesign(*COMMANDS["simulate"], *flags)
-    assert result.returncode == 2
-    assert result.stdout == ""
-    assert "--theta1 and --theta2 need --cut" in result.stderr
+    code, out, err = run_main(*COMMANDS["simulate"], *flags)
+    assert (code, out) == (2, "")
+    assert "--theta1 and --theta2 need --cut" in err
 
 
 def test_simulate_cut_defaults_to_full_structure():
-    result = codesign(*argv_of("simulate", "--cut", "3", "--theta1", "conv3"))
-    assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout)["plan"] == {
+    result = main_stdout(*argv_of("simulate", "--cut", "3", "--theta1", "conv3"))
+    assert json.loads(result)["plan"] == {
         "cut": 3, "theta1": "conv3", "theta2": "conv3+skip+conv1"}
 
 
 def test_simulate_strict_with_cut_is_usage_error():
-    result = codesign(*argv_of("simulate", "--strict", "--cut", "3"))
-    assert result.returncode == 2
-    assert result.stdout == ""
-    assert "simulate: --strict chooses among the grid's candidates; --cut names one" in (
-        result.stderr)
+    code, out, err = run_main(*argv_of("simulate", "--strict", "--cut", "3"))
+    assert (code, out) == (2, "")
+    assert "simulate: --strict chooses among the grid's candidates; --cut names one" in err
 
 
 def test_simulate_strict_fails_where_plan_strict_does():
     # no candidate on paper.json is feasible on both devices
-    result = codesign(*argv_of("simulate", "--strict"))
-    assert result.returncode == 1
-    assert result.stdout == ""
-    assert result.stderr == "NoFeasiblePlan: every candidate violates an intensity requirement\n"
+    assert run_main(*argv_of("simulate", "--strict")) == (
+        1, "", "NoFeasiblePlan: every candidate violates an intensity requirement\n")
 
 
 def paper_variant(index: int) -> dict:
@@ -872,10 +807,9 @@ def test_simulate_cut_runs_the_candidate_cost_prices():
 
 def test_trace_out_without_refine_is_usage_error(tmp_path):
     trace = tmp_path / "trace.csv"
-    result = codesign(*argv_of("plan", "--trace-out", str(trace)))
-    assert result.returncode == 2
-    assert result.stdout == ""
-    assert "--trace-out needs --refine" in result.stderr
+    code, out, err = run_main(*argv_of("plan", "--trace-out", str(trace)))
+    assert (code, out) == (2, "")
+    assert "--trace-out needs --refine" in err
     assert not trace.exists()
 
 
@@ -974,9 +908,9 @@ def test_an_output_naming_the_redirected_stdout_is_usage_error(argv, tmp_path):
         assert result.returncode == 2, path
         assert f"{argv[0]}: {argv[-1]} and stdout name one file" in result.stderr
         assert stdout.read_text() == ""
-    result = codesign(*argv, str(stdout), "--out", str(link))
-    assert result.returncode == 2
-    assert f"{argv[0]}: {argv[-1]} and --out name one file" in result.stderr
+    code, out, err = run_main(*argv, str(stdout), "--out", str(link))
+    assert (code, out) == (2, "")
+    assert f"{argv[0]}: {argv[-1]} and --out name one file" in err
     assert sorted(tmp_path.iterdir()) == [link, stdout]
     assert stdout.read_text() == ""
     # without the option, stdout alone is written
@@ -991,22 +925,19 @@ def test_an_output_naming_the_redirected_stdout_is_usage_error(argv, tmp_path):
 
 def test_plan_strict_and_refine_flags(tmp_path):
     trace = tmp_path / "trace.csv"
-    result = codesign(*argv_of("plan", "--refine", "--trace-out", str(trace)))
-    assert result.returncode == 0
+    assert run_main(*argv_of("plan", "--refine", "--trace-out", str(trace)))[0] == 0
     assert trace.read_text().splitlines()[0] == "iteration,lambda,t_total"
     # strict mode on this fixture: the nx-side segment never reaches its
     # balance point, so everything is filtered out
-    result = codesign(*argv_of("plan", "--strict"))
-    assert result.returncode == 1
-    assert result.stderr.startswith("NoFeasiblePlan")
+    code, out, err = run_main(*argv_of("plan", "--strict"))
+    assert code == 1
+    assert err.startswith("NoFeasiblePlan")
 
 
 def test_fuse_check_output():
     # over 300 seeds the worst error was 2.7e-15
     for argv in (["--seed", "9", "--trials", "5"], ["--seed", "7"]):
-        result = codesign("fuse-check", *argv)
-        assert result.returncode == 0
-        lines = result.stdout.splitlines()
+        lines = main_stdout("fuse-check", *argv).splitlines()
         assert lines[0] == "strategy,trials,max_rel_error"
         assert len(lines) == 5
         for line in lines[1:]:
@@ -1014,18 +945,18 @@ def test_fuse_check_output():
 
 
 def test_convergence_lab_output():
-    result = codesign("convergence-lab", "--seed", "4", "--dim", "8", "--steps", "12")
-    assert result.returncode == 0
-    lines = result.stdout.splitlines()
+    code, out, err = run_main("convergence-lab", "--seed", "4", "--dim", "8", "--steps", "12")
+    assert code == 0
+    lines = out.splitlines()
     assert lines[0] == "step,gap,bound,ratio,within_bound"
     assert len(lines) == 13
-    assert "violated_at=None" in result.stderr
+    assert "violated_at=None" in err
 
 
 def test_convergence_lab_prints_measured_gaps():
-    result = codesign("convergence-lab", "--seed", "7")
-    assert result.returncode == 0
-    printed = [row.split(",")[1] for row in result.stdout.splitlines()[1:]]
+    code, out, err = run_main("convergence-lab", "--seed", "7")
+    assert code == 0
+    printed = [row.split(",")[1] for row in out.splitlines()[1:]]
     assert len(printed) == 200
 
     # run_lab's draws: the quadratic, then w0 as 4-byte little-endian words
@@ -1068,26 +999,27 @@ def test_plan_and_trace_match_golden_files(tmp_path):
     assert trace.read_bytes() == (GOLDEN / "paper_trace.csv").read_bytes()
 
 
-def test_trace_env_var_prints_stages_and_leaves_stdout_alone(tmp_path):
+def test_trace_env_var_prints_stages_and_leaves_stdout_alone(tmp_path, monkeypatch):
     argv = argv_of("plan", "--refine", "--trace-out", str(tmp_path / "trace.csv"))
-    plain = codesign(*argv)
-    traced = codesign(*argv, env=dict(os.environ, CODESIGN_TRACE="1"))
-    assert plain.returncode == traced.returncode == 0
-    assert traced.stdout == plain.stdout
-    assert plain.stderr == ""
-    lines = [json.loads(line) for line in traced.stderr.splitlines()]
+    plain = run_main(*argv)
+    monkeypatch.setenv("CODESIGN_TRACE", "1")
+    code, out, err = run_main(*argv)
+    assert plain == (0, out, "")
+    assert code == 0
+    lines = [json.loads(line) for line in err.splitlines()]
     assert [line["stage"] for line in lines] == ["load", "evaluate", "rank", "refine", "emit"]
     assert [line["items"] for line in lines] == [14, 13 * 16, 13 * 16, 501, 13 * 16]
     assert all(line["seconds"] >= 0 for line in lines)
 
 
-def test_refine_without_trace_out_skips_the_descent():
+def test_refine_without_trace_out_skips_the_descent(monkeypatch):
     # the descent only yields its trace, so with nowhere to write it, it
     # does not run and the table is the plain plan's
-    traced = codesign(*argv_of("plan", "--refine"), env=dict(os.environ, CODESIGN_TRACE="1"))
-    assert traced.returncode == 0
-    assert traced.stdout == (GOLDEN / "paper_plan.csv").read_text()
-    lines = [json.loads(line) for line in traced.stderr.splitlines()]
+    monkeypatch.setenv("CODESIGN_TRACE", "1")
+    code, out, err = run_main(*argv_of("plan", "--refine"))
+    assert code == 0
+    assert out == (GOLDEN / "paper_plan.csv").read_text()
+    lines = [json.loads(line) for line in err.splitlines()]
     assert [line["stage"] for line in lines] == ["load", "evaluate", "rank", "emit"]
 
 
@@ -1103,10 +1035,8 @@ def test_simulate_matches_golden_files(tmp_path):
     assert log.read_bytes() == (GOLDEN / "paper_requests.csv").read_bytes()
     # the winner named by its cut is the same simulation, here on stdout
     log.unlink()
-    result = codesign(*argv_of("simulate", *golden, "--cut", "10", "--csv", str(log)),
-                      text=False)
-    assert (result.returncode, result.stderr) == (0, b"")
-    assert result.stdout == (GOLDEN / "paper_simulate.json").read_bytes()
+    result = main_stdout(*argv_of("simulate", *golden, "--cut", "10", "--csv", str(log)))
+    assert result.encode() == (GOLDEN / "paper_simulate.json").read_bytes()
     assert log.read_bytes() == (GOLDEN / "paper_requests.csv").read_bytes()
 
 
@@ -1129,10 +1059,9 @@ HELP_FLAGS = {
 
 @pytest.mark.parametrize("command,flags", HELP_FLAGS.items())
 def test_help_documents_flags(command, flags):
-    result = codesign(command, "--help")
-    assert result.returncode == 0
+    help_text = main_stdout(command, "--help")
     for flag in flags:
-        assert flag in result.stdout
+        assert flag in help_text
 
 
 # outputs, each with a path it cannot be written to: a file in a missing
@@ -1144,11 +1073,10 @@ UNWRITABLE_OUTPUTS = {"plan --out": "/nonexistent/x.csv",
 
 @pytest.mark.parametrize("output, path", UNWRITABLE_OUTPUTS.items(), ids=UNWRITABLE_OUTPUTS)
 def test_unwritable_output_is_named(tmp_path, output, path):
-    result = codesign(*_writing(output, path.format(dir=tmp_path)))
-    assert result.returncode == 1
-    assert "Traceback" not in result.stderr
-    assert re.match(r"^[A-Za-z]+: ", result.stderr)
-    assert result.stderr.startswith("UnwritableOutput: ")
+    code, out, err = run_main(*_writing(output, path.format(dir=tmp_path)))
+    assert code == 1
+    assert re.match(r"^[A-Za-z]+: ", err)
+    assert err.startswith("UnwritableOutput: ")
 
 
 # commands that write two files: the first output, before --out
@@ -1157,10 +1085,10 @@ def test_unwritable_output_is_named(tmp_path, output, path):
 def test_failed_second_write_leaves_no_first_file(tmp_path, output):
     # the second path is a directory
     first = tmp_path / "first.csv"
-    result = codesign(*_writing(output, str(first), "--out", str(tmp_path)))
-    assert result.returncode == 1
-    assert re.match(r"^[A-Za-z]+: ", result.stderr)
-    assert result.stderr.startswith(f"UnwritableOutput: {tmp_path}: ")
+    code, out, err = run_main(*_writing(output, str(first), "--out", str(tmp_path)))
+    assert code == 1
+    assert re.match(r"^[A-Za-z]+: ", err)
+    assert err.startswith(f"UnwritableOutput: {tmp_path}: ")
     assert not first.exists()
 
 
@@ -1202,10 +1130,8 @@ def test_write_that_fails_partway_leaves_no_file(tmp_path, output, changes):
     ["convergence-lab", "--dim", "100000"],
 ])
 def test_vacuous_counts_and_negative_seeds_are_usage_errors(argv):
-    result = codesign(*argv)
-    assert result.returncode == 2
-    assert "Traceback" not in result.stderr
+    code, out, err = run_main(*argv)
+    assert code == 2
     expected = {"--trials": ">= 1", "--seed": ">= 0", "--steps": ">= 1 and <= 100000",
                 "--dim": ">= 2 and <= 1024"}[argv[-2]]
-    assert f"argument {argv[-2]}: expected an integer {expected}, got '{argv[-1]}'" in (
-        result.stderr)
+    assert f"argument {argv[-2]}: expected an integer {expected}, got '{argv[-1]}'" in err
